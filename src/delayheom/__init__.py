@@ -4,7 +4,6 @@ The public surface, in dependency order:
 
 * :mod:`delayheom.constants` -- the eV/fs/um unit anchors.
 * :mod:`delayheom.qnm` -- slab resonances, overlaps and coupling rates.
-* :mod:`delayheom.kernel` -- the delta-retarded memory kernel.
 * :mod:`delayheom.engine` -- the banded delay integrator.
 * :mod:`delayheom.models` -- the one-excitation and two-photon equation sets.
 * :mod:`delayheom.oracle` -- independent amplitude/bath cross-checks.
@@ -28,7 +27,6 @@ from .engine import (
     default_band_width,
     run,
 )
-from .kernel import DelayKernel, KernelTerm, build_kernel, kernel_convolve_sample
 from .models import (
     HierarchyModel,
     build_single_excitation,
@@ -64,10 +62,6 @@ __all__ = [
     "Term",
     "default_band_width",
     "run",
-    "DelayKernel",
-    "KernelTerm",
-    "build_kernel",
-    "kernel_convolve_sample",
     "HierarchyModel",
     "build_single_excitation",
     "build_two_photon",

@@ -59,8 +59,7 @@ _CAVITY_KEYS = {
 
 _TOP_KEYS = (
     "model", "slab", "cavity", "steps_per_delay", "t_end_fs", "band_width",
-    "eps_band", "include_first_arg_delayed", "literal_two_photon_source",
-    "initial_state",
+    "eps_band", "include_first_arg_delayed", "initial_state",
 )
 
 
@@ -118,15 +117,8 @@ def load_config(raw):
             _fail("slab", str(e))
     else:
         _check_block(raw["cavity"], "cavity", _CAVITY_KEYS, tuple(_CAVITY_KEYS))
-        c = raw["cavity"]
         try:
-            cavity = CavityParams(
-                omega_a_ev=c["omega_a_ev"], gamma_a_ev=c["gamma_a_ev"],
-                omega_b_ev=c["omega_b_ev"], gamma_b_ev=c["gamma_b_ev"],
-                v_aa_ev=c["gamma_a_ev"], v_bb_ev=c["gamma_b_ev"],
-                v_ab_ev=c["v_ab_ev"], v_ba_ev=c["v_ab_ev"],
-                tau_fs=c["tau_fs"],
-            )
+            cavity = CavityParams(**raw["cavity"])
         except ValueError as e:
             _fail("cavity", str(e))
     if cavity.tau_fs <= 0:
@@ -150,16 +142,11 @@ def load_config(raw):
     fad = raw.get("include_first_arg_delayed", True)
     if not isinstance(fad, bool):
         _fail("include_first_arg_delayed", "must be a boolean")
-    literal = raw.get("literal_two_photon_source", False)
-    if not isinstance(literal, bool):
-        _fail("literal_two_photon_source", "must be a boolean")
-    if literal and model_name != "two_photon":
-        _fail("literal_two_photon_source", "only applies to the two_photon model")
 
     if model_name == "single_excitation":
         model = models.build_single_excitation(cavity)
     else:
-        model = models.build_two_photon(cavity, literal_source=literal)
+        model = models.build_two_photon(cavity)
 
     init = dict(model.default_init)
     if "initial_state" in raw:
@@ -181,7 +168,6 @@ def load_config(raw):
         "band_width": band_width,
         "eps_band": float(eps_band),
         "include_first_arg_delayed": fad,
-        "literal_two_photon_source": literal,
         "init": init,
     }
 
@@ -260,7 +246,6 @@ def _write_meta(path, cfg, result, wall_s):
         "band_width": result.band_width,
         "eps_band": cfg["eps_band"],
         "include_first_arg_delayed": result.include_first_arg_delayed,
-        "literal_two_photon_source": cfg["literal_two_photon_source"],
         "initial_state": {k: [v.real, v.imag] for k, v in sorted(cfg["init"].items())},
         "truncation_certificate": result.truncation_certificate,
         "wall_time_s": wall_s,  # excluded from the determinism contract

@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -127,18 +127,12 @@ class Term:
 @dataclass(frozen=True)
 class DiagonalSource:
     """Birth rule of a band variable: line t1 starts at
-    ``coefficient * system_var(t1)`` (conjugated if requested).
-
-    With ``derivative=True`` the source samples the instantaneous time
-    derivative of the system variable instead of its value (a literal
-    reading of some printed source conventions; off by default).
-    """
+    ``coefficient * system_var(t1)`` (conjugated if requested)."""
 
     band_var: str
     coefficient: complex
     system_var: str
     conjugate: bool = False
-    derivative: bool = False
 
 
 @dataclass(frozen=True)
@@ -308,40 +302,28 @@ class BandBuffer:
         return complex(self.data[self.row(position), self.col(label), var_index])
 
 
-def _term_matrices(eqs: EquationSet):
-    """Assemble the coefficient matrices used by the vectorised stepper."""
+def _term_matrices(eqs: EquationSet) -> dict[Pattern, tuple[np.ndarray, np.ndarray]]:
+    """One ``(plain, conjugated)`` coefficient pair per read pattern.
+
+    Band matrices are stored transposed: a row of values ``x @ T`` accumulates targets.
+    """
     n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
-    m_cur = np.zeros((n_s, n_s), dtype=complex)
-    m_cur_c = np.zeros((n_s, n_s), dtype=complex)
-    m_diag = np.zeros((n_s, n_b), dtype=complex)
-    m_diag_c = np.zeros((n_s, n_b), dtype=complex)
-    # band matrices are stored transposed: row-of-values @ T accumulates targets
-    t_own = np.zeros((n_b, n_b), dtype=complex)
-    t_own_c = np.zeros((n_b, n_b), dtype=complex)
-    t_sad = np.zeros((n_b, n_b), dtype=complex)
-    t_sad_c = np.zeros((n_b, n_b), dtype=complex)
-    t_fad = np.zeros((n_b, n_b), dtype=complex)
-    t_fad_c = np.zeros((n_b, n_b), dtype=complex)
+    mats = {}
+    for p in Pattern:
+        shape = (n_s if p in _SYSTEM_PATTERNS else n_b, n_s if p is Pattern.CURRENT else n_b)
+        mats[p] = (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
     for t in eqs.terms:
+        m = mats[t.ref.pattern][int(t.ref.conjugate)]
         c = complex(t.coefficient)
         if t.target in eqs.system_vars:
             i = eqs.system_index(t.target)
             if t.ref.pattern is Pattern.CURRENT:
-                j = eqs.system_index(t.ref.var)
-                (m_cur_c if t.ref.conjugate else m_cur)[i, j] += c
+                m[i, eqs.system_index(t.ref.var)] += c
             else:
-                j = eqs.band_index(t.ref.var)
-                (m_diag_c if t.ref.conjugate else m_diag)[i, j] += c
+                m[i, eqs.band_index(t.ref.var)] += c
         else:
-            i = eqs.band_index(t.target)
-            j = eqs.band_index(t.ref.var)
-            if t.ref.pattern is Pattern.OWN:
-                (t_own_c if t.ref.conjugate else t_own)[j, i] += c
-            elif t.ref.pattern is Pattern.SECOND_ARG_DELAYED:
-                (t_sad_c if t.ref.conjugate else t_sad)[j, i] += c
-            else:
-                (t_fad_c if t.ref.conjugate else t_fad)[j, i] += c
-    return m_cur, m_cur_c, m_diag, m_diag_c, t_own, t_own_c, t_sad, t_sad_c, t_fad, t_fad_c
+            m[eqs.band_index(t.ref.var), eqs.band_index(t.target)] += c
+    return mats
 
 
 class HierarchyIntegrator:
@@ -382,33 +364,25 @@ class HierarchyIntegrator:
         self.h_fs = eqs.tau_fs / self.K
         self.include_first_arg_delayed = bool(include_first_arg_delayed)
 
-        (
-            self._m_cur,
-            self._m_cur_c,
-            self._m_diag,
-            self._m_diag_c,
-            self._t_own,
-            self._t_own_c,
-            self._t_sad,
-            self._t_sad_c,
-            self._t_fad,
-            self._t_fad_c,
-        ) = _term_matrices(eqs)
-        self._has_sad = bool(self._t_sad.any() or self._t_sad_c.any())
-        self._has_fad = bool(self._t_fad.any() or self._t_fad_c.any())
-        self._has_diag = bool(self._m_diag.any() or self._m_diag_c.any())
+        mats = _term_matrices(eqs)
+        self._cur = mats[Pattern.CURRENT]
+        self._diag = mats[Pattern.DIAGONAL]
+        self._own = mats[Pattern.OWN]
+        self._sad = mats[Pattern.SECOND_ARG_DELAYED]
+        self._fad = mats[Pattern.FIRST_ARG_DELAYED]
+        self._has_sad = any(map(np.count_nonzero, self._sad))
+        self._has_fad = any(map(np.count_nonzero, self._fad))
+        self._has_diag = any(map(np.count_nonzero, self._diag))
 
         n_b = len(eqs.band_vars)
         self._src_idx = np.zeros(n_b, dtype=int)
         self._src_coeff = np.zeros(n_b, dtype=complex)
         self._src_conj = np.zeros(n_b, dtype=bool)
-        self._src_deriv = np.zeros(n_b, dtype=bool)
         for s in eqs.sources:
             i = eqs.band_index(s.band_var)
             self._src_idx[i] = eqs.system_index(s.system_var)
             self._src_coeff[i] = s.coefficient
             self._src_conj[i] = s.conjugate
-            self._src_deriv[i] = s.derivative
 
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
@@ -425,28 +399,18 @@ class HierarchyIntegrator:
 
     # -- helpers ---------------------------------------------------------
 
-    @property
-    def time_fs(self) -> float:
-        return self.n * self.h_fs
-
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Masked band read (the BandBuffer contract, by variable name)."""
         return self.buffer.value(self.eqs.band_index(var), position, label)
 
-    def system_value(self, var: str) -> complex:
-        return complex(self.state[self.eqs.system_index(var)])
-
     def _system_rhs(self, sys_vec: np.ndarray, diag_vec: np.ndarray | None) -> np.ndarray:
-        f = self._m_cur @ sys_vec + self._m_cur_c @ sys_vec.conj()
+        f = self._cur[0] @ sys_vec + self._cur[1] @ sys_vec.conj()
         if diag_vec is not None:
-            f = f + self._m_diag @ diag_vec + self._m_diag_c @ diag_vec.conj()
+            f = f + self._diag[0] @ diag_vec + self._diag[1] @ diag_vec.conj()
         return f
 
-    def _give_birth(self, position: int, sys_vec: np.ndarray, diag_vec=None) -> None:
+    def _give_birth(self, position: int, sys_vec: np.ndarray) -> None:
         picked = sys_vec[self._src_idx]
-        if self._src_deriv.any():
-            rhs = self._system_rhs(sys_vec, diag_vec)[self._src_idx]
-            picked = np.where(self._src_deriv, rhs, picked)
         picked = np.where(self._src_conj, picked.conj(), picked)
         buf = self.buffer
         buf.data[buf.row(position), buf.col(position), :] = self._src_coeff * picked
@@ -479,13 +443,16 @@ class HierarchyIntegrator:
         diag_open = self._has_diag and n >= K and K <= W
         sad_open = self._has_sad and n >= K
         fad_open = self.include_first_arg_delayed and self._has_fad and n_adv > K
+        t_own, t_own_c = self._own
+        t_sad, t_sad_c = self._sad
+        t_fad, t_fad_c = self._fad
 
         own0 = A[row_n, cols, :]  # (n_adv, n_b), values at position n
 
         # ---- left slopes (time n, all reads final) ----
         diag_l = A[row_n, buf.col(n - K), :] if diag_open else None
         f_sys_l = self._system_rhs(self.state, diag_l)
-        f_band_l = own0 @ self._t_own + own0.conj() @ self._t_own_c
+        f_band_l = own0 @ t_own + own0.conj() @ t_own_c
         if sad_open:
             # read (position j, label n - K); rows are ordered by age
             lo = max(0, K - W)          # deeper reads fall off the band
@@ -493,11 +460,11 @@ class HierarchyIntegrator:
             if hi > lo:
                 rows_j = labels[lo:hi] % buf.n_rows
                 vals = A[rows_j, buf.col(n - K), :]
-                f_band_l[lo:hi] += vals @ self._t_sad + vals.conj() @ self._t_sad_c
+                f_band_l[lo:hi] += vals @ t_sad + vals.conj() @ t_sad_c
         if fad_open:
             # read (position n - K, label j) for lines at least one delay old
             vals = A[buf.row(n - K), cols[K:], :]
-            f_band_l[K:] += vals @ self._t_fad + vals.conj() @ self._t_fad_c
+            f_band_l[K:] += vals @ t_fad + vals.conj() @ t_fad_c
 
         # ---- predictor into position n + 1 ----
         sys_p = self.state + h * f_sys_l
@@ -507,17 +474,17 @@ class HierarchyIntegrator:
         diag_r = A[row_n1, buf.col(n + 1 - K), :] if diag_open else None
         f_sys_r = self._system_rhs(sys_p, diag_r)
         own1 = A[row_n1, cols, :]
-        f_band_r = own1 @ self._t_own + own1.conj() @ self._t_own_c
+        f_band_r = own1 @ t_own + own1.conj() @ t_own_c
         if sad_open:
             lo = max(0, K - 1 - W)
             hi = min(n_adv, K)
             if hi > lo:
                 rows_j = labels[lo:hi] % buf.n_rows
                 vals = A[rows_j, buf.col(n + 1 - K), :]
-                f_band_r[lo:hi] += vals @ self._t_sad + vals.conj() @ self._t_sad_c
+                f_band_r[lo:hi] += vals @ t_sad + vals.conj() @ t_sad_c
         if fad_open:
             vals = A[buf.row(n + 1 - K), cols[K:], :]
-            f_band_r[K:] += vals @ self._t_fad + vals.conj() @ self._t_fad_c
+            f_band_r[K:] += vals @ t_fad + vals.conj() @ t_fad_c
 
         # ---- trapezoidal corrector ----
         sys_new = self.state + 0.5 * h * (f_sys_l + f_sys_r)
@@ -536,10 +503,7 @@ class HierarchyIntegrator:
         # ---- birth of line n + 1 from the corrected system state ----
         self.state = sys_new
         self.n = n + 1
-        diag_birth = None
-        if self._has_diag and self.n >= K and K <= W:
-            diag_birth = A[row_n1, buf.col(self.n - K), :]
-        self._give_birth(self.n, sys_new, diag_birth)
+        self._give_birth(self.n, sys_new)
         buf.frontier = self.n
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -153,7 +152,7 @@ def build_single_excitation(cavity: CavityParams) -> HierarchyModel:
     )
 
 
-def build_two_photon(cavity: CavityParams, literal_source: bool = False) -> HierarchyModel:
+def build_two_photon(cavity: CavityParams) -> HierarchyModel:
     """Two photons against the vacuum: g20, g02 and the shared g11.
 
     Stored line elements (emitting mode and its rung, then the element):
@@ -170,10 +169,7 @@ def build_two_photon(cavity: CavityParams, literal_source: bool = False) -> Hier
     ==========  =========================  ==========
 
     The silent lines still need a birth rule structurally; they get a
-    zero-coefficient source, which changes nothing.  ``literal_source=True``
-    replaces the sourced system *values* by their instantaneous time
-    derivatives (a literal reading of one printed convention for this
-    block); it is exposed for inspection, not endorsed.
+    zero-coefficient source, which changes nothing.
     """
     ga, gb, v, ea, eb = _rates(cavity)
     cur, diag = Pattern.CURRENT, Pattern.DIAGONAL
@@ -202,14 +198,13 @@ def build_two_photon(cavity: CavityParams, literal_source: bool = False) -> Hier
         Term("bA12_10", -ga, Reference("bA12_10", own)),
         Term("bB12_01", -gb, Reference("bB12_01", own)),
     )
-    lit = bool(literal_source)
     sources = (
-        DiagonalSource("bB01_10", 1.0, "g11", derivative=lit),
-        DiagonalSource("bA01_01", 1.0, "g11", derivative=lit),
+        DiagonalSource("bB01_10", 1.0, "g11"),
+        DiagonalSource("bA01_01", 1.0, "g11"),
         DiagonalSource("bB01_01", 0.0, "g11"),
         DiagonalSource("bA01_10", 0.0, "g11"),
-        DiagonalSource("bA12_10", 1.0, "g20", derivative=lit),
-        DiagonalSource("bB12_01", 1.0, "g02", derivative=lit),
+        DiagonalSource("bA12_10", 1.0, "g20"),
+        DiagonalSource("bB12_01", 1.0, "g02"),
     )
     eqs = EquationSet(
         system_vars=TWO_PHOTON_VARS["system"],

@@ -258,41 +258,33 @@ def overlaps(slab: SlabParams) -> Overlaps:
 class CavityParams:
     """Rotating-frame rates of the two coupled modes plus the photon delay.
 
-    All energies in eV, ``tau_fs`` in fs.  ``v_*_ev`` are the mode-mode
-    coupling strengths entering the delay kernel: ``gamma1`` on-site and
-    ``gamma1 / 2`` across sites for the identical-slab pair.
+    All energies in eV, ``tau_fs`` in fs.  ``v_ab_ev`` is the cross-site
+    coupling carried by the retarded photon, ``gamma1 / 2`` for the
+    identical-slab pair.
     """
 
     omega_a_ev: float
     gamma_a_ev: float
     omega_b_ev: float
     gamma_b_ev: float
-    v_aa_ev: float
-    v_bb_ev: float
     v_ab_ev: float
-    v_ba_ev: float
     tau_fs: float
 
     def __post_init__(self) -> None:
         if self.gamma_a_ev < 0 or self.gamma_b_ev < 0:
             raise ValueError("decay rates must be nonnegative")
-        if self.v_ab_ev != self.v_ba_ev:
-            raise ValueError("cross couplings must be symmetric (v_ab == v_ba)")
         if self.tau_fs < 0:
             raise ValueError("tau_fs must be >= 0")
 
     @classmethod
     def from_rates(cls, omega_ev: float, gamma_ev: float, tau_fs: float) -> "CavityParams":
-        """Identical-slab shortcut: on-site coupling ``gamma``, cross ``gamma/2``."""
+        """Identical-slab shortcut: cross coupling ``gamma/2``."""
         return cls(
             omega_a_ev=omega_ev,
             gamma_a_ev=gamma_ev,
             omega_b_ev=omega_ev,
             gamma_b_ev=gamma_ev,
-            v_aa_ev=gamma_ev,
-            v_bb_ev=gamma_ev,
             v_ab_ev=gamma_ev / 2.0,
-            v_ba_ev=gamma_ev / 2.0,
             tau_fs=tau_fs,
         )
 
@@ -301,8 +293,8 @@ def derive_cavity_params(slab: SlabParams, convention: str = "cyclic") -> Cavity
     """Reduce the slab-pair geometry to the coupled-mode rates.
 
     Identical slabs share ``omega``/``gamma`` from :func:`qnm_frequency`;
-    the couplings are ``gamma1`` on-site and ``gamma1/2`` cross-site, and
-    the delay is the centre-to-centre flight time ``R / c``.
+    the cross-site coupling is ``gamma1/2``, and the delay is the
+    centre-to-centre flight time ``R / c``.
     """
     q = qnm_frequency(slab, convention)
     return CavityParams.from_rates(q.omega_ev, q.gamma_ev, slab.R_um / CONSTANTS.c_um_fs)

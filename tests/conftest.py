@@ -64,7 +64,7 @@ def make_decoupled(gamma_tau: float, omega_tau: float = 0.0, tau_fs: float = 100
     w_ev = omega_tau / tau_fs * hbar
     return CavityParams(
         omega_a_ev=w_ev, gamma_a_ev=g_ev, omega_b_ev=w_ev, gamma_b_ev=g_ev,
-        v_aa_ev=0.0, v_bb_ev=0.0, v_ab_ev=0.0, v_ba_ev=0.0, tau_fs=tau_fs,
+        v_ab_ev=0.0, tau_fs=tau_fs,
     )
 
 

@@ -70,6 +70,12 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
     assert float(first[1]) == 1.0 and float(first[2]) == 0.0
 
     meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+    assert set(meta) == {
+        "package_version", "model", "cavity", "steps_per_delay", "h_fs",
+        "t_end_fs", "n_steps", "band_width", "eps_band",
+        "include_first_arg_delayed", "initial_state",
+        "truncation_certificate", "wall_time_s",
+    }
     assert meta["model"] == "single_excitation"
     assert meta["steps_per_delay"] == 50
     assert meta["h_fs"] == 2.0
@@ -164,7 +170,8 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         ({"t_end_fs": -1.0}, "t_end_fs"),
         ({"eps_band": 2.0}, "eps_band"),
         ({"initial_state": {"pX": 1.0}}, "initial_state.pX"),
-        ({"literal_two_photon_source": True}, "literal_two_photon_source"),
+        ({"literal_two_photon_source": True},
+         "config error at literal_two_photon_source: unknown key"),
         ({"model": "three_photon"}, "config error at model"),
         ({"cavity": dict(BASE_CAVITY, nonsense=2.0)}, "cavity.nonsense"),
         ({"band_width": 0}, "band_width"),

@@ -209,8 +209,7 @@ def test_feedback_on_first_cavity_starts_at_the_round_trip():
     cav0 = type(cav0)(
         omega_a_ev=cav.omega_a_ev, gamma_a_ev=cav.gamma_a_ev,
         omega_b_ev=cav.omega_b_ev, gamma_b_ev=cav.gamma_b_ev,
-        v_aa_ev=cav.v_aa_ev, v_bb_ev=cav.v_bb_ev,
-        v_ab_ev=0.0, v_ba_ev=0.0, tau_fs=cav.tau_fs,
+        v_ab_ev=0.0, tau_fs=cav.tau_fs,
     )
     m1 = models.build_single_excitation(cav)
     m0 = models.build_single_excitation(cav0)
@@ -338,7 +337,7 @@ def test_fine_delay_grid_short_run_stays_small():
 def test_non_finite_states_abort_with_location():
     cav = type(make_scaled(1.0, 0.0))(
         omega_a_ev=0.0, gamma_a_ev=1e-6, omega_b_ev=0.0, gamma_b_ev=1e-6,
-        v_aa_ev=1e-6, v_bb_ev=1e-6, v_ab_ev=5e3, v_ba_ev=5e3, tau_fs=100.0,
+        v_ab_ev=5e3, tau_fs=100.0,
     )
     m = models.build_single_excitation(cav)
     with pytest.raises(NonFiniteStateError) as exc:
@@ -370,6 +369,47 @@ def test_result_layout():
         assert v.dtype == np.complex128
     assert r.times[0] == 0.0
     assert r.times[-1] == pytest.approx(r.n_steps * r.h_fs)
+
+
+# ---------------------------------------------------------------------------
+# frozen regression values
+# ---------------------------------------------------------------------------
+
+# spot values at grid indices K + 1, 2K + 1 and the last step (K = 100,
+# t_end = 600 fs, gamma*tau = 2, omega*tau = 3.7); any change to the
+# stepper's arithmetic beyond rounding noise moves them
+FROZEN = {
+    "single_excitation": {
+        "pA": (0.01761701945242808, 0.00032610739937219077, 0.04012745150385463),
+        "pB": (0.00039207999999999995, 0.07183467357752839, 0.012113523762852746),
+        "cAB": (0.0022047264722328905 - 0.0013773655490270592j,
+                0.004127522054485402 - 0.0025229255219159637j,
+                0.021538597356789282 + 0.004698777463940299j),
+    },
+    "two_photon": {
+        "g20": (0.01761701945242808,
+                0.00032610739937219077 + 6.3232082043411124e-06j,
+                -0.013441372620761616 - 0.03780902508165184j),
+        "g02": (0.0001719456361953667 + 0.0003523654702058229j,
+                0.031502904124603694 + 0.06455840270411037j,
+                -0.008442387814250382 - 0.00868333529317516j),
+        "g11": (0.003117954078354743 + 0.0019478890397795314j,
+                0.005766437922335332 + 0.003681219456464077j,
+                -0.016464774997815613 - 0.02647317743082588j),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN))
+def test_frozen_spot_values(kind):
+    K = 100
+    build = {"single_excitation": models.build_single_excitation,
+             "two_photon": models.build_two_photon}[kind]
+    m = build(make_scaled(2.0, 3.7))
+    r = engine.run(m.equations, m.default_init, steps_per_delay=K, t_end_fs=600.0)
+    for name, want in FROZEN[kind].items():
+        got = [complex(r.series[name][i]) for i in (K + 1, 2 * K + 1, -1)]
+        assert got == pytest.approx([complex(w) for w in want], rel=1e-12)
 
 
 def test_rerun_is_bit_identical():

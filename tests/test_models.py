@@ -58,7 +58,6 @@ def test_single_excitation_source_wiring():
         "bA_0A": ("pA", False),
     }
     assert all(s.coefficient == 1.0 for s in m.equations.sources)
-    assert not any(s.derivative for s in m.equations.sources)
 
 
 def test_feedback_phase_convention():
@@ -144,19 +143,6 @@ def test_two_photon_matches_squared_amplitudes():
     r = engine.run(m.equations, m.default_init, steps_per_delay=100, t_end_fs=1000.0)
     for k in ("g20", "g02", "g11"):
         assert np.abs(r.series[k] - want[k]).max() < 5e-5
-
-
-def test_literal_source_reading_is_dynamically_different():
-    # sourcing the lines from derivatives instead of values wrecks the
-    # factorization by orders of magnitude -- kept as a falsification
-    # test for the convention choice
-    cav = make_scaled(1.0, 0.0)
-    dde = oracle.run_wavefunction(cav, 100, 1000.0)
-    want = models.pure_state_crosscheck(dde.amp_a, dde.amp_b, "two_photon")
-    m = models.build_two_photon(cav, literal_source=True)
-    r = engine.run(m.equations, m.default_init, steps_per_delay=100, t_end_fs=1000.0)
-    worst = max(np.abs(r.series[k] - want[k]).max() for k in want)
-    assert worst > 5e-2
 
 
 # ---------------------------------------------------------------------------
