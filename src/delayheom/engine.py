@@ -16,7 +16,8 @@ advancing line t1 at position t (band):
 
 * ``CURRENT``             -- system value at t.
 * ``DIAGONAL``            -- band value at (t, t - tau): the returning line.
-* ``OWN``                 -- band value at (t, t1): the line itself.
+* ``OWN``                 -- band value at (t, t1): the line itself, of the
+                             target variable and never conjugated.
 * ``SECOND_ARG_DELAYED``  -- band value at (t1, t - tau): a line one delay
                              older, read at this line's birth position.
 * ``FIRST_ARG_DELAYED``   -- band value at (t - tau, t1): the same line, one
@@ -44,12 +45,22 @@ is bit-for-bit independent of those terms, as the structure promises.
 
 Storage
 -------
-One complex array indexed [position ring, line ring, variable].  Positions
-are kept modulo K + 2 (nothing ever reads further back than one delay);
-line labels modulo max(band_width, K) + 2.  Lines stop advancing at age
-``band_width``; the largest magnitude ever discarded at that edge is
-reported as the truncation certificate.  Reads beyond the retained band,
-before the start of history, or ahead of a line's birth all return zero.
+One complex array ``data[row, age, variable]``: the band value B(i, j) of
+line j at position i lives at ``data[i % n_rows, i - j]``.  Rows are
+positions modulo K + 2 (nothing ever reads further back than one delay);
+axis 1 is the age i - j, so a line set at one position is a contiguous
+row, and one line's history at successive positions is a diagonal of the
+ring.  Axis 1 keeps max(band_width, K) + 2 cells, more than the largest
+age ever stored.  A run of at most ``horizon`` steps reaches neither a
+position nor an age beyond ``horizon``, so neither axis needs more than
+``horizon + 2`` cells.  Lines stop advancing at age ``band_width``; the
+largest magnitude ever discarded at that edge is reported as the
+truncation certificate.
+
+B(i, j) is zero before the start of history (j < 0), ahead of the line's
+birth (i < j) and beyond the retained band (i - j > band_width).
+:meth:`BandBuffer.value` applies these masks; the step's slices and gates
+stay inside them, so it never reads a masked cell.
 """
 
 from __future__ import annotations
@@ -180,6 +191,14 @@ class EquationSet:
                         f"got {t.ref.pattern}"
                     )
                 expected = band_set
+                if t.ref.pattern is Pattern.OWN and (
+                    t.ref.var != t.target or t.ref.conjugate
+                ):
+                    raise EquationSetError(
+                        f"OWN term on {t.target!r} must be a plain read of "
+                        f"{t.target!r} itself, got "
+                        f"{'conjugated ' if t.ref.conjugate else ''}{t.ref.var!r}"
+                    )
             else:
                 raise EquationSetError(f"term targets unknown variable {t.target!r}")
             if t.ref.var not in expected:
@@ -224,11 +243,7 @@ def default_band_width(
     if k < 1:
         raise ValueError("steps_per_delay must be >= 1")
     h = eqs.tau_fs / k
-    rates = [
-        -t.coefficient.real
-        for t in eqs.terms
-        if t.ref.pattern is Pattern.OWN and t.target == t.ref.var
-    ]
+    rates = [-t.coefficient.real for t in eqs.terms if t.ref.pattern is Pattern.OWN]
     positive = [r for r in rates if r > 0]
     cap = k + 1
     if not positive:
@@ -238,15 +253,13 @@ def default_band_width(
 
 
 class BandBuffer:
-    """Ring storage for the band with the zero-read contracts attached.
+    """Ring storage for the band, ``data[position ring, age, variable]``.
 
-    ``value()`` is the contractual scalar read: it returns 0 for reads
-    ahead of a line's birth (i < j), beyond the retained band
-    (i - j > band_width), or before the start of history (j < 0); it
-    refuses reads of positions that were never computed or that have
-    been evicted from the ring (older than one delay behind the
-    frontier).  The integrator touches ``data`` directly on its hot path;
-    the masks there are equivalent by construction.
+    ``value()`` is the contractual scalar read: it applies the masks of
+    the module notes (Storage), and refuses reads of positions that were
+    never computed or that have been evicted from the ring (older than
+    one delay behind the frontier).  The integrator slices ``data``
+    directly on its hot path.
     """
 
     def __init__(
@@ -263,27 +276,24 @@ class BandBuffer:
         self.n_vars = int(n_vars)
         self.steps_per_delay = int(steps_per_delay)
         self.band_width = int(band_width)
-        # a run of at most `horizon` steps touches positions and labels
-        # 0..horizon only, so the rings shrink accordingly -- this is what
+        # a run of at most `horizon` steps touches positions and ages
+        # 0..horizon only, so the ring shrinks accordingly -- this is what
         # keeps fine delay grids (large steps_per_delay) affordable when
         # the run itself is short
         span = self.steps_per_delay
-        label_span = max(self.band_width, self.steps_per_delay)
+        age_span = max(self.band_width, self.steps_per_delay)
         if horizon is not None:
             if horizon < 1:
                 raise ValueError("horizon must be >= 1")
             span = min(span, int(horizon))
-            label_span = min(label_span, int(horizon))
+            age_span = min(age_span, int(horizon))
         self.n_rows = span + 2
-        self.n_cols = label_span + 2
+        self.n_cols = age_span + 2
         self.data = np.zeros((self.n_rows, self.n_cols, self.n_vars), dtype=complex)
         self.frontier = -1  # highest fully-computed position
 
     def row(self, position: int) -> int:
         return position % self.n_rows
-
-    def col(self, label: int) -> int:
-        return label % self.n_cols
 
     def value(self, var_index: int, position: int, label: int) -> complex:
         if label < 0 or position < label:
@@ -299,7 +309,7 @@ class BandBuffer:
                 f"position {position} already evicted (frontier {self.frontier}, "
                 f"ring keeps one delay)"
             )
-        return complex(self.data[self.row(position), self.col(label), var_index])
+        return complex(self.data[self.row(position), position - label, var_index])
 
 
 def _term_matrices(eqs: EquationSet) -> dict[Pattern, tuple[np.ndarray, np.ndarray]]:
@@ -326,11 +336,28 @@ def _term_matrices(eqs: EquationSet) -> dict[Pattern, tuple[np.ndarray, np.ndarr
     return mats
 
 
+def _band_pair(pair: tuple[np.ndarray, np.ndarray]):
+    """A band ``(plain, conjugated)`` pair with all-zero matrices as None;
+    None when both are zero."""
+    plain, conj = (m if np.count_nonzero(m) else None for m in pair)
+    return None if plain is None and conj is None else (plain, conj)
+
+
+def _apply(x: np.ndarray, pair) -> np.ndarray:
+    """``x @ T + x.conj() @ Tc``, leaving out the all-zero matrix."""
+    plain, conj = pair
+    if plain is None:
+        return x.conj() @ conj
+    if conj is None:
+        return x @ plain
+    return x @ plain + x.conj() @ conj
+
+
 class HierarchyIntegrator:
     """Synchronised Heun stepper over system + band.
 
     One call to :meth:`step` advances everything by h: left slopes from the
-    final state at n, an Euler predictor into position n + 1, right slopes
+    final state at n, an Euler predictor at position n + 1, right slopes
     with predicted data at n + 1 (historical reads stay final), trapezoidal
     correction, retirement bookkeeping, then the birth of line n + 1 from
     the corrected system values.
@@ -367,12 +394,16 @@ class HierarchyIntegrator:
         mats = _term_matrices(eqs)
         self._cur = mats[Pattern.CURRENT]
         self._diag = mats[Pattern.DIAGONAL]
-        self._own = mats[Pattern.OWN]
-        self._sad = mats[Pattern.SECOND_ARG_DELAYED]
-        self._fad = mats[Pattern.FIRST_ARG_DELAYED]
-        self._has_sad = any(map(np.count_nonzero, self._sad))
-        self._has_fad = any(map(np.count_nonzero, self._fad))
         self._has_diag = any(map(np.count_nonzero, self._diag))
+        # OWN is a plain self-read (validated), so its matrix is diagonal:
+        # one damping rate per band variable, applied elementwise
+        self._own_rate = mats[Pattern.OWN][0].diagonal().copy()
+        self._sad = _band_pair(mats[Pattern.SECOND_ARG_DELAYED])
+        self._fad = (
+            _band_pair(mats[Pattern.FIRST_ARG_DELAYED])
+            if self.include_first_arg_delayed
+            else None
+        )
 
         n_b = len(eqs.band_vars)
         self._src_idx = np.zeros(n_b, dtype=int)
@@ -392,6 +423,8 @@ class HierarchyIntegrator:
             self.state[eqs.system_index(name)] = complex(value)
 
         self.buffer = BandBuffer(n_b, self.K, self.band_width, horizon=self._horizon)
+        # the ring with (position, age) flattened, for the diagonal SAD reads
+        self._flat = self.buffer.data.reshape(-1, n_b)
         self.n = 0
         self.truncation_certificate = 0.0
         self._give_birth(0, self.state)
@@ -413,7 +446,7 @@ class HierarchyIntegrator:
         picked = sys_vec[self._src_idx]
         picked = np.where(self._src_conj, picked.conj(), picked)
         buf = self.buffer
-        buf.data[buf.row(position), buf.col(position), :] = self._src_coeff * picked
+        buf.data[buf.row(position), 0, :] = self._src_coeff * picked
 
     # -- the step --------------------------------------------------------
 
@@ -434,62 +467,50 @@ class HierarchyIntegrator:
         h = self.h_fs
         buf = self.buffer
         A = buf.data
+        R = buf.n_rows
         n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 still advance
-        ages = np.arange(n_adv)
-        labels = n - ages
-        cols = labels % buf.n_cols
-        row_n = buf.row(n)
-        row_n1 = buf.row(n + 1)
         diag_open = self._has_diag and n >= K and K <= W
-        sad_open = self._has_sad and n >= K
-        fad_open = self.include_first_arg_delayed and self._has_fad and n_adv > K
-        t_own, t_own_c = self._own
-        t_sad, t_sad_c = self._sad
-        t_fad, t_fad_c = self._fad
+        sad_open = self._sad is not None and n >= K
+        fad_open = self._fad is not None and n_adv > K
 
-        own0 = A[row_n, cols, :]  # (n_adv, n_b), values at position n
+        own0 = A[n % R, :n_adv]  # values at position n, by age
 
         # ---- left slopes (time n, all reads final) ----
-        diag_l = A[row_n, buf.col(n - K), :] if diag_open else None
+        diag_l = A[n % R, K] if diag_open else None
         f_sys_l = self._system_rhs(self.state, diag_l)
-        f_band_l = own0 @ t_own + own0.conj() @ t_own_c
+        f_band_l = own0 * self._own_rate
         if sad_open:
-            # read (position j, label n - K); rows are ordered by age
+            # line n - K at positions n - a, i.e. at ages K - a
             lo = max(0, K - W)          # deeper reads fall off the band
             hi = min(n_adv, K)          # age gate: younger than the delay
             if hi > lo:
-                rows_j = labels[lo:hi] % buf.n_rows
-                vals = A[rows_j, buf.col(n - K), :]
-                f_band_l[lo:hi] += vals @ t_sad + vals.conj() @ t_sad_c
+                f_band_l[lo:hi] += self._sad_slope(n, K, lo, hi)
         if fad_open:
-            # read (position n - K, label j) for lines at least one delay old
-            vals = A[buf.row(n - K), cols[K:], :]
-            f_band_l[K:] += vals @ t_fad + vals.conj() @ t_fad_c
+            # position n - K of the lines at least one delay old
+            f_band_l[K:] += _apply(A[(n - K) % R, : n_adv - K], self._fad)
 
-        # ---- predictor into position n + 1 ----
+        # ---- predictor at position n + 1 (ages 1 .. n_adv) ----
         sys_p = self.state + h * f_sys_l
-        A[row_n1, cols, :] = own0 + h * f_band_l
+        pred = own0 + h * f_band_l
 
         # ---- right slopes (time n + 1; predicted data only at n + 1) ----
-        diag_r = A[row_n1, buf.col(n + 1 - K), :] if diag_open else None
+        # the returning line at n + 1 is the one predicted from age K - 1
+        diag_r = pred[K - 1] if diag_open else None
         f_sys_r = self._system_rhs(sys_p, diag_r)
-        own1 = A[row_n1, cols, :]
-        f_band_r = own1 @ t_own + own1.conj() @ t_own_c
+        f_band_r = pred * self._own_rate
         if sad_open:
+            # line n + 1 - K at positions n - a, i.e. at ages K - 1 - a
             lo = max(0, K - 1 - W)
             hi = min(n_adv, K)
             if hi > lo:
-                rows_j = labels[lo:hi] % buf.n_rows
-                vals = A[rows_j, buf.col(n + 1 - K), :]
-                f_band_r[lo:hi] += vals @ t_sad + vals.conj() @ t_sad_c
+                f_band_r[lo:hi] += self._sad_slope(n, K - 1, lo, hi)
         if fad_open:
-            vals = A[buf.row(n + 1 - K), cols[K:], :]
-            f_band_r[K:] += vals @ t_fad + vals.conj() @ t_fad_c
+            f_band_r[K:] += _apply(A[(n + 1 - K) % R, 1 : n_adv - K + 1], self._fad)
 
-        # ---- trapezoidal corrector ----
+        # ---- trapezoidal corrector, written straight into position n + 1 ----
         sys_new = self.state + 0.5 * h * (f_sys_l + f_sys_r)
-        band_new = own0 + 0.5 * h * (f_band_l + f_band_r)
-        A[row_n1, cols, :] = band_new
+        band_new = A[(n + 1) % R, 1 : n_adv + 1]
+        np.add(own0, 0.5 * h * (f_band_l + f_band_r), out=band_new)
 
         if not (np.isfinite(sys_new).all() and np.isfinite(band_new).all()):
             raise NonFiniteStateError(n + 1, (n + 1) * h)
@@ -505,6 +526,19 @@ class HierarchyIntegrator:
         self.n = n + 1
         self._give_birth(self.n, sys_new)
         buf.frontier = self.n
+
+    def _sad_slope(self, n: int, age0: int, lo: int, hi: int) -> np.ndarray:
+        """SAD contribution to the lines of ages ``lo .. hi-1`` at position n.
+
+        The line of age a reads line ``n + age0 - K`` at its own birth
+        position n - a, where that line has age ``age0 - a``.  These cells
+        form a diagonal of the ring: flat index ``(n - a) * n_cols + age0 - a``,
+        taken modulo the ring size.
+        """
+        stride = self.buffer.n_cols + 1
+        start = n * self.buffer.n_cols + age0 - lo * stride
+        idx = np.arange(start, start - (hi - lo) * stride, -stride)
+        return _apply(self._flat.take(idx, axis=0, mode="wrap"), self._sad)
 
 
 @dataclass

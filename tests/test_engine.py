@@ -74,6 +74,20 @@ def test_validate_rejects_bad_patterns():
             (Term("w", -1.0 + 0j, Reference("s", Pattern.CURRENT)),),
             (DiagonalSource("w", 1.0, "s"),), 100.0,
         )
+    # OWN is a plain read of the target itself: not another line ...
+    with pytest.raises(EquationSetError, match="OWN"):
+        EquationSet(
+            ("s",), ("w", "v"),
+            (Term("w", -1.0 + 0j, Reference("v", Pattern.OWN)),),
+            (DiagonalSource("w", 1.0, "s"), DiagonalSource("v", 1.0, "s")), 100.0,
+        )
+    # ... and not its conjugate
+    with pytest.raises(EquationSetError, match="OWN"):
+        EquationSet(
+            ("s",), ("w",),
+            (Term("w", -1.0 + 0j, Reference("w", Pattern.OWN, conjugate=True)),),
+            (DiagonalSource("w", 1.0, "s"),), 100.0,
+        )
 
 
 def test_validate_requires_exactly_one_source_per_band_var():
@@ -410,6 +424,57 @@ def test_frozen_spot_values(kind):
     for name, want in FROZEN[kind].items():
         got = [complex(r.series[name][i]) for i in (K + 1, 2 * K + 1, -1)]
         assert got == pytest.approx([complex(w) for w in want], rel=1e-12)
+
+
+# truncation certificate and final system values at K = 100, t_end = 700 fs
+# (gamma*tau = 2, omega*tau = 3.7) for (model, band width, FIRST_ARG_DELAYED
+# on): widths below K cut the SAD reads short at the band edge, widths above
+# K + 1 open the FIRST_ARG_DELAYED reads, which only the certificate sees
+FROZEN_BAND = {
+    ("single_excitation", 7, True): (
+        0.8693664721317147, {"pA": 6.967806417142425e-13, "pB": 0j, "cAB": 0j}),
+    ("single_excitation", 40, True): (
+        0.44935329132562807, {"pA": 6.967806417142425e-13, "pB": 0j, "cAB": 0j}),
+    ("single_excitation", 200, True): (0.08470510922227657, None),
+    ("single_excitation", 300, True): (0.07004417584795163, None),
+    ("single_excitation", 200, False): (0.024898626950421755, None),
+    ("two_photon", 7, True): (
+        0.8693664721317147, {"g20": 6.967806417142425e-13, "g02": 0j, "g11": 0j}),
+    ("two_photon", 40, True): (
+        0.44935329132562807, {"g20": 6.967806417142425e-13, "g02": 0j, "g11": 0j}),
+    ("two_photon", 200, True): (0.035211975917754684, None),
+    ("two_photon", 300, True): (0.00476606777458106, None),
+    ("two_photon", 200, False): (0.035211975917754684, None),
+}
+# final system values once the band covers the delay (None above); the
+# width and FIRST_ARG_DELAYED cannot change them
+FROZEN_BAND_SYSTEM = {
+    "single_excitation": {
+        "pA": 0.0197199912145965,
+        "pB": 0.029164574773033216,
+        "cAB": 0.02257301694673604 - 0.008091355572982928j,
+    },
+    "two_photon": {
+        "g20": -0.00236244446599787 - 0.01957745355164163j,
+        "g02": 0.015700388900087896 - 0.02457623832163807j,
+        "g11": 0.007538582794199092 - 0.033062400653121826j,
+    },
+}
+
+
+def test_frozen_band_internals():
+    builders = {"single_excitation": models.build_single_excitation,
+                "two_photon": models.build_two_photon}
+    for (kind, width, fad), (cert, last) in FROZEN_BAND.items():
+        m = builders[kind](make_scaled(2.0, 3.7))
+        r = engine.run(m.equations, m.default_init, steps_per_delay=100,
+                       t_end_fs=700.0, band_width=width,
+                       include_first_arg_delayed=fad)
+        case = f"{kind} W={width} FAD={'on' if fad else 'off'}"
+        assert r.truncation_certificate == pytest.approx(cert, rel=1e-12, abs=0), case
+        want = FROZEN_BAND_SYSTEM[kind] if last is None else last
+        got = {name: complex(v[-1]) for name, v in r.series.items()}
+        assert got == pytest.approx(want, rel=1e-12, abs=0), case
 
 
 def test_rerun_is_bit_identical():
