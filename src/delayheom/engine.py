@@ -50,12 +50,11 @@ line j at position i lives at ``data[i % n_rows, i - j]``.  Rows are
 positions modulo K + 2 (nothing ever reads further back than one delay);
 axis 1 is the age i - j, so a line set at one position is a contiguous
 row, and one line's history at successive positions is a diagonal of the
-ring.  Axis 1 keeps max(band_width, K) + 2 cells, more than the largest
-age ever stored.  A run of at most ``horizon`` steps reaches neither a
-position nor an age beyond ``horizon``, so neither axis needs more than
-``horizon + 2`` cells.  Lines stop advancing at age ``band_width``; the
-largest magnitude ever discarded at that edge is reported as the
-truncation certificate.
+ring.  Lines stop advancing at age ``band_width``, so axis 1 keeps
+band_width + 2 cells; the largest magnitude ever discarded at that edge is
+reported as the truncation certificate.  A run of at most ``horizon`` steps
+reaches neither a position nor an age beyond ``horizon``, so neither axis
+needs more than ``horizon + 2`` cells.
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
@@ -281,7 +280,7 @@ class BandBuffer:
         # keeps fine delay grids (large steps_per_delay) affordable when
         # the run itself is short
         span = self.steps_per_delay
-        age_span = max(self.band_width, self.steps_per_delay)
+        age_span = self.band_width
         if horizon is not None:
             if horizon < 1:
                 raise ValueError("horizon must be >= 1")
@@ -312,45 +311,44 @@ class BandBuffer:
         return complex(self.data[self.row(position), position - label, var_index])
 
 
-def _term_matrices(eqs: EquationSet) -> dict[Pattern, tuple[np.ndarray, np.ndarray]]:
-    """One ``(plain, conjugated)`` coefficient pair per read pattern.
+def _term_matrices(eqs: EquationSet) -> dict:
+    """One ``(plain, conjugated)`` coefficient pair per read pattern, and one
+    more under ``"birth"`` for the diagonal sources (system -> band).
 
-    Band matrices are stored transposed: a row of values ``x @ T`` accumulates targets.
+    Every matrix is indexed (read, target): a row of read values ``x``
+    contributes ``x @ plain + x.conj() @ conjugated`` to its targets.
     """
     n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
-    mats = {}
-    for p in Pattern:
-        shape = (n_s if p in _SYSTEM_PATTERNS else n_b, n_s if p is Pattern.CURRENT else n_b)
-        mats[p] = (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
-    for t in eqs.terms:
-        m = mats[t.ref.pattern][int(t.ref.conjugate)]
-        c = complex(t.coefficient)
-        if t.target in eqs.system_vars:
-            i = eqs.system_index(t.target)
-            if t.ref.pattern is Pattern.CURRENT:
-                m[i, eqs.system_index(t.ref.var)] += c
-            else:
-                m[i, eqs.band_index(t.ref.var)] += c
-        else:
-            m[eqs.band_index(t.ref.var), eqs.band_index(t.target)] += c
+    index = {v: i for names in (eqs.system_vars, eqs.band_vars) for i, v in enumerate(names)}
+    shapes = {
+        p: (n_s if p is Pattern.CURRENT else n_b, n_s if p in _SYSTEM_PATTERNS else n_b)
+        for p in Pattern
+    }
+    shapes["birth"] = (n_s, n_b)
+    mats = {k: (np.zeros(s, dtype=complex), np.zeros(s, dtype=complex)) for k, s in shapes.items()}
+    reads = [(t.ref.pattern, t.ref.var, t.target, t.coefficient, t.ref.conjugate)
+             for t in eqs.terms]
+    reads += [("birth", s.system_var, s.band_var, s.coefficient, s.conjugate)
+              for s in eqs.sources]
+    for key, read, target, c, conj in reads:
+        mats[key][int(conj)][index[read], index[target]] += complex(c)
     return mats
 
 
-def _band_pair(pair: tuple[np.ndarray, np.ndarray]):
-    """A band ``(plain, conjugated)`` pair with all-zero matrices as None;
-    None when both are zero."""
+def _pair(pair: tuple[np.ndarray, np.ndarray]):
+    """A ``(plain, conjugated)`` pair with all-zero matrices as None; None
+    when both are zero."""
     plain, conj = (m if np.count_nonzero(m) else None for m in pair)
     return None if plain is None and conj is None else (plain, conj)
 
 
-def _apply(x: np.ndarray, pair) -> np.ndarray:
-    """``x @ T + x.conj() @ Tc``, leaving out the all-zero matrix."""
+def _apply(out: np.ndarray, x: np.ndarray, pair) -> None:
+    """``out += x @ T + x.conj() @ Tc``, leaving out the all-zero matrix."""
     plain, conj = pair
-    if plain is None:
-        return x.conj() @ conj
-    if conj is None:
-        return x @ plain
-    return x @ plain + x.conj() @ conj
+    if plain is not None:
+        out += x @ plain
+    if conj is not None:
+        out += x.conj() @ conj
 
 
 class HierarchyIntegrator:
@@ -392,28 +390,18 @@ class HierarchyIntegrator:
         self.include_first_arg_delayed = bool(include_first_arg_delayed)
 
         mats = _term_matrices(eqs)
-        self._cur = mats[Pattern.CURRENT]
-        self._diag = mats[Pattern.DIAGONAL]
-        self._has_diag = any(map(np.count_nonzero, self._diag))
+        self._cur = _pair(mats[Pattern.CURRENT])
+        self._diag = _pair(mats[Pattern.DIAGONAL])
         # OWN is a plain self-read (validated), so its matrix is diagonal:
         # one damping rate per band variable, applied elementwise
         self._own_rate = mats[Pattern.OWN][0].diagonal().copy()
-        self._sad = _band_pair(mats[Pattern.SECOND_ARG_DELAYED])
+        self._sad = _pair(mats[Pattern.SECOND_ARG_DELAYED])
         self._fad = (
-            _band_pair(mats[Pattern.FIRST_ARG_DELAYED])
+            _pair(mats[Pattern.FIRST_ARG_DELAYED])
             if self.include_first_arg_delayed
             else None
         )
-
-        n_b = len(eqs.band_vars)
-        self._src_idx = np.zeros(n_b, dtype=int)
-        self._src_coeff = np.zeros(n_b, dtype=complex)
-        self._src_conj = np.zeros(n_b, dtype=bool)
-        for s in eqs.sources:
-            i = eqs.band_index(s.band_var)
-            self._src_idx[i] = eqs.system_index(s.system_var)
-            self._src_coeff[i] = s.coefficient
-            self._src_conj[i] = s.conjugate
+        self._birth = _pair(mats["birth"])
 
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
@@ -422,13 +410,14 @@ class HierarchyIntegrator:
         for name, value in init.items():
             self.state[eqs.system_index(name)] = complex(value)
 
-        self.buffer = BandBuffer(n_b, self.K, self.band_width, horizon=self._horizon)
+        n_b = len(eqs.band_vars)
+        buf = self.buffer = BandBuffer(n_b, self.K, self.band_width, horizon=self._horizon)
         # the ring with (position, age) flattened, for the diagonal SAD reads
-        self._flat = self.buffer.data.reshape(-1, n_b)
+        self._flat = buf.data.reshape(buf.n_rows * buf.n_cols, n_b)
         self.n = 0
         self.truncation_certificate = 0.0
         self._give_birth(0, self.state)
-        self.buffer.frontier = 0
+        buf.frontier = 0
 
     # -- helpers ---------------------------------------------------------
 
@@ -436,17 +425,11 @@ class HierarchyIntegrator:
         """Masked band read (the BandBuffer contract, by variable name)."""
         return self.buffer.value(self.eqs.band_index(var), position, label)
 
-    def _system_rhs(self, sys_vec: np.ndarray, diag_vec: np.ndarray | None) -> np.ndarray:
-        f = self._cur[0] @ sys_vec + self._cur[1] @ sys_vec.conj()
-        if diag_vec is not None:
-            f = f + self._diag[0] @ diag_vec + self._diag[1] @ diag_vec.conj()
-        return f
-
     def _give_birth(self, position: int, sys_vec: np.ndarray) -> None:
-        picked = sys_vec[self._src_idx]
-        picked = np.where(self._src_conj, picked.conj(), picked)
-        buf = self.buffer
-        buf.data[buf.row(position), 0, :] = self._src_coeff * picked
+        born = self.buffer.data[self.buffer.row(position), 0]
+        born[:] = 0
+        if self._birth is not None:
+            _apply(born, sys_vec, self._birth)
 
     # -- the step --------------------------------------------------------
 
@@ -461,33 +444,27 @@ class HierarchyIntegrator:
 
     def _step_impl(self) -> None:
         # overflow is deliberate territory here: a diverging run is caught by
-        # the isfinite check below and surfaced as NonFiniteStateError, so the
-        # intermediate inf/nan arithmetic must not spam warnings
+        # the isfinite check below and surfaced as NonFiniteStateError, so
+        # callers hold np.errstate to keep the inf/nan arithmetic quiet
         n, K, W = self.n, self.K, self.band_width
         h = self.h_fs
         buf = self.buffer
         A = buf.data
         R = buf.n_rows
         n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 still advance
-        diag_open = self._has_diag and n >= K and K <= W
+        diag_open = self._diag is not None and n >= K and K <= W
         sad_open = self._sad is not None and n >= K
         fad_open = self._fad is not None and n_adv > K
 
         own0 = A[n % R, :n_adv]  # values at position n, by age
 
         # ---- left slopes (time n, all reads final) ----
-        diag_l = A[n % R, K] if diag_open else None
-        f_sys_l = self._system_rhs(self.state, diag_l)
-        f_band_l = own0 * self._own_rate
-        if sad_open:
-            # line n - K at positions n - a, i.e. at ages K - a
-            lo = max(0, K - W)          # deeper reads fall off the band
-            hi = min(n_adv, K)          # age gate: younger than the delay
-            if hi > lo:
-                f_band_l[lo:hi] += self._sad_slope(n, K, lo, hi)
-        if fad_open:
-            # position n - K of the lines at least one delay old
-            f_band_l[K:] += _apply(A[(n - K) % R, : n_adv - K], self._fad)
+        f_sys_l, f_band_l = self._slopes(
+            n, self.state, own0,
+            A[n % R, K] if diag_open else None,
+            K if sad_open else None,
+            A[(n - K) % R, : n_adv - K] if fad_open else None,
+        )
 
         # ---- predictor at position n + 1 (ages 1 .. n_adv) ----
         sys_p = self.state + h * f_sys_l
@@ -495,17 +472,12 @@ class HierarchyIntegrator:
 
         # ---- right slopes (time n + 1; predicted data only at n + 1) ----
         # the returning line at n + 1 is the one predicted from age K - 1
-        diag_r = pred[K - 1] if diag_open else None
-        f_sys_r = self._system_rhs(sys_p, diag_r)
-        f_band_r = pred * self._own_rate
-        if sad_open:
-            # line n + 1 - K at positions n - a, i.e. at ages K - 1 - a
-            lo = max(0, K - 1 - W)
-            hi = min(n_adv, K)
-            if hi > lo:
-                f_band_r[lo:hi] += self._sad_slope(n, K - 1, lo, hi)
-        if fad_open:
-            f_band_r[K:] += _apply(A[(n + 1 - K) % R, 1 : n_adv - K + 1], self._fad)
+        f_sys_r, f_band_r = self._slopes(
+            n, sys_p, pred,
+            pred[K - 1] if diag_open else None,
+            K - 1 if sad_open else None,
+            A[(n + 1 - K) % R, 1 : n_adv - K + 1] if fad_open else None,
+        )
 
         # ---- trapezoidal corrector, written straight into position n + 1 ----
         sys_new = self.state + 0.5 * h * (f_sys_l + f_sys_r)
@@ -527,18 +499,35 @@ class HierarchyIntegrator:
         self._give_birth(self.n, sys_new)
         buf.frontier = self.n
 
-    def _sad_slope(self, n: int, age0: int, lo: int, hi: int) -> np.ndarray:
-        """SAD contribution to the lines of ages ``lo .. hi-1`` at position n.
+    def _slopes(self, n, sys_vec, band, diag, sad_age0, fad_band):
+        """System and band slopes of one Heun stage at step n.
 
-        The line of age a reads line ``n + age0 - K`` at its own birth
-        position n - a, where that line has age ``age0 - a``.  These cells
-        form a diagonal of the ring: flat index ``(n - a) * n_cols + age0 - a``,
-        taken modulo the ring size.
+        ``band`` holds the advancing lines by age; ``diag`` is the returning
+        line, ``sad_age0`` the age at position n of the line one delay older
+        than the newest (K left, K - 1 right), and ``fad_band`` the advancing
+        lines one delay earlier in position.  A gated-off read is None.
         """
-        stride = self.buffer.n_cols + 1
-        start = n * self.buffer.n_cols + age0 - lo * stride
-        idx = np.arange(start, start - (hi - lo) * stride, -stride)
-        return _apply(self._flat.take(idx, axis=0, mode="wrap"), self._sad)
+        K = self.K
+        f_sys = np.zeros_like(sys_vec)
+        if self._cur is not None:
+            _apply(f_sys, sys_vec, self._cur)
+        if diag is not None:
+            _apply(f_sys, diag, self._diag)
+        f_band = band * self._own_rate
+        if sad_age0 is not None:
+            # the line of age a reads line n + sad_age0 - K at its own birth
+            # position n - a, where that line has age sad_age0 - a: a diagonal
+            # of the ring, flat index (n - a) * n_cols + sad_age0 - a
+            lo = max(0, sad_age0 - self.band_width)  # deeper reads fall off the band
+            hi = min(len(band), K)                   # age gate: younger than the delay
+            if hi > lo:
+                stride = self.buffer.n_cols + 1
+                start = n * self.buffer.n_cols + sad_age0 - lo * stride
+                idx = np.arange(start, start - (hi - lo) * stride, -stride)
+                _apply(f_band[lo:hi], self._flat.take(idx, axis=0, mode="wrap"), self._sad)
+        if fad_band is not None:
+            _apply(f_band[K:], fad_band, self._fad)
+        return f_sys, f_band
 
 
 @dataclass
@@ -593,9 +582,11 @@ def run(
     n_sys = len(eqs.system_vars)
     traj = np.zeros((n_steps + 1, n_sys), dtype=complex)
     traj[0] = integ.state
-    for i in range(n_steps):
-        integ.step()
-        traj[i + 1] = integ.state
+    # the horizon is n_steps, so the loop calls the step body directly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            integ._step_impl()
+            traj[i + 1] = integ.state
     times = np.arange(n_steps + 1) * h
     series = {name: traj[:, k].copy() for k, name in enumerate(eqs.system_vars)}
     return SimResult(

@@ -182,6 +182,44 @@ def test_own_only_band_matches_product_formula():
             assert it.band_value("w", i, j) == pytest.approx(want, rel=1e-13)
 
 
+def test_conjugated_only_current_read():
+    # s' = c conj(s): one Heun step from s = 1 gives 1 + h c + h^2 |c|^2 / 2
+    c = -0.01 + 0.02j
+    terms = (Term("s", c, Reference("s", Pattern.CURRENT, conjugate=True)),)
+    with_band = EquationSet(
+        system_vars=("s",), band_vars=("w",),
+        terms=terms + (Term("w", -0.008, Reference("w", Pattern.OWN)),),
+        sources=(DiagonalSource("w", 1.0, "s"),), tau_fs=100.0,
+    )
+    it = HierarchyIntegrator(with_band, {"s": 1.0}, steps_per_delay=20, band_width=21)
+    it.step()
+    h = 5.0
+    want = 1.0 + h * c + 0.5 * h**2 * abs(c) ** 2
+    assert complex(it.state[0]) == pytest.approx(want, rel=1e-15)
+    # with no band variables (hence no sources) the step is the same
+    bare = EquationSet(system_vars=("s",), band_vars=(), terms=terms, sources=(),
+                       tau_fs=100.0)
+    it0 = HierarchyIntegrator(bare, {"s": 1.0}, steps_per_delay=20, band_width=21)
+    it0.step()
+    assert np.array_equal(it0.state, it.state)
+
+
+def test_system_driven_only_by_the_returning_line():
+    # no CURRENT term: s stays exactly 1 until its own line returns
+    eqs = EquationSet(
+        system_vars=("s",), band_vars=("w",),
+        terms=(Term("s", -0.01, Reference("w", Pattern.DIAGONAL)),
+               Term("w", -0.008, Reference("w", Pattern.OWN))),
+        sources=(DiagonalSource("w", 1.0, "s"),), tau_fs=100.0,
+    )
+    K = 20
+    r = engine.run(eqs, {"s": 1.0}, steps_per_delay=K, t_end_fs=300.0)
+    s = r.series["s"]
+    assert np.all(s[: K + 1] == 1.0)
+    assert s[K + 1] != 1.0
+    assert complex(s[-1]) == pytest.approx(0.2024251827258469, rel=1e-12)
+
+
 def test_decoupled_richardson_limit():
     # Heun is second order: the h^2 error must cancel under Richardson,
     # leaving a residual hundreds of times smaller than the plain error
@@ -334,6 +372,8 @@ def test_fine_delay_grid_short_run_stays_small():
     # configurations usable at a resolving step size)
     buf = BandBuffer(4, 20000, 500, horizon=400)
     assert buf.data.shape == (402, 402, 4)
+    # ages only reach the band width, however long the delay
+    assert BandBuffer(4, 1000, 346).data.shape == (1002, 348, 4)
 
     m = models.build_single_excitation(make_scaled(2.0, 3.7))
     r = engine.run(m.equations, m.default_init,
