@@ -39,7 +39,6 @@ from .qnm import (
     Overlaps,
     QnmFrequency,
     SlabParams,
-    background_green,
     derive_cavity_params,
     mode_function,
     overlaps,
@@ -72,7 +71,6 @@ __all__ = [
     "Overlaps",
     "QnmFrequency",
     "SlabParams",
-    "background_green",
     "derive_cavity_params",
     "mode_function",
     "overlaps",

@@ -7,6 +7,7 @@ Exit codes: 0 success (and compare-pass), 1 usage or config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -143,10 +144,8 @@ def load_config(raw):
     if not isinstance(fad, bool):
         _fail("include_first_arg_delayed", "must be a boolean")
 
-    if model_name == "single_excitation":
-        model = models.build_single_excitation(cavity)
-    else:
-        model = models.build_two_photon(cavity)
+    # looked up at call time, so a wrapped module attribute is the one called
+    model = getattr(models, f"build_{model_name}")(cavity)
 
     init = dict(model.default_init)
     if "initial_state" in raw:
@@ -216,29 +215,19 @@ def _run_from(cfg):
 # ---------------------------------------------------------------- output
 
 def write_csv(path, result, var_order):
-    cols = ["time_fs"]
-    for name in var_order:
-        cols += [f"{name}_re", f"{name}_im"]
+    cols = ["time_fs"] + [f"{name}_{part}" for name in var_order for part in ("re", "im")]
+    table = np.column_stack([result.times] + [
+        part(result.series[name]) for name in var_order for part in (np.real, np.imag)
+    ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        series = [result.series[name] for name in var_order]
-        for i, t in enumerate(result.times):
-            row = [f"{t:.17g}"]
-            for s in series:
-                row += [f"{s[i].real:.17g}", f"{s[i].imag:.17g}"]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
 def _write_meta(path, cfg, result, wall_s):
-    cav = cfg["cavity"]
     meta = {
         "package_version": __version__,
         "model": cfg["model"].kind,
-        "cavity": {
-            "omega_a_ev": cav.omega_a_ev, "gamma_a_ev": cav.gamma_a_ev,
-            "omega_b_ev": cav.omega_b_ev, "gamma_b_ev": cav.gamma_b_ev,
-            "v_ab_ev": cav.v_ab_ev, "tau_fs": cav.tau_fs,
-        },
+        "cavity": dataclasses.asdict(cfg["cavity"]),
         "steps_per_delay": result.steps_per_delay,
         "h_fs": result.h_fs,
         "t_end_fs": cfg["t_end_fs"],
@@ -273,9 +262,7 @@ def _cmd_simulate(args):
 def _amplitude_init(cfg):
     # compare needs an initial state a product of amplitudes can represent
     init = {k: v for k, v in cfg["init"].items() if v != 0}
-    single = cfg["model"].kind == "single_excitation"
-    one = ("pA", "g20")[0 if single else 1]
-    other = ("pB", "g02")[0 if single else 1]
+    one, other = cfg["model"].equations.system_vars[:2]
     if set(init) == {one} and init[one] == 1:
         return 1.0 + 0j, 0.0j
     if set(init) == {other} and init[other] == 1:
@@ -363,10 +350,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(e, file=sys.stderr)
-        return 1
-    except ConfigError as e:
+    except (_UsageError, ConfigError) as e:
         print(e, file=sys.stderr)
         return 1
     except NonFiniteStateError as e:

@@ -58,8 +58,8 @@ needs more than ``horizon + 2`` cells.
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
-:meth:`BandBuffer.value` applies these masks; the step's slices and gates
-stay inside them, so it never reads a masked cell.
+:meth:`HierarchyIntegrator.band_value` applies these masks; the step's
+slices and gates stay inside them, so it never reads a masked cell.
 """
 
 from __future__ import annotations
@@ -162,6 +162,9 @@ class EquationSet:
     tau_fs: float
 
     def __post_init__(self) -> None:
+        # the set is frozen: keep no reference to a caller's mutable sequence
+        for name in ("system_vars", "band_vars", "terms", "sources"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         self.validate()
 
     def validate(self) -> None:
@@ -230,11 +233,14 @@ def default_band_width(
 ) -> int:
     """Number of steps a line is kept, ``ceil(ln(1/eps) / (gamma_min h))``.
 
-    ``gamma_min`` is the slowest own-damping rate over the band equations.
-    The result is clamped to ``steps_per_delay + 1``: values deeper into a
-    line than one delay past its birth can never propagate back into the
-    system variables, so keeping more buys exactly nothing (see the module
-    notes; the claim is also regression-tested).
+    ``gamma_min`` is the slowest own-damping rate over the band variables,
+    a variable's rate being minus the real part of the sum of its OWN
+    coefficients.  If any band variable is undamped (rate <= 0) its lines
+    never fade, so the whole band is kept.  The result is clamped to
+    ``steps_per_delay + 1``: values deeper into a line than one delay past
+    its birth can never propagate back into the system variables, so
+    keeping more buys exactly nothing (see the module notes; the claim is
+    also regression-tested).
     """
     if not (0 < eps_band < 1):
         raise ValueError("eps_band must be in (0, 1)")
@@ -242,24 +248,21 @@ def default_band_width(
     if k < 1:
         raise ValueError("steps_per_delay must be >= 1")
     h = eqs.tau_fs / k
-    rates = [-t.coefficient.real for t in eqs.terms if t.ref.pattern is Pattern.OWN]
-    positive = [r for r in rates if r > 0]
+    rates = dict.fromkeys(eqs.band_vars, 0.0)
+    for t in eqs.terms:
+        if t.ref.pattern is Pattern.OWN:
+            rates[t.target] -= t.coefficient.real
+    slowest = min(rates.values(), default=0.0)
     cap = k + 1
-    if not positive:
+    if slowest <= 0:
         return cap
-    width = math.ceil(math.log(1.0 / eps_band) / (min(positive) * h))
+    width = math.ceil(math.log(1.0 / eps_band) / (slowest * h))
     return max(1, min(width, cap))
 
 
 class BandBuffer:
-    """Ring storage for the band, ``data[position ring, age, variable]``.
-
-    ``value()`` is the contractual scalar read: it applies the masks of
-    the module notes (Storage), and refuses reads of positions that were
-    never computed or that have been evicted from the ring (older than
-    one delay behind the frontier).  The integrator slices ``data``
-    directly on its hot path.
-    """
+    """Ring storage for the band, ``data[position ring, age, variable]``
+    (see the module notes, Storage)."""
 
     def __init__(
         self,
@@ -272,15 +275,11 @@ class BandBuffer:
             raise ValueError("steps_per_delay must be >= 1")
         if band_width < 1:
             raise ValueError("band_width must be >= 1")
-        self.n_vars = int(n_vars)
-        self.steps_per_delay = int(steps_per_delay)
-        self.band_width = int(band_width)
         # a run of at most `horizon` steps touches positions and ages
         # 0..horizon only, so the ring shrinks accordingly -- this is what
         # keeps fine delay grids (large steps_per_delay) affordable when
         # the run itself is short
-        span = self.steps_per_delay
-        age_span = self.band_width
+        span, age_span = int(steps_per_delay), int(band_width)
         if horizon is not None:
             if horizon < 1:
                 raise ValueError("horizon must be >= 1")
@@ -288,27 +287,7 @@ class BandBuffer:
             age_span = min(age_span, int(horizon))
         self.n_rows = span + 2
         self.n_cols = age_span + 2
-        self.data = np.zeros((self.n_rows, self.n_cols, self.n_vars), dtype=complex)
-        self.frontier = -1  # highest fully-computed position
-
-    def row(self, position: int) -> int:
-        return position % self.n_rows
-
-    def value(self, var_index: int, position: int, label: int) -> complex:
-        if label < 0 or position < label:
-            return 0j
-        if position - label > self.band_width:
-            return 0j
-        if position > self.frontier:
-            raise ValueError(
-                f"position {position} not computed yet (frontier {self.frontier})"
-            )
-        if position < self.frontier - self.steps_per_delay:
-            raise ValueError(
-                f"position {position} already evicted (frontier {self.frontier}, "
-                f"ring keeps one delay)"
-            )
-        return complex(self.data[self.row(position), position - label, var_index])
+        self.data = np.zeros((self.n_rows, self.n_cols, int(n_vars)), dtype=complex)
 
 
 def _term_matrices(eqs: EquationSet) -> dict:
@@ -375,7 +354,6 @@ class HierarchyIntegrator:
         include_first_arg_delayed: bool = True,
         horizon_steps: int | None = None,
     ):
-        eqs.validate()
         if steps_per_delay < 1:
             raise ValueError("steps_per_delay must be >= 1")
         if band_width < 1:
@@ -387,7 +365,6 @@ class HierarchyIntegrator:
         self.K = int(steps_per_delay)
         self.band_width = int(band_width)
         self.h_fs = eqs.tau_fs / self.K
-        self.include_first_arg_delayed = bool(include_first_arg_delayed)
 
         mats = _term_matrices(eqs)
         self._cur = _pair(mats[Pattern.CURRENT])
@@ -397,9 +374,7 @@ class HierarchyIntegrator:
         self._own_rate = mats[Pattern.OWN][0].diagonal().copy()
         self._sad = _pair(mats[Pattern.SECOND_ARG_DELAYED])
         self._fad = (
-            _pair(mats[Pattern.FIRST_ARG_DELAYED])
-            if self.include_first_arg_delayed
-            else None
+            _pair(mats[Pattern.FIRST_ARG_DELAYED]) if include_first_arg_delayed else None
         )
         self._birth = _pair(mats["birth"])
 
@@ -417,16 +392,27 @@ class HierarchyIntegrator:
         self.n = 0
         self.truncation_certificate = 0.0
         self._give_birth(0, self.state)
-        buf.frontier = 0
 
     # -- helpers ---------------------------------------------------------
 
     def band_value(self, var: str, position: int, label: int) -> complex:
-        """Masked band read (the BandBuffer contract, by variable name)."""
-        return self.buffer.value(self.eqs.band_index(var), position, label)
+        """Band value B(position, label) of ``var``, zero where the module
+        notes (Storage) mask it.  Positions not computed yet, or evicted
+        from the ring (more than one delay behind step n), are an error."""
+        v = self.eqs.band_index(var)
+        if label < 0 or position < label or position - label > self.band_width:
+            return 0j
+        if position > self.n:
+            raise ValueError(f"position {position} not computed yet (latest {self.n})")
+        if position < self.n - self.K:
+            raise ValueError(
+                f"position {position} already evicted (latest {self.n}, "
+                f"ring keeps one delay)"
+            )
+        return complex(self.buffer.data[position % self.buffer.n_rows, position - label, v])
 
     def _give_birth(self, position: int, sys_vec: np.ndarray) -> None:
-        born = self.buffer.data[self.buffer.row(position), 0]
+        born = self.buffer.data[position % self.buffer.n_rows, 0]
         born[:] = 0
         if self._birth is not None:
             _apply(born, sys_vec, self._birth)
@@ -448,9 +434,7 @@ class HierarchyIntegrator:
         # callers hold np.errstate to keep the inf/nan arithmetic quiet
         n, K, W = self.n, self.K, self.band_width
         h = self.h_fs
-        buf = self.buffer
-        A = buf.data
-        R = buf.n_rows
+        A, R = self.buffer.data, self.buffer.n_rows
         n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 still advance
         diag_open = self._diag is not None and n >= K and K <= W
         sad_open = self._sad is not None and n >= K
@@ -497,7 +481,6 @@ class HierarchyIntegrator:
         self.state = sys_new
         self.n = n + 1
         self._give_birth(self.n, sys_new)
-        buf.frontier = self.n
 
     def _slopes(self, n, sys_vec, band, diag, sad_age0, fad_band):
         """System and band slopes of one Heun stage at step n.
@@ -562,7 +545,6 @@ def run(
     fraction of a step).  ``band_width`` defaults to
     :func:`default_band_width` with the given ``eps_band``.
     """
-    eqs.validate()
     if t_end_fs <= 0:
         raise ValueError("t_end_fs must be positive")
     if steps_per_delay < 1:

@@ -2,9 +2,9 @@
 
 Two blocks are wired up here.  The one-excitation density-matrix block
 carries three system elements (two populations and a coherence) and four
-stored line elements; four more line elements are mirror images under
-complex conjugation and are exposed through ``conjugate_elements`` rather
-than integrated twice.  The doubly-excited-against-vacuum block carries
+stored line elements; the four other line elements of the block are the
+complex conjugates of these at the transposed time pair, so they are
+never integrated.  The doubly-excited-against-vacuum block carries
 three system elements and six stored line elements, with no conjugate
 partners (its right-hand side is the vacuum, so the block closes on
 itself like an amplitude equation).
@@ -40,33 +40,25 @@ __all__ = [
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
-#: census of the one-excitation block: 3 system + 4 stored + 4 mirrored
+#: census of the one-excitation block: 3 system + 4 stored
 SINGLE_EXCITATION_VARS = {
     "system": ("pA", "pB", "cAB"),
     "band": ("bB_0A", "bA_0B", "bB_0B", "bA_0A"),
-    "mirrored": ("rB_A0", "rA_B0", "rB_B0", "rA_A0"),
 }
 
 #: census of the two-photon block: 3 system + 6 stored
 TWO_PHOTON_VARS = {
     "system": ("g20", "g02", "g11"),
     "band": ("bB01_10", "bA01_01", "bB01_01", "bA01_10", "bA12_10", "bB12_01"),
-    "mirrored": (),
 }
 
 
 @dataclass(frozen=True)
 class HierarchyModel:
-    """A ready-to-run equation set plus its bookkeeping.
-
-    ``conjugate_elements`` maps each non-stored line element to
-    ``(stored_name, conjugate?)`` -- the value of the former is the
-    (conjugated) value of the latter at the transposed time pair.
-    """
+    """A ready-to-run equation set plus its bookkeeping."""
 
     kind: str
     equations: EquationSet
-    conjugate_elements: Mapping[str, tuple[str, bool]]
     default_init: Mapping[str, complex]
 
 
@@ -140,14 +132,9 @@ def build_single_excitation(cavity: CavityParams) -> HierarchyModel:
         sources=sources,
         tau_fs=cavity.tau_fs,
     )
-    mirrored = dict(
-        zip(SINGLE_EXCITATION_VARS["mirrored"],
-            ((name, True) for name in SINGLE_EXCITATION_VARS["band"]))
-    )
     return HierarchyModel(
         kind="single_excitation",
         equations=eqs,
-        conjugate_elements=mirrored,
         default_init={"pA": 1.0 + 0j},
     )
 
@@ -216,7 +203,6 @@ def build_two_photon(cavity: CavityParams) -> HierarchyModel:
     return HierarchyModel(
         kind="two_photon",
         equations=eqs,
-        conjugate_elements={},
         default_init={"g20": 1.0 + 0j},
     )
 

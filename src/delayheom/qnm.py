@@ -37,7 +37,6 @@ __all__ = [
     "qnm_frequency",
     "mode_function",
     "regularized_factor",
-    "background_green",
     "overlaps",
     "derive_cavity_params",
 ]
@@ -196,19 +195,6 @@ def regularized_factor(slab: SlabParams, omega_rad_fs: complex, z: complex | Non
     a_minus = (omega_rad_fs - slab.n_r * om_tilde) * L / (2.0 * c)
     parity = (-1.0) ** slab.mode_index
     return 0.5j * L * (slab.eps_r - slab.eps_b) * (_si(a_plus) + parity * _si(a_minus))
-
-
-def background_green(x_um, xp_um, omega_rad_fs: complex):
-    """Outgoing background propagator ``i/2 exp(-i omega |x - x'| / c)``.
-
-    Dimensionless normalisation: ``|G| = 1/2`` for real omega, with the
-    phase advancing by one optical cycle per wavelength of separation.
-    """
-    dist = np.abs(np.asarray(x_um, dtype=float) - np.asarray(xp_um, dtype=float))
-    out = 0.5j * np.exp(-1j * omega_rad_fs * dist / CONSTANTS.c_um_fs)
-    if np.isscalar(x_um) and np.isscalar(xp_um):
-        return complex(out)
-    return out
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,26 @@ def test_validate_requires_exactly_one_source_per_band_var():
         EquationSet(("s",), ("w",), (), (DiagonalSource("w", 1.0, "nope"),), 100.0)
 
 
+def test_equation_set_keeps_no_reference_to_caller_lists():
+    # the set is frozen: mutating the lists it was built from changes nothing
+    system_vars, band_vars = ["s"], ["w"]
+    terms = [Term("s", -0.003 + 0j, Reference("s", Pattern.CURRENT)),
+             Term("s", -0.01 + 0j, Reference("w", Pattern.DIAGONAL)),
+             Term("w", -0.008 + 0j, Reference("w", Pattern.OWN))]
+    sources = [DiagonalSource("w", 0.7 + 0.2j, "s")]
+    eqs = EquationSet(system_vars, band_vars, terms, sources, 100.0)
+    kw = dict(steps_per_delay=20, t_end_fs=300.0)
+    before = engine.run(eqs, {"s": 1.0}, **kw)
+    system_vars.append("x")
+    terms[0] = Term("s", 5.0 + 0j, Reference("s", Pattern.CURRENT))
+    sources.clear()
+    assert isinstance(eqs.terms, tuple) and isinstance(eqs.sources, tuple)
+    assert eqs.system_vars == ("s",) and eqs.band_vars == ("w",)
+    after = engine.run(eqs, {"s": 1.0}, **kw)
+    assert set(after.series) == {"s"}
+    assert np.array_equal(before.series["s"], after.series["s"])
+
+
 def test_validate_requires_positive_delay():
     with pytest.raises(EquationSetError):
         EquationSet(("s",), ("w",), (), (DiagonalSource("w", 1.0, "s"),), 0.0)
@@ -125,10 +145,9 @@ def test_run_argument_validation():
 
 
 def test_buffer_masked_reads_are_exact_zero():
-    buf = BandBuffer(n_vars=1, steps_per_delay=10, band_width=6)
-    buf.frontier = 0
-    assert buf.value(0, 0, -1) == 0j          # label before the start
-    assert buf.value(0, 0, 3) == 0j           # below the diagonal (i < j)
+    it = HierarchyIntegrator(toy_eqs(), {"s": 1.0}, steps_per_delay=10, band_width=6)
+    assert it.band_value("w", 0, -1) == 0j    # label before the start
+    assert it.band_value("w", 0, 3) == 0j     # below the diagonal (i < j)
 
 
 def test_buffer_rejects_future_and_evicted_positions():
@@ -291,10 +310,37 @@ def test_default_band_width_formula_and_clamp():
     assert default_band_width(toy_eqs(gb=0.8), 1000) == 346
     assert default_band_width(eqs, 20) == 21    # clamped to K + 1
     assert default_band_width(toy_eqs(gb=50.0), 20) == 1
+    # the rate of a band variable is the sum of its OWN coefficients, and
+    # one undamped variable keeps the whole band
+    two = EquationSet(
+        ("s",), ("w", "u"),
+        (Term("w", -0.8 + 0j, Reference("w", Pattern.OWN)),
+         Term("u", -0.3 + 0j, Reference("u", Pattern.OWN)),
+         Term("u", 0.3 + 0j, Reference("u", Pattern.OWN))),
+        (DiagonalSource("w", 1.0, "s"), DiagonalSource("u", 1.0, "s")), 100.0,
+    )
+    assert default_band_width(two, 1000) == 1001
     with pytest.raises(ValueError):
         default_band_width(eqs, 20, eps_band=0.0)
     with pytest.raises(ValueError):
         default_band_width(eqs, 20, eps_band=1.5)
+
+
+def test_default_band_keeps_an_undamped_line_whole():
+    # cavity A does not leak: its lines never fade, so the default band is
+    # the full K + 1 and the run equals the explicit K + 1 run bit for bit
+    cav = type(make_scaled(1.0, 0.0))(
+        omega_a_ev=0.0, gamma_a_ev=0.0, omega_b_ev=0.0, gamma_b_ev=0.3,
+        v_ab_ev=0.003, tau_fs=100.0,
+    )
+    m = models.build_single_excitation(cav)
+    kw = dict(steps_per_delay=100, t_end_fs=1000.0)
+    assert default_band_width(m.equations, 100) == 101
+    r_def = engine.run(m.equations, m.default_init, **kw)
+    r_full = engine.run(m.equations, m.default_init, band_width=101, **kw)
+    assert r_def.band_width == 101
+    for k in ("pA", "pB", "cAB"):
+        assert np.array_equal(r_def.series[k], r_full.series[k])
 
 
 def test_band_width_beyond_one_delay_changes_nothing():

@@ -78,18 +78,6 @@ def test_feedback_phase_convention():
     assert coeff == pytest.approx(-2.0 * v * phase_b, rel=1e-15)
 
 
-def test_conjugate_elements_map():
-    m = models.build_single_excitation(make_scaled(2.0, 3.7))
-    assert dict(m.conjugate_elements) == {
-        "rB_A0": ("bB_0A", True),
-        "rA_B0": ("bA_0B", True),
-        "rB_B0": ("bB_0B", True),
-        "rA_A0": ("bA_0A", True),
-    }
-    # mirrors are bookkeeping only -- they must not be integrated
-    assert not set(m.conjugate_elements) & set(m.equations.band_vars)
-
-
 def test_single_excitation_defaults():
     m = models.build_single_excitation(make_scaled(2.0, 3.7))
     assert m.kind == "single_excitation"
@@ -126,7 +114,6 @@ def test_two_photon_census():
     }
     assert m.kind == "two_photon"
     assert dict(m.default_init) == {"g20": 1.0 + 0j}
-    assert m.conjugate_elements == {}
 
 
 def test_two_photon_silent_lines_have_zero_weight_sources():

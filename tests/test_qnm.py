@@ -23,7 +23,6 @@ from delayheom.constants import CONSTANTS
 from delayheom.qnm import (
     CavityParams,
     SlabParams,
-    background_green,
     derive_cavity_params,
     mode_function,
     overlaps,
@@ -216,20 +215,6 @@ def test_si_series_seam_continuous() -> None:
 # ---------------------------------------------------------------------------
 # propagation factor and overlaps
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    x=st.floats(-50.0, 50.0),
-    xp=st.floats(-50.0, 50.0),
-    w=st.floats(0.01, 2.0),
-)
-def test_background_green_magnitude_and_symmetry(x, xp, w) -> None:
-    g = background_green(x, xp, w)
-    assert abs(g) == pytest.approx(0.5, rel=1e-15)
-    assert g == background_green(xp, x, w)
-    want = 0.5j * np.exp(-1j * w * abs(x - xp) / CONSTANTS.c_um_fs)
-    assert g == pytest.approx(want, rel=1e-13)
 
 
 def test_overlaps_frozen_values() -> None:
