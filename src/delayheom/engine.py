@@ -59,7 +59,9 @@ needs more than ``horizon + 2`` cells.
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
 :meth:`HierarchyIntegrator.band_value` applies these masks; the step's
-slices and gates stay inside them, so it never reads a masked cell.
+slices and gates stay inside them (a SECOND_ARG_DELAYED read one age past
+the band is gathered, then set to 0), so every cell the step reads was
+written before; the ring is therefore allocated without zeroing.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ class Pattern(enum.Enum):
     FIRST_ARG_DELAYED = "first_arg_delayed"
 
 
-_SYSTEM_PATTERNS = frozenset({Pattern.CURRENT, Pattern.DIAGONAL})
-_BAND_PATTERNS = frozenset(
-    {Pattern.OWN, Pattern.SECOND_ARG_DELAYED, Pattern.FIRST_ARG_DELAYED}
-)
+# tuples, not sets: membership then compares members by identity instead
+# of hashing them, which halves the cost of validating a set
+_SYSTEM_PATTERNS = (Pattern.CURRENT, Pattern.DIAGONAL)
+_BAND_PATTERNS = (Pattern.OWN, Pattern.SECOND_ARG_DELAYED, Pattern.FIRST_ARG_DELAYED)
 
 
 class EquationSetError(ValueError):
@@ -242,12 +244,15 @@ def default_band_width(
     keeping more buys exactly nothing (see the module notes; the claim is
     also regression-tested).
     """
+    if steps_per_delay < 1:
+        raise ValueError("steps_per_delay must be >= 1")
+    return _band_width(eqs, int(steps_per_delay), eps_band)
+
+
+def _band_width(eqs: EquationSet, k: int, eps_band: float) -> int:
+    # divides by no k, so :func:`run` can call it before the ring checks k
     if not (0 < eps_band < 1):
         raise ValueError("eps_band must be in (0, 1)")
-    k = int(steps_per_delay)
-    if k < 1:
-        raise ValueError("steps_per_delay must be >= 1")
-    h = eqs.tau_fs / k
     rates = dict.fromkeys(eqs.band_vars, 0.0)
     for t in eqs.terms:
         if t.ref.pattern is Pattern.OWN:
@@ -256,7 +261,7 @@ def default_band_width(
     cap = k + 1
     if slowest <= 0:
         return cap
-    width = math.ceil(math.log(1.0 / eps_band) / (slowest * h))
+    width = math.ceil(math.log(1.0 / eps_band) * k / (slowest * eqs.tau_fs))
     return max(1, min(width, cap))
 
 
@@ -287,57 +292,65 @@ class BandBuffer:
             age_span = min(age_span, int(horizon))
         self.n_rows = span + 2
         self.n_cols = age_span + 2
-        self.data = np.zeros((self.n_rows, self.n_cols, int(n_vars)), dtype=complex)
+        # not zeroed: the step writes every cell before it reads it
+        self.data = np.empty((self.n_rows, self.n_cols, int(n_vars)), dtype=complex)
 
 
-def _term_matrices(eqs: EquationSet) -> dict:
-    """One ``(plain, conjugated)`` coefficient pair per read pattern, and one
-    more under ``"birth"`` for the diagonal sources (system -> band).
+#: the coefficient sets, one per read pattern plus the diagonal sources
+_KEYS = (Pattern.CURRENT, Pattern.DIAGONAL, Pattern.OWN, Pattern.SECOND_ARG_DELAYED,
+         Pattern.FIRST_ARG_DELAYED, "birth")
 
-    Every matrix is indexed (read, target): a row of read values ``x``
-    contributes ``x @ plain + x.conj() @ conjugated`` to its targets.
+
+def _complex_forms(eqs: EquationSet) -> tuple[np.ndarray, set]:
+    """Every coefficient set in one complex array ``g[key, row, target]``,
+    keys in ``_KEYS`` order (the birth set reads system and targets band),
+    and the positions in ``_KEYS`` of the sets with a nonzero term.
+
+    Rows ``2r`` and ``2r + 1`` take the real and imaginary part of read
+    ``r``: a plain term ``c`` adds ``(c, i c)``, a conjugated one
+    ``(c, -i c)``.  So a row of complex reads ``x`` contributes
+    ``x.view(float) @ g[key]`` to its targets, and ``g[key].view(float)``
+    is that map as one real matrix acting on float views.
     """
-    n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
     index = {v: i for names in (eqs.system_vars, eqs.band_vars) for i, v in enumerate(names)}
-    shapes = {
-        p: (n_s if p is Pattern.CURRENT else n_b, n_s if p in _SYSTEM_PATTERNS else n_b)
-        for p in Pattern
-    }
-    shapes["birth"] = (n_s, n_b)
-    mats = {k: (np.zeros(s, dtype=complex), np.zeros(s, dtype=complex)) for k, s in shapes.items()}
-    reads = [(t.ref.pattern, t.ref.var, t.target, t.coefficient, t.ref.conjugate)
-             for t in eqs.terms]
-    reads += [("birth", s.system_var, s.band_var, s.coefficient, s.conjugate)
-              for s in eqs.sources]
-    for key, read, target, c, conj in reads:
-        mats[key][int(conj)][index[read], index[target]] += complex(c)
-    return mats
+    n = max(len(eqs.system_vars), len(eqs.band_vars))
+    at, coef, used = [], [], set()  # flat index of each real row, and its coefficient
+    for t in eqs.terms:
+        r, c = t.ref, t.coefficient
+        key = _KEYS.index(r.pattern)
+        i = (key * 2 * n + 2 * index[r.var]) * n + index[t.target]
+        at += (i, i + n)
+        coef += (c, -1j * c if r.conjugate else 1j * c)
+        if c:
+            used.add(key)
+    for s in eqs.sources:
+        c = s.coefficient
+        i = ((len(_KEYS) - 1) * 2 * n + 2 * index[s.system_var]) * n + index[s.band_var]
+        at += (i, i + n)
+        coef += (c, -1j * c if s.conjugate else 1j * c)
+    g = np.zeros((len(_KEYS), 2 * n, n), dtype=complex)
+    np.add.at(g.reshape(-1), np.array(at, dtype=np.intp), np.array(coef, dtype=complex))
+    return g, used
 
 
-def _pair(pair: tuple[np.ndarray, np.ndarray]):
-    """A ``(plain, conjugated)`` pair with all-zero matrices as None; None
-    when both are zero."""
-    plain, conj = (m if np.count_nonzero(m) else None for m in pair)
-    return None if plain is None and conj is None else (plain, conj)
-
-
-def _apply(out: np.ndarray, x: np.ndarray, pair) -> None:
-    """``out += x @ T + x.conj() @ Tc``, leaving out the all-zero matrix."""
-    plain, conj = pair
-    if plain is not None:
-        out += x @ plain
-    if conj is not None:
-        out += x.conj() @ conj
+#: the Heun factor, over h, of each real matrix the integrator builds
+_HEUN_SCALE = np.array([1, 1, 0.5, 0.5, 0.5, 1, 1, 0.5, 0.5])[:, None, None]
 
 
 class HierarchyIntegrator:
     """Synchronised Heun stepper over system + band.
 
-    One call to :meth:`step` advances everything by h: left slopes from the
-    final state at n, an Euler predictor at position n + 1, right slopes
-    with predicted data at n + 1 (historical reads stay final), trapezoidal
-    correction, retirement bookkeeping, then the birth of line n + 1 from
-    the corrected system values.
+    Every read is linear in the values it reads, so a Heun step (Euler
+    predictor, trapezoidal corrector) has a closed form, precomputed at
+    construction with R(z) = 1 + z + z^2 / 2.  The band advances as
+    y1 = R(h L) y0 + (h/2)(1 + h L) S_l + (h/2) S_r, with L the OWN rates
+    and S the SECOND_ARG_DELAYED and FIRST_ARG_DELAYED reads of the left
+    and right stage (historical, hence final); the system as
+    s1 = R(h C) s0 + (h/2) D (1 + h C) d_l + (h/2) D d_r, with C the
+    CURRENT and D the DIAGONAL coefficients.  The one predicted value is
+    d_r, the returning line at n + 1: (1 + h L) y0 + h S_l at age K - 1.
+    Each coefficient set is one real matrix acting on float views of the
+    complex rows, so no read is conjugated at run time.
 
     ``horizon_steps`` is an optional promise that at most that many steps
     will be taken; it shrinks the ring allocation for short runs on fine
@@ -354,46 +367,63 @@ class HierarchyIntegrator:
         include_first_arg_delayed: bool = True,
         horizon_steps: int | None = None,
     ):
-        if steps_per_delay < 1:
-            raise ValueError("steps_per_delay must be >= 1")
-        if band_width < 1:
-            raise ValueError("band_width must be >= 1")
-        if horizon_steps is not None and horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
+        n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
+        # the ring checks steps_per_delay, band_width and the horizon, so
+        # it is allocated before anything divides by steps_per_delay
+        buf = self.buffer = BandBuffer(n_b, steps_per_delay, band_width, horizon=horizon_steps)
         self._horizon = None if horizon_steps is None else int(horizon_steps)
         self.eqs = eqs
-        self.K = int(steps_per_delay)
-        self.band_width = int(band_width)
-        self.h_fs = eqs.tau_fs / self.K
-
-        mats = _term_matrices(eqs)
-        self._cur = _pair(mats[Pattern.CURRENT])
-        self._diag = _pair(mats[Pattern.DIAGONAL])
-        # OWN is a plain self-read (validated), so its matrix is diagonal:
-        # one damping rate per band variable, applied elementwise
-        self._own_rate = mats[Pattern.OWN][0].diagonal().copy()
-        self._sad = _pair(mats[Pattern.SECOND_ARG_DELAYED])
-        self._fad = (
-            _pair(mats[Pattern.FIRST_ARG_DELAYED]) if include_first_arg_delayed else None
-        )
-        self._birth = _pair(mats["birth"])
+        self.K = K = int(steps_per_delay)
+        self.band_width = W = int(band_width)
+        self.h_fs = h = eqs.tau_fs / K
 
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
-        self.state = np.zeros(len(eqs.system_vars), dtype=complex)
+        self.state = np.zeros(n_s, dtype=complex)
         for name, value in init.items():
             self.state[eqs.system_index(name)] = complex(value)
 
-        n_b = len(eqs.band_vars)
-        buf = self.buffer = BandBuffer(n_b, self.K, self.band_width, horizon=self._horizon)
+        g, used = _complex_forms(eqs)
+        s2, b2 = 2 * n_s, 2 * n_b
+        # real matrices padded to (2n, 2n), sliced to their reads and
+        # targets at the end: h C, h L, (h/2) D, (h/2) S, (h/2) F, h L, h S,
+        # (h/2) C, (h/2) L; then every product in one batched matmul:
+        # h C + (h C)^2 / 2, (1 + h L)(h/2) D, (h/2) D (1 + h C),
+        # (h/2) S (1 + h L), (h/2) F (1 + h L), h L + (h L)^2 / 2, h S (h/2) D
+        f = (g.take((0, 2, 1, 3, 4, 2, 3, 0, 2), axis=0) * (h * _HEUN_SCALE)).view(np.float64)
+        p = f[:7] @ f.take((7, 2, 0, 1, 1, 8, 2), axis=0)
+        p[:6] += f.take((0, 2, 2, 3, 4, 1), axis=0)
+        c_step, d_own, d_left, s_left, f_left, own_step, s_pred = p
+        self._own = np.array(own_step[:b2, :b2])  # R(h L), block diagonal
+        self._own.reshape(-1)[:: b2 + 1] += 1
+        # system rows: s0 (R(h C)), then, once the returning line is read,
+        # y0 at ages K - 1 and K and the SAD read of age K - 1 (for d_r)
+        rows = [c_step[:s2, :s2]]
+        delayed = _KEYS.index(Pattern.DIAGONAL) in used and K <= W
+        has_sad = _KEYS.index(Pattern.SECOND_ARG_DELAYED) in used
+        if delayed:
+            rows += [d_own[:b2, :s2], d_left[:b2, :s2]]
+            if has_sad:
+                rows.append(s_pred[:b2, :s2])
+        sys = np.concatenate(rows)
+        sys.reshape(-1)[: s2 * s2 : s2 + 1] += 1  # the identity of R(h C)
+        self._sys_cur = sys[:s2]
+        self._sys_open = sys if delayed else None
+        # a set with no nonzero term is None, and its reads are skipped;
+        # SAD rows: right-stage read, then left-stage read
+        self._sad = np.concatenate((f[3, :b2, :b2], s_left[:b2, :b2])) if has_sad else None
+        self._sad_idx = None
+        self._fad = None  # (left, right)
+        if include_first_arg_delayed and _KEYS.index(Pattern.FIRST_ARG_DELAYED) in used:
+            self._fad = (np.array(f_left[:b2, :b2]), np.array(f[4, :b2, :b2]))
+        self._birth = np.array(g[5, :s2, :n_b]).view(np.float64)  # copies: f, g and p go
+
         # the ring with (position, age) flattened, for the diagonal SAD reads
         self._flat = buf.data.reshape(buf.n_rows * buf.n_cols, n_b)
         self.n = 0
         self.truncation_certificate = 0.0
-        self._give_birth(0, self.state)
-
-    # -- helpers ---------------------------------------------------------
+        np.matmul(self.state.view(np.float64), self._birth, out=buf.data[0, 0].view(np.float64))
 
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module
@@ -411,106 +441,81 @@ class HierarchyIntegrator:
             )
         return complex(self.buffer.data[position % self.buffer.n_rows, position - label, v])
 
-    def _give_birth(self, position: int, sys_vec: np.ndarray) -> None:
-        born = self.buffer.data[position % self.buffer.n_rows, 0]
-        born[:] = 0
-        if self._birth is not None:
-            _apply(born, sys_vec, self._birth)
-
     # -- the step --------------------------------------------------------
 
     def step(self) -> None:
-        if self._horizon is not None and self.n >= self._horizon:
+        self._advance(1)
+
+    def _advance(self, n_steps: int, record: np.ndarray | None = None) -> None:
+        """Take ``n_steps`` steps, writing the float view of the system
+        state after step i to ``record[i]`` if given."""
+        if self._horizon is not None and self.n + n_steps > self._horizon:
             raise ValueError(
                 f"integrator was allocated for {self._horizon} steps "
                 f"(horizon_steps); construct without a horizon to continue"
             )
+        K, W = self.K, self.band_width
+        A, R, C = self.buffer.data, self.buffer.n_rows, self.buffer.n_cols
+        flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
+        if sad is not None and self._sad_idx is None and self.n + n_steps > K:
+            # built by the first call that gathers: flat index of the SAD
+            # cells of age lo + j relative to age lo (at most min(K, W + 1))
+            at = np.arange(0, -(C + 1) * min(K, W + 1), -(C + 1)).repeat(2)
+            at[1::2] += 1
+            self._sad_idx = at.reshape(-1, 2)
+        sad_idx = self._sad_idx
+        sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
+        # overflow is deliberate territory here: a diverging run is caught
+        # by the isfinite check and surfaced as NonFiniteStateError
         with np.errstate(over="ignore", invalid="ignore"):
-            self._step_impl()
+            for i in range(n_steps):
+                n = self.n
+                n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
+                band = A[(n + 1) % R, 1 : n_adv + 1].view(np.float64)
+                np.matmul(A[n % R, :n_adv].view(np.float64), own, out=band)
+                if n >= K and sad is not None:
+                    # the line of age a < K reads the line one delay older
+                    # at its own birth position n - a, at age K - 1 - a
+                    # (right stage) and K - a (left): two adjacent cells,
+                    # flat index ((n - a) % R) * C + K - 1 - a
+                    lo, hi = max(0, K - 1 - W), min(n_adv, K)
+                    if hi > lo:
+                        at = sad_idx[: hi - lo] + (((n - lo) % R) * C + K - 1 - lo)
+                        x = flat.take(at, axis=0, mode="wrap")
+                        if lo:  # its left read is one age past the band
+                            x[0, 1] = 0
+                        x = x.reshape(hi - lo, -1).view(np.float64)
+                        band[lo:hi] += x @ sad
+                if fad is not None and n_adv > K:
+                    # the same lines one delay earlier in position
+                    m = n_adv - K
+                    left, right = A[(n - K) % R, :m], A[(n + 1 - K) % R, 1 : m + 1]
+                    band[K:] += left.view(np.float64) @ fad[0]
+                    band[K:] += right.view(np.float64) @ fad[1]
+                s = self.state.view(np.float64)
+                if n >= K and sys_open is not None:
+                    reads = [s, A[n % R, K - 1 : K + 1].view(np.float64)]
+                    if sad is not None:
+                        reads.append(A[(n + 1 - K) % R, 1].view(np.float64))
+                    s1 = np.concatenate(reads, axis=None) @ sys_open
+                else:
+                    s1 = s @ sys_cur
 
-    def _step_impl(self) -> None:
-        # overflow is deliberate territory here: a diverging run is caught by
-        # the isfinite check below and surfaced as NonFiniteStateError, so
-        # callers hold np.errstate to keep the inf/nan arithmetic quiet
-        n, K, W = self.n, self.K, self.band_width
-        h = self.h_fs
-        A, R = self.buffer.data, self.buffer.n_rows
-        n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 still advance
-        diag_open = self._diag is not None and n >= K and K <= W
-        sad_open = self._sad is not None and n >= K
-        fad_open = self._fad is not None and n_adv > K
+                if not (np.isfinite(s1).all() and np.isfinite(band).all()):
+                    raise NonFiniteStateError(n + 1, (n + 1) * self.h_fs)
 
-        own0 = A[n % R, :n_adv]  # values at position n, by age
+                # retirement: the oldest line reaches age W and stops
+                if n_adv == W:
+                    edge = float(np.abs(band[W - 1].view(np.complex128)).max())
+                    if edge > self.truncation_certificate:
+                        self.truncation_certificate = edge
 
-        # ---- left slopes (time n, all reads final) ----
-        f_sys_l, f_band_l = self._slopes(
-            n, self.state, own0,
-            A[n % R, K] if diag_open else None,
-            K if sad_open else None,
-            A[(n - K) % R, : n_adv - K] if fad_open else None,
-        )
-
-        # ---- predictor at position n + 1 (ages 1 .. n_adv) ----
-        sys_p = self.state + h * f_sys_l
-        pred = own0 + h * f_band_l
-
-        # ---- right slopes (time n + 1; predicted data only at n + 1) ----
-        # the returning line at n + 1 is the one predicted from age K - 1
-        f_sys_r, f_band_r = self._slopes(
-            n, sys_p, pred,
-            pred[K - 1] if diag_open else None,
-            K - 1 if sad_open else None,
-            A[(n + 1 - K) % R, 1 : n_adv - K + 1] if fad_open else None,
-        )
-
-        # ---- trapezoidal corrector, written straight into position n + 1 ----
-        sys_new = self.state + 0.5 * h * (f_sys_l + f_sys_r)
-        band_new = A[(n + 1) % R, 1 : n_adv + 1]
-        np.add(own0, 0.5 * h * (f_band_l + f_band_r), out=band_new)
-
-        if not (np.isfinite(sys_new).all() and np.isfinite(band_new).all()):
-            raise NonFiniteStateError(n + 1, (n + 1) * h)
-
-        # ---- retirement: the oldest line reaches age W and stops ----
-        if n_adv == W:
-            edge = float(np.abs(band_new[W - 1]).max())
-            if edge > self.truncation_certificate:
-                self.truncation_certificate = edge
-
-        # ---- birth of line n + 1 from the corrected system state ----
-        self.state = sys_new
-        self.n = n + 1
-        self._give_birth(self.n, sys_new)
-
-    def _slopes(self, n, sys_vec, band, diag, sad_age0, fad_band):
-        """System and band slopes of one Heun stage at step n.
-
-        ``band`` holds the advancing lines by age; ``diag`` is the returning
-        line, ``sad_age0`` the age at position n of the line one delay older
-        than the newest (K left, K - 1 right), and ``fad_band`` the advancing
-        lines one delay earlier in position.  A gated-off read is None.
-        """
-        K = self.K
-        f_sys = np.zeros_like(sys_vec)
-        if self._cur is not None:
-            _apply(f_sys, sys_vec, self._cur)
-        if diag is not None:
-            _apply(f_sys, diag, self._diag)
-        f_band = band * self._own_rate
-        if sad_age0 is not None:
-            # the line of age a reads line n + sad_age0 - K at its own birth
-            # position n - a, where that line has age sad_age0 - a: a diagonal
-            # of the ring, flat index (n - a) * n_cols + sad_age0 - a
-            lo = max(0, sad_age0 - self.band_width)  # deeper reads fall off the band
-            hi = min(len(band), K)                   # age gate: younger than the delay
-            if hi > lo:
-                stride = self.buffer.n_cols + 1
-                start = n * self.buffer.n_cols + sad_age0 - lo * stride
-                idx = np.arange(start, start - (hi - lo) * stride, -stride)
-                _apply(f_band[lo:hi], self._flat.take(idx, axis=0, mode="wrap"), self._sad)
-        if fad_band is not None:
-            _apply(f_band[K:], fad_band, self._fad)
-        return f_sys, f_band
+                # birth of line n + 1 from the new system state
+                np.matmul(s1, birth, out=A[(n + 1) % R, 0].view(np.float64))
+                self.state = s1.view(np.complex128)
+                self.n = n + 1
+                if record is not None:
+                    record[i] = s1
 
 
 @dataclass
@@ -547,12 +552,11 @@ def run(
     """
     if t_end_fs <= 0:
         raise ValueError("t_end_fs must be positive")
-    if steps_per_delay < 1:
-        raise ValueError("steps_per_delay must be >= 1")
+    # steps_per_delay and band_width are checked once, by the ring the
+    # integrator allocates, so nothing here divides by steps_per_delay
     if band_width is None:
-        band_width = default_band_width(eqs, steps_per_delay, eps_band)
-    h = eqs.tau_fs / steps_per_delay
-    n_steps = max(1, math.ceil(t_end_fs / h - 1e-9))
+        band_width = _band_width(eqs, int(steps_per_delay), eps_band)
+    n_steps = max(1, math.ceil(t_end_fs * steps_per_delay / eqs.tau_fs - 1e-9))
     integ = HierarchyIntegrator(
         eqs,
         init,
@@ -561,20 +565,15 @@ def run(
         include_first_arg_delayed=include_first_arg_delayed,
         horizon_steps=n_steps,
     )
-    n_sys = len(eqs.system_vars)
-    traj = np.zeros((n_steps + 1, n_sys), dtype=complex)
+    traj = np.zeros((n_steps + 1, len(eqs.system_vars)), dtype=complex)
     traj[0] = integ.state
-    # the horizon is n_steps, so the loop calls the step body directly
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            integ._step_impl()
-            traj[i + 1] = integ.state
-    times = np.arange(n_steps + 1) * h
+    integ._advance(n_steps, traj.view(np.float64)[1:])
+    times = np.arange(n_steps + 1) * integ.h_fs
     series = {name: traj[:, k].copy() for k, name in enumerate(eqs.system_vars)}
     return SimResult(
         times=times,
         series=series,
-        h_fs=h,
+        h_fs=integ.h_fs,
         tau_fs=eqs.tau_fs,
         steps_per_delay=integ.K,
         band_width=integ.band_width,

@@ -133,6 +133,8 @@ def test_run_argument_validation():
         engine.run(eqs, {"s": 1.0}, steps_per_delay=0, t_end_fs=10.0)
     with pytest.raises(ValueError):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=0.0)
+    with pytest.raises(ValueError, match="steps_per_delay"):
+        engine.run(eqs, {"s": 1.0}, steps_per_delay=0, t_end_fs=10.0, band_width=5)
     with pytest.raises(ValueError):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=10.0, band_width=0)
     with pytest.raises(ValueError):
@@ -291,12 +293,77 @@ def test_feedback_on_first_cavity_starts_at_the_round_trip():
 
 
 def test_populations_exactly_real():
-    # conjugate term pairs add as z + conj(z); the imaginary parts cancel
-    # in exact float arithmetic, not just approximately
+    # the imaginary parts are exactly 0.0, not just small: every coefficient
+    # that writes one is an exact zero (see the test below)
     m = models.build_single_excitation(make_scaled(2.0, 3.7))
     r = engine.run(m.equations, m.default_init, steps_per_delay=100, t_end_fs=600.0)
     assert np.all(r.series["pA"].imag == 0.0)
     assert np.all(r.series["pB"].imag == 0.0)
+
+
+@pytest.mark.parametrize("gamma_tau, omega_tau", [(1.0, 0.0), (2.0, 3.7)])
+@pytest.mark.parametrize("K", [10, 100])
+def test_population_imaginary_parts_have_exact_zero_coefficients(gamma_tau, omega_tau, K):
+    # in the real matrices that advance the system (R(h C) alone, and with
+    # the rows of the returning line), only Im pA itself writes Im pA, and
+    # likewise for pB: a conjugate term pair c z + conj(c z) folds into
+    # coefficients whose imaginary part is exactly 0.0, so a value that
+    # starts at 0.0 stays 0.0
+    m = models.build_single_excitation(make_scaled(gamma_tau, omega_tau))
+    it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K,
+                             band_width=K + 1)
+    for name in ("pA", "pB"):
+        col = 2 * m.equations.system_index(name) + 1
+        for mat in (it._sys_cur, it._sys_open):
+            others = np.delete(mat[:, col], col)
+            assert np.all(others == 0.0), name
+
+
+def _random_coefficients(rng, n):
+    return list(rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+@pytest.mark.parametrize("case", ["plain", "conjugated", "both"])
+def test_real_form_matches_the_complex_pair(case):
+    # a real matrix on float views applies x @ P + conj(x) @ Q, for reads
+    # and targets of different counts (DIAGONAL: band -> system, the
+    # sources: system -> band) and of equal counts (SECOND_ARG_DELAYED)
+    rng = np.random.default_rng(7)
+    sys_vars, band_vars = ("s0", "s1"), ("w0", "w1", "w2")
+    conj = {"plain": [False] * 3, "conjugated": [True] * 3,
+            "both": [False, True, False]}[case]
+    terms, sources = [], []
+    for j, w in enumerate(band_vars):
+        c_diag, c_sad, c_src = _random_coefficients(rng, 3)
+        terms.append(Term(sys_vars[j % 2], c_diag, Reference(w, Pattern.DIAGONAL, conj[j])))
+        terms.append(Term(band_vars[(j + 1) % 3], c_sad,
+                          Reference(w, Pattern.SECOND_ARG_DELAYED, conj[j])))
+        sources.append(DiagonalSource(w, c_src, sys_vars[j % 2], conj[j]))
+        if case == "both":  # the same read twice, plain and conjugated
+            c_diag, c_sad = _random_coefficients(rng, 2)
+            terms.append(Term(sys_vars[j % 2], c_diag,
+                              Reference(w, Pattern.DIAGONAL, not conj[j])))
+            terms.append(Term(band_vars[(j + 1) % 3], c_sad,
+                              Reference(w, Pattern.SECOND_ARG_DELAYED, not conj[j])))
+    eqs = EquationSet(sys_vars, band_vars, terms, sources, 100.0)
+    g, _ = engine._complex_forms(eqs)
+    index = {v: i for names in (sys_vars, band_vars) for i, v in enumerate(names)}
+    reads = [(t.ref.pattern, t.ref.var, t.target, t.coefficient, t.ref.conjugate)
+             for t in terms]
+    reads += [("birth", s.system_var, s.band_var, s.coefficient, s.conjugate)
+              for s in sources]
+    for key, n_read, n_target in ((Pattern.DIAGONAL, 3, 2), ("birth", 2, 3),
+                                  (Pattern.SECOND_ARG_DELAYED, 3, 3)):
+        P = np.zeros((n_read, n_target), dtype=complex)
+        Q = np.zeros((n_read, n_target), dtype=complex)
+        for k, read, target, c, cj in reads:
+            if k == key:
+                (Q if cj else P)[index[read], index[target]] += c
+        real = g[engine._KEYS.index(key), : 2 * n_read, :n_target].view(np.float64)
+        x = rng.normal(size=(5, n_read)) + 1j * rng.normal(size=(5, n_read))
+        got = (x.view(np.float64) @ real).view(np.complex128)
+        want = x @ P + x.conj() @ Q
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), key
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +628,28 @@ def test_frozen_band_internals():
         want = FROZEN_BAND_SYSTEM[kind] if last is None else last
         got = {name: complex(v[-1]) for name, v in r.series.items()}
         assert got == pytest.approx(want, rel=1e-12, abs=0), case
+
+
+# band values at position 300 and ages 20, 50, 80 (K = 100, W = 80,
+# gamma*tau = 2, omega*tau = 3.7): a band between half a delay and one
+# delay is where a SECOND_ARG_DELAYED read lands one age past the band
+FROZEN_NARROW_BAND = {
+    ("single_excitation", "bA_0A"): (0.00014852160629392545, 0.008711014141583685,
+                                     0.005233067837677396),
+    ("two_photon", "bA01_10"): (-0.00012124791808367382 + 0.00015531573324526767j,
+                                -0.007566095973397861 + 0.009691991107850524j,
+                                -0.004527473496610495 + 0.005799587135090446j),
+}
+
+
+def test_frozen_narrow_band_values():
+    for (kind, var), want in FROZEN_NARROW_BAND.items():
+        m = getattr(models, f"build_{kind}")(make_scaled(2.0, 3.7))
+        it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=100, band_width=80)
+        for _ in range(300):
+            it.step()
+        got = [it.band_value(var, 300, 300 - age) for age in (20, 50, 80)]
+        assert got == pytest.approx(list(want), rel=1e-12, abs=1e-15), kind
 
 
 def test_rerun_is_bit_identical():
