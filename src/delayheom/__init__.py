@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 from .constants import CONSTANTS, PhysicalConstants
 from .engine import (
     BandBuffer,
-    DiagonalSource,
     EquationSet,
     EquationSetError,
     HierarchyIntegrator,
     NonFiniteStateError,
     Pattern,
-    Reference,
     SimResult,
     Term,
     default_band_width,
@@ -50,13 +48,11 @@ __all__ = [
     "CONSTANTS",
     "PhysicalConstants",
     "BandBuffer",
-    "DiagonalSource",
     "EquationSet",
     "EquationSetError",
     "HierarchyIntegrator",
     "NonFiniteStateError",
     "Pattern",
-    "Reference",
     "SimResult",
     "Term",
     "default_band_width",

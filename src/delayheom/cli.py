@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -39,24 +40,19 @@ class _Parser(argparse.ArgumentParser):
 
 _MODELS = ("single_excitation", "two_photon")
 
-_SLAB_KEYS = {
-    "L_um": (float, int),
-    "eps_r": (float, int),
-    "eps_b": (float, int),
-    "R_um": (float, int),
-    "mode_index": (int,),
-    "convention": (str,),
-}
+# the JSON types each field annotation accepts (a float field takes an int)
+_KINDS = {"float": (float, int), "int": (int,)}
+
+
+def _keys(params):
+    return {f.name: _KINDS[f.type] for f in dataclasses.fields(params)}
+
+
+_SLAB_KEYS = {**_keys(SlabParams), "convention": (str,)}
+# the CLI requires R_um, which SlabParams defaults to 0
 _SLAB_REQUIRED = ("L_um", "eps_r", "R_um")
 
-_CAVITY_KEYS = {
-    "omega_a_ev": (float, int),
-    "gamma_a_ev": (float, int),
-    "omega_b_ev": (float, int),
-    "gamma_b_ev": (float, int),
-    "v_ab_ev": (float, int),
-    "tau_fs": (float, int),
-}
+_CAVITY_KEYS = _keys(CavityParams)
 
 _TOP_KEYS = (
     "model", "slab", "cavity", "steps_per_delay", "t_end_fs", "band_width",
@@ -66,6 +62,14 @@ _TOP_KEYS = (
 
 def _fail(path, why):
     raise ConfigError(f"config error at {path}: {why}")
+
+
+def _finite(value):
+    # JSON as Python reads it admits NaN, Infinity and integers past float range
+    try:
+        return not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_block(block, path, allowed, required):
@@ -81,15 +85,17 @@ def _check_block(block, path, allowed, required):
         kinds = allowed[key]
         if isinstance(value, bool) or not isinstance(value, kinds):
             _fail(f"{path}.{key}", f"expected {kinds[0].__name__}")
+        if not _finite(value):
+            _fail(f"{path}.{key}", "must be finite")
 
 
 def _as_complex(value, path):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
-    _fail(path, "expected a number or a [re, im] pair")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        _fail(path, "expected a number or a [re, im] pair")
+    if not all(map(_finite, parts)):
+        _fail(path, "must be finite")
+    return complex(*parts)
 
 
 def load_config(raw):
@@ -130,8 +136,9 @@ def load_config(raw):
     if not isinstance(spd, int) or isinstance(spd, bool) or spd < 10:
         _fail("steps_per_delay", "must be an integer >= 10")
     t_end = raw.get("t_end_fs")
-    if isinstance(t_end, bool) or not isinstance(t_end, (int, float)) or t_end <= 0:
-        _fail("t_end_fs", "must be a positive number")
+    if (isinstance(t_end, bool) or not isinstance(t_end, (int, float))
+            or not _finite(t_end) or t_end <= 0):
+        _fail("t_end_fs", "must be a positive finite number")
 
     band_width = raw.get("band_width")
     if band_width is not None:

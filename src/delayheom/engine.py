@@ -8,9 +8,9 @@ delay tau, and the grid is locked to the delay (h = tau / steps_per_delay), so
 every delayed read is an exact index lookup K steps into the past -- no
 interpolation anywhere.
 
-Reference patterns
-------------------
-Equations are declared structurally; a term on variable X picks one of five
+Read patterns
+-------------
+Equations are declared structurally; a term on variable X picks one of six
 read patterns, evaluated while integrating X at time t (system) or while
 advancing line t1 at position t (band):
 
@@ -22,6 +22,9 @@ advancing line t1 at position t (band):
                              older, read at this line's birth position.
 * ``FIRST_ARG_DELAYED``   -- band value at (t - tau, t1): the same line, one
                              delay earlier in position.
+* ``BIRTH``               -- system value at t1, read once, at the birth of
+                             line t1: the delta source that creates the line
+                             (every band variable has exactly one).
 
 Delay gating
 ------------
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -75,9 +79,7 @@ import numpy as np
 
 __all__ = [
     "Pattern",
-    "Reference",
     "Term",
-    "DiagonalSource",
     "EquationSet",
     "EquationSetError",
     "NonFiniteStateError",
@@ -95,12 +97,21 @@ class Pattern(enum.Enum):
     OWN = "own"
     SECOND_ARG_DELAYED = "second_arg_delayed"
     FIRST_ARG_DELAYED = "first_arg_delayed"
+    BIRTH = "birth"
+
+    # an identity hash, as for identity equality: keeps lookups in C
+    __hash__ = object.__hash__
 
 
-# tuples, not sets: membership then compares members by identity instead
-# of hashing them, which halves the cost of validating a set
-_SYSTEM_PATTERNS = (Pattern.CURRENT, Pattern.DIAGONAL)
-_BAND_PATTERNS = (Pattern.OWN, Pattern.SECOND_ARG_DELAYED, Pattern.FIRST_ARG_DELAYED)
+#: the (target, read) variable groups each pattern allows
+_GROUPS = {
+    Pattern.CURRENT: ("system", "system"),
+    Pattern.DIAGONAL: ("system", "band"),
+    Pattern.OWN: ("band", "band"),
+    Pattern.SECOND_ARG_DELAYED: ("band", "band"),
+    Pattern.FIRST_ARG_DELAYED: ("band", "band"),
+    Pattern.BIRTH: ("band", "system"),
+}
 
 
 class EquationSetError(ValueError):
@@ -119,31 +130,14 @@ class NonFiniteStateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Reference:
-    """A read of variable ``var`` under one of the five patterns."""
-
-    var: str
-    pattern: Pattern
-    conjugate: bool = False
-
-
-@dataclass(frozen=True)
 class Term:
-    """One linear contribution ``coefficient * read`` to d/dt of ``target``."""
+    """One linear contribution ``coefficient * var`` (read under ``pattern``,
+    conjugated if requested) to d/dt of ``target``, or for BIRTH to its birth."""
 
     target: str
     coefficient: complex
-    ref: Reference
-
-
-@dataclass(frozen=True)
-class DiagonalSource:
-    """Birth rule of a band variable: line t1 starts at
-    ``coefficient * system_var(t1)`` (conjugated if requested)."""
-
-    band_var: str
-    coefficient: complex
-    system_var: str
+    var: str
+    pattern: Pattern
     conjugate: bool = False
 
 
@@ -153,19 +147,18 @@ class EquationSet:
 
     ``system_vars`` evolve under CURRENT/DIAGONAL terms; ``band_vars``
     under OWN/SECOND_ARG_DELAYED/FIRST_ARG_DELAYED terms, each with
-    exactly one :class:`DiagonalSource`.  ``tau_fs`` is the single delay
-    shared by every delayed pattern.
+    exactly one BIRTH term.  ``tau_fs`` is the single delay shared by
+    every delayed pattern.
     """
 
     system_vars: tuple[str, ...]
     band_vars: tuple[str, ...]
     terms: tuple[Term, ...]
-    sources: tuple[DiagonalSource, ...]
     tau_fs: float
 
     def __post_init__(self) -> None:
         # the set is frozen: keep no reference to a caller's mutable sequence
-        for name in ("system_vars", "band_vars", "terms", "sources"):
+        for name in ("system_vars", "band_vars", "terms"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         self.validate()
 
@@ -177,51 +170,34 @@ class EquationSet:
             raise EquationSetError("variable names must be unique and non-empty")
         if not (self.tau_fs > 0):
             raise EquationSetError("tau_fs must be positive")
-        sys_set = set(self.system_vars)
-        band_set = set(self.band_vars)
+        group = dict.fromkeys(self.system_vars, "system")
+        group.update(dict.fromkeys(self.band_vars, "band"))
+        own, birth, born = Pattern.OWN, Pattern.BIRTH, []
         for t in self.terms:
-            if t.target in sys_set:
-                if t.ref.pattern not in _SYSTEM_PATTERNS:
-                    raise EquationSetError(
-                        f"system variable {t.target!r} may only use "
-                        f"CURRENT/DIAGONAL reads, got {t.ref.pattern}"
-                    )
-                expected = sys_set if t.ref.pattern is Pattern.CURRENT else band_set
-            elif t.target in band_set:
-                if t.ref.pattern not in _BAND_PATTERNS:
-                    raise EquationSetError(
-                        f"band variable {t.target!r} may only use "
-                        f"OWN/SECOND_ARG_DELAYED/FIRST_ARG_DELAYED reads, "
-                        f"got {t.ref.pattern}"
-                    )
-                expected = band_set
-                if t.ref.pattern is Pattern.OWN and (
-                    t.ref.var != t.target or t.ref.conjugate
-                ):
-                    raise EquationSetError(
-                        f"OWN term on {t.target!r} must be a plain read of "
-                        f"{t.target!r} itself, got "
-                        f"{'conjugated ' if t.ref.conjugate else ''}{t.ref.var!r}"
-                    )
-            else:
+            p = t.pattern
+            if t.target not in group:
                 raise EquationSetError(f"term targets unknown variable {t.target!r}")
-            if t.ref.var not in expected:
+            target, read = _GROUPS.get(p, (None, None))
+            if group[t.target] != target:
+                raise EquationSetError(f"{group[t.target]} variable {t.target!r} takes no {p} term")
+            if group.get(t.var) != read:
                 raise EquationSetError(
-                    f"term on {t.target!r} references {t.ref.var!r}, which is "
-                    f"not a valid {t.ref.pattern.value} source"
+                    f"term on {t.target!r} references {t.var!r}, which is "
+                    f"not a valid {p.value} source"
                 )
-        sourced = [s.band_var for s in self.sources]
-        if sorted(sourced) != sorted(self.band_vars):
+            if p is own and (t.var != t.target or t.conjugate):
+                raise EquationSetError(
+                    f"OWN term on {t.target!r} must be a plain read of "
+                    f"{t.target!r} itself, got "
+                    f"{'conjugated ' if t.conjugate else ''}{t.var!r}"
+                )
+            if p is birth:
+                born.append(t.target)
+        if sorted(born) != sorted(self.band_vars):
             raise EquationSetError(
-                "every band variable needs exactly one diagonal source "
-                f"(got sources for {sorted(sourced)}, band vars {sorted(self.band_vars)})"
+                "every band variable needs exactly one BIRTH term "
+                f"(got births of {sorted(born)}, band vars {sorted(self.band_vars)})"
             )
-        for s in self.sources:
-            if s.system_var not in sys_set:
-                raise EquationSetError(
-                    f"source of {s.band_var!r} references unknown system "
-                    f"variable {s.system_var!r}"
-                )
 
     def system_index(self, name: str) -> int:
         return self.system_vars.index(name)
@@ -255,7 +231,7 @@ def _band_width(eqs: EquationSet, k: int, eps_band: float) -> int:
         raise ValueError("eps_band must be in (0, 1)")
     rates = dict.fromkeys(eqs.band_vars, 0.0)
     for t in eqs.terms:
-        if t.ref.pattern is Pattern.OWN:
+        if t.pattern is Pattern.OWN:
             rates[t.target] -= t.coefficient.real
     slowest = min(rates.values(), default=0.0)
     cap = k + 1
@@ -263,6 +239,17 @@ def _band_width(eqs: EquationSet, k: int, eps_band: float) -> int:
         return cap
     width = math.ceil(math.log(1.0 / eps_band) * k / (slowest * eqs.tau_fs))
     return max(1, min(width, cap))
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1; NumPy integers pass, a float does not."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return n
 
 
 class BandBuffer:
@@ -276,35 +263,29 @@ class BandBuffer:
         band_width: int,
         horizon: int | None = None,
     ):
-        if steps_per_delay < 1:
-            raise ValueError("steps_per_delay must be >= 1")
-        if band_width < 1:
-            raise ValueError("band_width must be >= 1")
+        span = _count("steps_per_delay", steps_per_delay)
+        age_span = _count("band_width", band_width)
         # a run of at most `horizon` steps touches positions and ages
         # 0..horizon only, so the ring shrinks accordingly -- this is what
         # keeps fine delay grids (large steps_per_delay) affordable when
         # the run itself is short
-        span, age_span = int(steps_per_delay), int(band_width)
         if horizon is not None:
-            if horizon < 1:
-                raise ValueError("horizon must be >= 1")
-            span = min(span, int(horizon))
-            age_span = min(age_span, int(horizon))
+            horizon = _count("horizon", horizon)
+            span, age_span = min(span, horizon), min(age_span, horizon)
         self.n_rows = span + 2
         self.n_cols = age_span + 2
         # not zeroed: the step writes every cell before it reads it
         self.data = np.empty((self.n_rows, self.n_cols, int(n_vars)), dtype=complex)
 
 
-#: the coefficient sets, one per read pattern plus the diagonal sources
-_KEYS = (Pattern.CURRENT, Pattern.DIAGONAL, Pattern.OWN, Pattern.SECOND_ARG_DELAYED,
-         Pattern.FIRST_ARG_DELAYED, "birth")
+#: the coefficient sets, one per read pattern
+_KEYS = tuple(Pattern)
 
 
 def _complex_forms(eqs: EquationSet) -> tuple[np.ndarray, set]:
     """Every coefficient set in one complex array ``g[key, row, target]``,
-    keys in ``_KEYS`` order (the birth set reads system and targets band),
-    and the positions in ``_KEYS`` of the sets with a nonzero term.
+    keys in ``_KEYS`` order, and the positions in ``_KEYS`` of the sets
+    with a nonzero term.
 
     Rows ``2r`` and ``2r + 1`` take the real and imaginary part of read
     ``r``: a plain term ``c`` adds ``(c, i c)``, a conjugated one
@@ -316,18 +297,13 @@ def _complex_forms(eqs: EquationSet) -> tuple[np.ndarray, set]:
     n = max(len(eqs.system_vars), len(eqs.band_vars))
     at, coef, used = [], [], set()  # flat index of each real row, and its coefficient
     for t in eqs.terms:
-        r, c = t.ref, t.coefficient
-        key = _KEYS.index(r.pattern)
-        i = (key * 2 * n + 2 * index[r.var]) * n + index[t.target]
+        c = t.coefficient
+        key = _KEYS.index(t.pattern)
+        i = (key * 2 * n + 2 * index[t.var]) * n + index[t.target]
         at += (i, i + n)
-        coef += (c, -1j * c if r.conjugate else 1j * c)
+        coef += (c, -1j * c if t.conjugate else 1j * c)
         if c:
             used.add(key)
-    for s in eqs.sources:
-        c = s.coefficient
-        i = ((len(_KEYS) - 1) * 2 * n + 2 * index[s.system_var]) * n + index[s.band_var]
-        at += (i, i + n)
-        coef += (c, -1j * c if s.conjugate else 1j * c)
     g = np.zeros((len(_KEYS), 2 * n, n), dtype=complex)
     np.add.at(g.reshape(-1), np.array(at, dtype=np.intp), np.array(coef, dtype=complex))
     return g, used

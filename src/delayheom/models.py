@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .constants import CONSTANTS
-from .engine import DiagonalSource, EquationSet, Pattern, Reference, Term
+from .engine import EquationSet, Pattern, Term
 from .qnm import CavityParams
 
 __all__ = [
@@ -89,47 +89,44 @@ def build_single_excitation(cavity: CavityParams) -> HierarchyModel:
     """
     ga, gb, v, ea, eb = _rates(cavity)
     eac, ebc = ea.conjugate(), eb.conjugate()
-    cur, diag = Pattern.CURRENT, Pattern.DIAGONAL
+    cur, diag, birth = Pattern.CURRENT, Pattern.DIAGONAL, Pattern.BIRTH
     own, sad, fad = Pattern.OWN, Pattern.SECOND_ARG_DELAYED, Pattern.FIRST_ARG_DELAYED
 
     terms = (
         # populations: damping plus the returning line and its conjugate
-        Term("pA", -2.0 * ga, Reference("pA", cur)),
-        Term("pA", -2.0 * v * eb, Reference("bB_0A", diag)),
-        Term("pA", -2.0 * v * ebc, Reference("bB_0A", diag, conjugate=True)),
-        Term("pB", -2.0 * gb, Reference("pB", cur)),
-        Term("pB", -2.0 * v * ea, Reference("bA_0B", diag)),
-        Term("pB", -2.0 * v * eac, Reference("bA_0B", diag, conjugate=True)),
+        Term("pA", -2.0 * ga, "pA", cur),
+        Term("pA", -2.0 * v * eb, "bB_0A", diag),
+        Term("pA", -2.0 * v * ebc, "bB_0A", diag, conjugate=True),
+        Term("pB", -2.0 * gb, "pB", cur),
+        Term("pB", -2.0 * v * ea, "bA_0B", diag),
+        Term("pB", -2.0 * v * eac, "bA_0B", diag, conjugate=True),
         # coherence: one line per side
-        Term("cAB", -(ga + gb), Reference("cAB", cur)),
-        Term("cAB", -2.0 * v * eb, Reference("bB_0B", diag)),
-        Term("cAB", -2.0 * v * eac, Reference("bA_0A", diag, conjugate=True)),
-        # lines: own damping, the one-delay-older cross read, and the
+        Term("cAB", -(ga + gb), "cAB", cur),
+        Term("cAB", -2.0 * v * eb, "bB_0B", diag),
+        Term("cAB", -2.0 * v * eac, "bA_0A", diag, conjugate=True),
+        # lines: birth, own damping, the one-delay-older cross read, and the
         # same-line earlier-position read (invisible to the system block)
-        Term("bB_0A", -ga, Reference("bB_0A", own)),
-        Term("bB_0A", -2.0 * v * ebc, Reference("bB_0B", sad, conjugate=True)),
-        Term("bB_0A", -2.0 * v * eac, Reference("bB_0A", fad)),
-        Term("bA_0B", -gb, Reference("bA_0B", own)),
-        Term("bA_0B", -2.0 * v * eac, Reference("bA_0A", sad, conjugate=True)),
-        Term("bA_0B", -2.0 * v * ebc, Reference("bA_0B", fad)),
-        Term("bB_0B", -gb, Reference("bB_0B", own)),
-        Term("bB_0B", -2.0 * v * eac, Reference("bA_0B", sad, conjugate=True)),
-        Term("bB_0B", -2.0 * v * eac, Reference("bB_0A", fad)),
-        Term("bA_0A", -ga, Reference("bA_0A", own)),
-        Term("bA_0A", -2.0 * v * ebc, Reference("bB_0A", sad, conjugate=True)),
-        Term("bA_0A", -2.0 * v * ebc, Reference("bA_0B", fad)),
-    )
-    sources = (
-        DiagonalSource("bB_0A", 1.0, "cAB", conjugate=True),
-        DiagonalSource("bA_0B", 1.0, "cAB"),
-        DiagonalSource("bB_0B", 1.0, "pB"),
-        DiagonalSource("bA_0A", 1.0, "pA"),
+        Term("bB_0A", 1.0, "cAB", birth, conjugate=True),
+        Term("bB_0A", -ga, "bB_0A", own),
+        Term("bB_0A", -2.0 * v * ebc, "bB_0B", sad, conjugate=True),
+        Term("bB_0A", -2.0 * v * eac, "bB_0A", fad),
+        Term("bA_0B", 1.0, "cAB", birth),
+        Term("bA_0B", -gb, "bA_0B", own),
+        Term("bA_0B", -2.0 * v * eac, "bA_0A", sad, conjugate=True),
+        Term("bA_0B", -2.0 * v * ebc, "bA_0B", fad),
+        Term("bB_0B", 1.0, "pB", birth),
+        Term("bB_0B", -gb, "bB_0B", own),
+        Term("bB_0B", -2.0 * v * eac, "bA_0B", sad, conjugate=True),
+        Term("bB_0B", -2.0 * v * eac, "bB_0A", fad),
+        Term("bA_0A", 1.0, "pA", birth),
+        Term("bA_0A", -ga, "bA_0A", own),
+        Term("bA_0A", -2.0 * v * ebc, "bB_0A", sad, conjugate=True),
+        Term("bA_0A", -2.0 * v * ebc, "bA_0B", fad),
     )
     eqs = EquationSet(
         system_vars=SINGLE_EXCITATION_VARS["system"],
         band_vars=SINGLE_EXCITATION_VARS["band"],
         terms=terms,
-        sources=sources,
         tau_fs=cavity.tau_fs,
     )
     return HierarchyModel(
@@ -156,48 +153,45 @@ def build_two_photon(cavity: CavityParams) -> HierarchyModel:
     ==========  =========================  ==========
 
     The silent lines still need a birth rule structurally; they get a
-    zero-coefficient source, which changes nothing.
+    zero-coefficient BIRTH term, which changes nothing.
     """
     ga, gb, v, ea, eb = _rates(cavity)
-    cur, diag = Pattern.CURRENT, Pattern.DIAGONAL
+    cur, diag, birth = Pattern.CURRENT, Pattern.DIAGONAL, Pattern.BIRTH
     own, sad = Pattern.OWN, Pattern.SECOND_ARG_DELAYED
 
     terms = (
-        Term("g20", -2.0 * ga, Reference("g20", cur)),
-        Term("g20", -SQRT8 * v * eb, Reference("bB01_10", diag)),
-        Term("g02", -2.0 * gb, Reference("g02", cur)),
-        Term("g02", -SQRT8 * v * ea, Reference("bA01_01", diag)),
-        Term("g11", -(ga + gb), Reference("g11", cur)),
-        Term("g11", -SQRT8 * v * eb, Reference("bB12_01", diag)),
-        Term("g11", -SQRT8 * v * ea, Reference("bA12_10", diag)),
-        Term("g11", -2.0 * v * eb, Reference("bB01_01", diag)),
-        Term("g11", -2.0 * v * ea, Reference("bA01_10", diag)),
-        Term("bB01_10", -ga, Reference("bB01_10", own)),
-        Term("bB01_10", -SQRT8 * v * eb, Reference("bB12_01", sad)),
-        Term("bB01_10", -2.0 * v * eb, Reference("bB01_01", sad)),
-        Term("bA01_01", -gb, Reference("bA01_01", own)),
-        Term("bA01_01", -SQRT8 * v * ea, Reference("bA12_10", sad)),
-        Term("bA01_01", -2.0 * v * ea, Reference("bA01_10", sad)),
-        Term("bB01_01", -gb, Reference("bB01_01", own)),
-        Term("bB01_01", -2.0 * v * ea, Reference("bA01_01", sad)),
-        Term("bA01_10", -ga, Reference("bA01_10", own)),
-        Term("bA01_10", -2.0 * v * eb, Reference("bB01_10", sad)),
-        Term("bA12_10", -ga, Reference("bA12_10", own)),
-        Term("bB12_01", -gb, Reference("bB12_01", own)),
-    )
-    sources = (
-        DiagonalSource("bB01_10", 1.0, "g11"),
-        DiagonalSource("bA01_01", 1.0, "g11"),
-        DiagonalSource("bB01_01", 0.0, "g11"),
-        DiagonalSource("bA01_10", 0.0, "g11"),
-        DiagonalSource("bA12_10", 1.0, "g20"),
-        DiagonalSource("bB12_01", 1.0, "g02"),
+        Term("g20", -2.0 * ga, "g20", cur),
+        Term("g20", -SQRT8 * v * eb, "bB01_10", diag),
+        Term("g02", -2.0 * gb, "g02", cur),
+        Term("g02", -SQRT8 * v * ea, "bA01_01", diag),
+        Term("g11", -(ga + gb), "g11", cur),
+        Term("g11", -SQRT8 * v * eb, "bB12_01", diag),
+        Term("g11", -SQRT8 * v * ea, "bA12_10", diag),
+        Term("g11", -2.0 * v * eb, "bB01_01", diag),
+        Term("g11", -2.0 * v * ea, "bA01_10", diag),
+        Term("bB01_10", 1.0, "g11", birth),
+        Term("bB01_10", -ga, "bB01_10", own),
+        Term("bB01_10", -SQRT8 * v * eb, "bB12_01", sad),
+        Term("bB01_10", -2.0 * v * eb, "bB01_01", sad),
+        Term("bA01_01", 1.0, "g11", birth),
+        Term("bA01_01", -gb, "bA01_01", own),
+        Term("bA01_01", -SQRT8 * v * ea, "bA12_10", sad),
+        Term("bA01_01", -2.0 * v * ea, "bA01_10", sad),
+        Term("bB01_01", 0.0, "g11", birth),
+        Term("bB01_01", -gb, "bB01_01", own),
+        Term("bB01_01", -2.0 * v * ea, "bA01_01", sad),
+        Term("bA01_10", 0.0, "g11", birth),
+        Term("bA01_10", -ga, "bA01_10", own),
+        Term("bA01_10", -2.0 * v * eb, "bB01_10", sad),
+        Term("bA12_10", 1.0, "g20", birth),
+        Term("bA12_10", -ga, "bA12_10", own),
+        Term("bB12_01", 1.0, "g02", birth),
+        Term("bB12_01", -gb, "bB12_01", own),
     )
     eqs = EquationSet(
         system_vars=TWO_PHOTON_VARS["system"],
         band_vars=TWO_PHOTON_VARS["band"],
         terms=terms,
-        sources=sources,
         tau_fs=cavity.tau_fs,
     )
     return HierarchyModel(

@@ -175,6 +175,13 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         ({"model": "three_photon"}, "config error at model"),
         ({"cavity": dict(BASE_CAVITY, nonsense=2.0)}, "cavity.nonsense"),
         ({"band_width": 0}, "band_width"),
+        # JSON as Python reads it admits NaN and Infinity
+        ({"t_end_fs": math.nan}, "config error at t_end_fs"),
+        ({"t_end_fs": math.inf}, "config error at t_end_fs"),
+        ({"t_end_fs": 10**400}, "config error at t_end_fs"),
+        ({"cavity": dict(BASE_CAVITY, gamma_a_ev=math.nan)}, "config error at cavity.gamma_a_ev"),
+        ({"cavity": dict(BASE_CAVITY, tau_fs=math.inf)}, "config error at cavity.tau_fs"),
+        ({"initial_state": {"pA": [1.0, math.nan]}}, "config error at initial_state.pA"),
     ],
 )
 def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):

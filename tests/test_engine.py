@@ -13,13 +13,11 @@ import pytest
 from delayheom import engine, models
 from delayheom.engine import (
     BandBuffer,
-    DiagonalSource,
     EquationSet,
     EquationSetError,
     HierarchyIntegrator,
     NonFiniteStateError,
     Pattern,
-    Reference,
     Term,
     default_band_width,
 )
@@ -32,12 +30,16 @@ def toy_eqs(tau_fs: float = 100.0, gb: float = 0.008) -> EquationSet:
         system_vars=("s",),
         band_vars=("w",),
         terms=(
-            Term("s", complex(-0.003), Reference("s", Pattern.CURRENT)),
-            Term("w", complex(-gb), Reference("w", Pattern.OWN)),
+            Term("s", complex(-0.003), "s", Pattern.CURRENT),
+            Term("w", 0.7 + 0.2j, "s", Pattern.BIRTH),
+            Term("w", complex(-gb), "w", Pattern.OWN),
         ),
-        sources=(DiagonalSource("w", 0.7 + 0.2j, "s"),),
         tau_fs=tau_fs,
     )
+
+
+#: line w is born from s
+BIRTH_W = Term("w", 1.0, "s", Pattern.BIRTH)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +49,9 @@ def toy_eqs(tau_fs: float = 100.0, gb: float = 0.008) -> EquationSet:
 
 def test_validate_rejects_duplicate_and_overlapping_names():
     with pytest.raises(EquationSetError):
-        EquationSet(("s", "s"), ("w",), (), (DiagonalSource("w", 1.0, "s"),), 100.0)
+        EquationSet(("s", "s"), ("w",), (BIRTH_W,), 100.0)
     with pytest.raises(EquationSetError):
-        EquationSet(("s",), ("s",), (), (DiagonalSource("s", 1.0, "s"),), 100.0)
+        EquationSet(("s",), ("s",), (Term("s", 1.0, "s", Pattern.BIRTH),), 100.0)
 
 
 def test_validate_rejects_bad_patterns():
@@ -57,65 +59,65 @@ def test_validate_rejects_bad_patterns():
     with pytest.raises(EquationSetError):
         EquationSet(
             ("s",), ("w",),
-            (Term("s", -1.0 + 0j, Reference("w", Pattern.OWN)),),
-            (DiagonalSource("w", 1.0, "s"),), 100.0,
+            (Term("s", -1.0 + 0j, "w", Pattern.OWN), BIRTH_W), 100.0,
         )
     # DIAGONAL must point at a band var
     with pytest.raises(EquationSetError):
         EquationSet(
             ("s",), ("w",),
-            (Term("s", -1.0 + 0j, Reference("s", Pattern.DIAGONAL)),),
-            (DiagonalSource("w", 1.0, "s"),), 100.0,
+            (Term("s", -1.0 + 0j, "s", Pattern.DIAGONAL), BIRTH_W), 100.0,
         )
     # a band target may not read the running system state
     with pytest.raises(EquationSetError):
         EquationSet(
             ("s",), ("w",),
-            (Term("w", -1.0 + 0j, Reference("s", Pattern.CURRENT)),),
-            (DiagonalSource("w", 1.0, "s"),), 100.0,
+            (Term("w", -1.0 + 0j, "s", Pattern.CURRENT), BIRTH_W), 100.0,
         )
     # OWN is a plain read of the target itself: not another line ...
     with pytest.raises(EquationSetError, match="OWN"):
         EquationSet(
             ("s",), ("w", "v"),
-            (Term("w", -1.0 + 0j, Reference("v", Pattern.OWN)),),
-            (DiagonalSource("w", 1.0, "s"), DiagonalSource("v", 1.0, "s")), 100.0,
+            (Term("w", -1.0 + 0j, "v", Pattern.OWN), BIRTH_W,
+             Term("v", 1.0, "s", Pattern.BIRTH)), 100.0,
         )
     # ... and not its conjugate
     with pytest.raises(EquationSetError, match="OWN"):
         EquationSet(
             ("s",), ("w",),
-            (Term("w", -1.0 + 0j, Reference("w", Pattern.OWN, conjugate=True)),),
-            (DiagonalSource("w", 1.0, "s"),), 100.0,
+            (Term("w", -1.0 + 0j, "w", Pattern.OWN, conjugate=True), BIRTH_W), 100.0,
         )
 
 
 def test_validate_requires_exactly_one_source_per_band_var():
     with pytest.raises(EquationSetError):
-        EquationSet(("s",), ("w",), (), (), 100.0)
+        EquationSet(("s",), ("w",), (), 100.0)
     with pytest.raises(EquationSetError):
-        EquationSet(
-            ("s",), ("w",), (),
-            (DiagonalSource("w", 1.0, "s"), DiagonalSource("w", 2.0, "s")), 100.0,
-        )
+        EquationSet(("s",), ("w",), (BIRTH_W, Term("w", 2.0, "s", Pattern.BIRTH)), 100.0)
     with pytest.raises(EquationSetError):
-        EquationSet(("s",), ("w",), (), (DiagonalSource("w", 1.0, "nope"),), 100.0)
+        EquationSet(("s",), ("w",), (Term("w", 1.0, "nope", Pattern.BIRTH),), 100.0)
+    # a birth reads a system value and creates a band line: it may not
+    # read a band variable ...
+    with pytest.raises(EquationSetError, match="birth source"):
+        EquationSet(("s",), ("w", "v"), (BIRTH_W, Term("v", 1.0, "w", Pattern.BIRTH)), 100.0)
+    # ... nor target a system variable
+    with pytest.raises(EquationSetError, match="system variable 's' takes no"):
+        EquationSet(("s",), ("w",), (BIRTH_W, Term("s", 1.0, "s", Pattern.BIRTH)), 100.0)
 
 
 def test_equation_set_keeps_no_reference_to_caller_lists():
     # the set is frozen: mutating the lists it was built from changes nothing
     system_vars, band_vars = ["s"], ["w"]
-    terms = [Term("s", -0.003 + 0j, Reference("s", Pattern.CURRENT)),
-             Term("s", -0.01 + 0j, Reference("w", Pattern.DIAGONAL)),
-             Term("w", -0.008 + 0j, Reference("w", Pattern.OWN))]
-    sources = [DiagonalSource("w", 0.7 + 0.2j, "s")]
-    eqs = EquationSet(system_vars, band_vars, terms, sources, 100.0)
+    terms = [Term("s", -0.003 + 0j, "s", Pattern.CURRENT),
+             Term("s", -0.01 + 0j, "w", Pattern.DIAGONAL),
+             Term("w", -0.008 + 0j, "w", Pattern.OWN),
+             Term("w", 0.7 + 0.2j, "s", Pattern.BIRTH)]
+    eqs = EquationSet(system_vars, band_vars, terms, 100.0)
     kw = dict(steps_per_delay=20, t_end_fs=300.0)
     before = engine.run(eqs, {"s": 1.0}, **kw)
     system_vars.append("x")
-    terms[0] = Term("s", 5.0 + 0j, Reference("s", Pattern.CURRENT))
-    sources.clear()
-    assert isinstance(eqs.terms, tuple) and isinstance(eqs.sources, tuple)
+    terms[0] = Term("s", 5.0 + 0j, "s", Pattern.CURRENT)
+    terms.pop()
+    assert isinstance(eqs.terms, tuple)
     assert eqs.system_vars == ("s",) and eqs.band_vars == ("w",)
     after = engine.run(eqs, {"s": 1.0}, **kw)
     assert set(after.series) == {"s"}
@@ -124,7 +126,7 @@ def test_equation_set_keeps_no_reference_to_caller_lists():
 
 def test_validate_requires_positive_delay():
     with pytest.raises(EquationSetError):
-        EquationSet(("s",), ("w",), (), (DiagonalSource("w", 1.0, "s"),), 0.0)
+        EquationSet(("s",), ("w",), (BIRTH_W,), 0.0)
 
 
 def test_run_argument_validation():
@@ -139,6 +141,14 @@ def test_run_argument_validation():
         engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=10.0, band_width=0)
     with pytest.raises(ValueError):
         engine.run(eqs, {"nope": 1.0}, steps_per_delay=20, t_end_fs=10.0)
+    # the grid is integral: no silent truncation of a fractional argument
+    with pytest.raises(ValueError, match="steps_per_delay"):
+        engine.run(eqs, {"s": 1.0}, steps_per_delay=10.5, t_end_fs=100.0)
+    with pytest.raises(ValueError, match="band_width"):
+        engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=10.0, band_width=7.9)
+    r = engine.run(eqs, {"s": 1.0}, steps_per_delay=np.int64(20), t_end_fs=10.0,
+                   band_width=np.int32(7))
+    assert (r.steps_per_delay, r.band_width) == (20, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +216,18 @@ def test_own_only_band_matches_product_formula():
 def test_conjugated_only_current_read():
     # s' = c conj(s): one Heun step from s = 1 gives 1 + h c + h^2 |c|^2 / 2
     c = -0.01 + 0.02j
-    terms = (Term("s", c, Reference("s", Pattern.CURRENT, conjugate=True)),)
+    terms = (Term("s", c, "s", Pattern.CURRENT, conjugate=True),)
     with_band = EquationSet(
         system_vars=("s",), band_vars=("w",),
-        terms=terms + (Term("w", -0.008, Reference("w", Pattern.OWN)),),
-        sources=(DiagonalSource("w", 1.0, "s"),), tau_fs=100.0,
+        terms=terms + (Term("w", -0.008, "w", Pattern.OWN), BIRTH_W), tau_fs=100.0,
     )
     it = HierarchyIntegrator(with_band, {"s": 1.0}, steps_per_delay=20, band_width=21)
     it.step()
     h = 5.0
     want = 1.0 + h * c + 0.5 * h**2 * abs(c) ** 2
     assert complex(it.state[0]) == pytest.approx(want, rel=1e-15)
-    # with no band variables (hence no sources) the step is the same
-    bare = EquationSet(system_vars=("s",), band_vars=(), terms=terms, sources=(),
-                       tau_fs=100.0)
+    # with no band variables (hence no births) the step is the same
+    bare = EquationSet(system_vars=("s",), band_vars=(), terms=terms, tau_fs=100.0)
     it0 = HierarchyIntegrator(bare, {"s": 1.0}, steps_per_delay=20, band_width=21)
     it0.step()
     assert np.array_equal(it0.state, it.state)
@@ -229,9 +237,9 @@ def test_system_driven_only_by_the_returning_line():
     # no CURRENT term: s stays exactly 1 until its own line returns
     eqs = EquationSet(
         system_vars=("s",), band_vars=("w",),
-        terms=(Term("s", -0.01, Reference("w", Pattern.DIAGONAL)),
-               Term("w", -0.008, Reference("w", Pattern.OWN))),
-        sources=(DiagonalSource("w", 1.0, "s"),), tau_fs=100.0,
+        terms=(Term("s", -0.01, "w", Pattern.DIAGONAL),
+               Term("w", -0.008, "w", Pattern.OWN), BIRTH_W),
+        tau_fs=100.0,
     )
     K = 20
     r = engine.run(eqs, {"s": 1.0}, steps_per_delay=K, t_end_fs=300.0)
@@ -326,39 +334,33 @@ def _random_coefficients(rng, n):
 @pytest.mark.parametrize("case", ["plain", "conjugated", "both"])
 def test_real_form_matches_the_complex_pair(case):
     # a real matrix on float views applies x @ P + conj(x) @ Q, for reads
-    # and targets of different counts (DIAGONAL: band -> system, the
-    # sources: system -> band) and of equal counts (SECOND_ARG_DELAYED)
+    # and targets of different counts (DIAGONAL: band -> system, BIRTH:
+    # system -> band) and of equal counts (SECOND_ARG_DELAYED)
     rng = np.random.default_rng(7)
     sys_vars, band_vars = ("s0", "s1"), ("w0", "w1", "w2")
     conj = {"plain": [False] * 3, "conjugated": [True] * 3,
             "both": [False, True, False]}[case]
-    terms, sources = [], []
+    terms = []
     for j, w in enumerate(band_vars):
         c_diag, c_sad, c_src = _random_coefficients(rng, 3)
-        terms.append(Term(sys_vars[j % 2], c_diag, Reference(w, Pattern.DIAGONAL, conj[j])))
-        terms.append(Term(band_vars[(j + 1) % 3], c_sad,
-                          Reference(w, Pattern.SECOND_ARG_DELAYED, conj[j])))
-        sources.append(DiagonalSource(w, c_src, sys_vars[j % 2], conj[j]))
+        terms.append(Term(sys_vars[j % 2], c_diag, w, Pattern.DIAGONAL, conj[j]))
+        terms.append(Term(band_vars[(j + 1) % 3], c_sad, w, Pattern.SECOND_ARG_DELAYED, conj[j]))
+        terms.append(Term(w, c_src, sys_vars[j % 2], Pattern.BIRTH, conj[j]))
         if case == "both":  # the same read twice, plain and conjugated
             c_diag, c_sad = _random_coefficients(rng, 2)
-            terms.append(Term(sys_vars[j % 2], c_diag,
-                              Reference(w, Pattern.DIAGONAL, not conj[j])))
+            terms.append(Term(sys_vars[j % 2], c_diag, w, Pattern.DIAGONAL, not conj[j]))
             terms.append(Term(band_vars[(j + 1) % 3], c_sad,
-                              Reference(w, Pattern.SECOND_ARG_DELAYED, not conj[j])))
-    eqs = EquationSet(sys_vars, band_vars, terms, sources, 100.0)
+                              w, Pattern.SECOND_ARG_DELAYED, not conj[j]))
+    eqs = EquationSet(sys_vars, band_vars, terms, 100.0)
     g, _ = engine._complex_forms(eqs)
     index = {v: i for names in (sys_vars, band_vars) for i, v in enumerate(names)}
-    reads = [(t.ref.pattern, t.ref.var, t.target, t.coefficient, t.ref.conjugate)
-             for t in terms]
-    reads += [("birth", s.system_var, s.band_var, s.coefficient, s.conjugate)
-              for s in sources]
-    for key, n_read, n_target in ((Pattern.DIAGONAL, 3, 2), ("birth", 2, 3),
+    for key, n_read, n_target in ((Pattern.DIAGONAL, 3, 2), (Pattern.BIRTH, 2, 3),
                                   (Pattern.SECOND_ARG_DELAYED, 3, 3)):
         P = np.zeros((n_read, n_target), dtype=complex)
         Q = np.zeros((n_read, n_target), dtype=complex)
-        for k, read, target, c, cj in reads:
-            if k == key:
-                (Q if cj else P)[index[read], index[target]] += c
+        for t in terms:
+            if t.pattern is key:
+                (Q if t.conjugate else P)[index[t.var], index[t.target]] += t.coefficient
         real = g[engine._KEYS.index(key), : 2 * n_read, :n_target].view(np.float64)
         x = rng.normal(size=(5, n_read)) + 1j * rng.normal(size=(5, n_read))
         got = (x.view(np.float64) @ real).view(np.complex128)
@@ -381,10 +383,10 @@ def test_default_band_width_formula_and_clamp():
     # one undamped variable keeps the whole band
     two = EquationSet(
         ("s",), ("w", "u"),
-        (Term("w", -0.8 + 0j, Reference("w", Pattern.OWN)),
-         Term("u", -0.3 + 0j, Reference("u", Pattern.OWN)),
-         Term("u", 0.3 + 0j, Reference("u", Pattern.OWN))),
-        (DiagonalSource("w", 1.0, "s"), DiagonalSource("u", 1.0, "s")), 100.0,
+        (Term("w", -0.8 + 0j, "w", Pattern.OWN),
+         Term("u", -0.3 + 0j, "u", Pattern.OWN),
+         Term("u", 0.3 + 0j, "u", Pattern.OWN),
+         BIRTH_W, Term("u", 1.0, "s", Pattern.BIRTH)), 100.0,
     )
     assert default_band_width(two, 1000) == 1001
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from tests.conftest import make_scaled
 def pattern_census(eqs):
     counts: dict[Pattern, int] = {}
     for t in eqs.terms:
-        counts[t.ref.pattern] = counts.get(t.ref.pattern, 0) + 1
+        counts[t.pattern] = counts.get(t.pattern, 0) + 1
     return counts
 
 
@@ -37,27 +37,28 @@ def test_single_excitation_census():
     eqs = m.equations
     assert eqs.system_vars == ("pA", "pB", "cAB")
     assert eqs.band_vars == ("bB_0A", "bA_0B", "bB_0B", "bA_0A")
-    assert len(eqs.terms) == 21
-    assert len(eqs.sources) == 4
+    assert len(eqs.terms) == 25
     assert pattern_census(eqs) == {
         Pattern.CURRENT: 3,
         Pattern.DIAGONAL: 6,
         Pattern.OWN: 4,
         Pattern.SECOND_ARG_DELAYED: 4,
         Pattern.FIRST_ARG_DELAYED: 4,
+        Pattern.BIRTH: 4,
     }
 
 
 def test_single_excitation_source_wiring():
     m = models.build_single_excitation(make_scaled(2.0, 3.7))
-    wiring = {s.band_var: (s.system_var, s.conjugate) for s in m.equations.sources}
+    births = [t for t in m.equations.terms if t.pattern is Pattern.BIRTH]
+    wiring = {t.target: (t.var, t.conjugate) for t in births}
     assert wiring == {
         "bB_0A": ("cAB", True),
         "bA_0B": ("cAB", False),
         "bB_0B": ("pB", False),
         "bA_0A": ("pA", False),
     }
-    assert all(s.coefficient == 1.0 for s in m.equations.sources)
+    assert all(t.coefficient == 1.0 for t in births)
 
 
 def test_feedback_phase_convention():
@@ -72,8 +73,8 @@ def test_feedback_phase_convention():
         t.coefficient
         for t in m.equations.terms
         if t.target == "pA"
-        and t.ref.pattern is Pattern.DIAGONAL
-        and not t.ref.conjugate
+        and t.pattern is Pattern.DIAGONAL
+        and not t.conjugate
     ]
     assert coeff == pytest.approx(-2.0 * v * phase_b, rel=1e-15)
 
@@ -104,13 +105,13 @@ def test_two_photon_census():
     eqs = m.equations
     assert eqs.system_vars == ("g20", "g02", "g11")
     assert len(eqs.band_vars) == 6
-    assert len(eqs.terms) == 21
-    assert len(eqs.sources) == 6
+    assert len(eqs.terms) == 27
     assert pattern_census(eqs) == {
         Pattern.CURRENT: 3,
         Pattern.DIAGONAL: 6,
         Pattern.OWN: 6,
         Pattern.SECOND_ARG_DELAYED: 6,
+        Pattern.BIRTH: 6,
     }
     assert m.kind == "two_photon"
     assert dict(m.default_init) == {"g20": 1.0 + 0j}
@@ -118,7 +119,8 @@ def test_two_photon_census():
 
 def test_two_photon_silent_lines_have_zero_weight_sources():
     m = models.build_two_photon(make_scaled(2.0, 3.7))
-    silent = {s.band_var for s in m.equations.sources if s.coefficient == 0.0}
+    silent = {t.target for t in m.equations.terms
+              if t.pattern is Pattern.BIRTH and t.coefficient == 0.0}
     assert silent == {"bB01_01", "bA01_10"}
 
 
