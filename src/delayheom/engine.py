@@ -220,18 +220,16 @@ def default_band_width(
     keeping more buys exactly nothing (see the module notes; the claim is
     also regression-tested).
     """
-    if steps_per_delay < 1:
-        raise ValueError("steps_per_delay must be >= 1")
-    return _band_width(eqs, int(steps_per_delay), eps_band)
+    return _band_width(eqs, _count("steps_per_delay", steps_per_delay), eps_band)
 
 
 def _band_width(eqs: EquationSet, k: int, eps_band: float) -> int:
     # divides by no k, so :func:`run` can call it before the ring checks k
     if not (0 < eps_band < 1):
         raise ValueError("eps_band must be in (0, 1)")
-    rates = dict.fromkeys(eqs.band_vars, 0.0)
+    own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
     for t in eqs.terms:
-        if t.pattern is Pattern.OWN:
+        if t.pattern is own:
             rates[t.target] -= t.coefficient.real
     slowest = min(rates.values(), default=0.0)
     cap = k + 1

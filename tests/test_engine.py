@@ -378,6 +378,9 @@ def test_default_band_width_formula_and_clamp():
     # K = 1000 -> h = 0.1, gamma*h = 0.08: ln(1e12)/0.08 = 345.4 -> 346
     assert default_band_width(toy_eqs(gb=0.8), 1000) == 346
     assert default_band_width(eqs, 20) == 21    # clamped to K + 1
+    assert default_band_width(eqs, np.int64(20)) == 21
+    with pytest.raises(ValueError, match="steps_per_delay must be an integer"):
+        default_band_width(eqs, 10.5)
     assert default_band_width(toy_eqs(gb=50.0), 20) == 1
     # the rate of a band variable is the sum of its OWN coefficients, and
     # one undamped variable keeps the whole band

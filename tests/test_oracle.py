@@ -9,7 +9,10 @@ run of this code once its limits were verified, not derived elsewhere.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,11 @@ def test_wavefunction_argument_validation():
         oracle.run_wavefunction(cav, 0, 100.0)
     with pytest.raises(ValueError):
         oracle.run_wavefunction(cav, 50, 0.0)
+    # a fractional grid is refused, not truncated; NumPy integers pass
+    with pytest.raises(ValueError, match="steps_per_delay"):
+        oracle.run_wavefunction(cav, 10.5, 100.0)
+    r = oracle.run_wavefunction(cav, np.int64(10), 100.0)
+    assert len(r.times) == 11
 
 
 def test_decoupled_amplitude_is_a_plain_exponential():
@@ -90,6 +98,14 @@ def test_bath_argument_validation():
         oracle.run_discretized_bath(cav, 64, 50, 0.0)
     with pytest.raises(ValueError):
         oracle.run_discretized_bath(cav, 64, 50, 100.0, half_bandwidth_fs=-1.0)
+    with pytest.raises(ValueError, match="steps_per_delay"):
+        oracle.run_discretized_bath(cav, 64, 10.5, 100.0)
+    with pytest.raises(ValueError, match="n_modes"):
+        oracle.run_discretized_bath(cav, 64.9, 50, 100.0)
+    with pytest.raises(ValueError, match="need a positive delay"):
+        oracle.run_discretized_bath(dataclasses.replace(cav, tau_fs=0.0), 64, 50, 100.0)
+    b = oracle.run_discretized_bath(cav, np.int32(64), np.int64(10), 100.0)
+    assert b.n_modes == 64 and len(b.times) == 11
 
 
 def test_bath_tracks_the_delay_equations():
@@ -107,6 +123,16 @@ def test_bath_tracks_the_delay_equations():
 def test_bath_norm_is_conserved_to_roundoff():
     b = oracle.run_discretized_bath(make_scaled(2.0, 3.7), 512, 50, 400.0)
     assert b.norm_drift < 1e-10
+
+
+def test_bath_frozen_spot_values():
+    b = oracle.run_discretized_bath(make_scaled(2.0, 3.7), 512, 50, 400.0)
+    assert b.amp_a[-1] == pytest.approx(
+        0.06546838419529462 + 0.13335686756771298j, abs=1e-12
+    )
+    assert b.amp_b[-1] == pytest.approx(
+        -0.004938335453769151 + 0.1830278151809155j, abs=1e-12
+    )
 
 
 def test_bath_recurrence_time_formula():
@@ -138,3 +164,17 @@ def test_dde_with_no_coupling_is_exactly_frozen():
     w = oracle.run_wavefunction(make_decoupled(0.0), 50, 300.0, init=init)
     assert np.all(w.amp_a == init[0])
     assert np.all(w.amp_b == init[1])
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # the oracles are independent checks only while they share no code
+    # with the integrator, the models or the CLI
+    source = Path(oracle.__file__).read_text()
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"engine", "models", "cli"}
