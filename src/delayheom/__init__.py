@@ -1,6 +1,7 @@
 """Delay hierarchy for two leaky slab modes exchanging retarded photons.
 
-The public surface, in dependency order:
+The package exposes its modules, not their names; each module lists its
+own public names in ``__all__``.  In dependency order:
 
 * :mod:`delayheom.constants` -- the eV/fs/um unit anchors.
 * :mod:`delayheom.qnm` -- slab resonances, overlaps and coupling rates.
@@ -12,65 +13,6 @@ The public surface, in dependency order:
 
 __version__ = "0.1.0"
 
-from .constants import CONSTANTS, PhysicalConstants
-from .engine import (
-    BandBuffer,
-    EquationSet,
-    EquationSetError,
-    HierarchyIntegrator,
-    NonFiniteStateError,
-    Pattern,
-    SimResult,
-    Term,
-    default_band_width,
-    run,
-)
-from .models import (
-    HierarchyModel,
-    build_single_excitation,
-    build_two_photon,
-    pure_state_crosscheck,
-)
-from .oracle import run_discretized_bath, run_wavefunction
-from .qnm import (
-    CavityParams,
-    Overlaps,
-    QnmFrequency,
-    SlabParams,
-    derive_cavity_params,
-    mode_function,
-    overlaps,
-    qnm_frequency,
-    regularized_factor,
-)
+from . import constants, engine, models, oracle, qnm
 
-__all__ = [
-    "CONSTANTS",
-    "PhysicalConstants",
-    "BandBuffer",
-    "EquationSet",
-    "EquationSetError",
-    "HierarchyIntegrator",
-    "NonFiniteStateError",
-    "Pattern",
-    "SimResult",
-    "Term",
-    "default_band_width",
-    "run",
-    "HierarchyModel",
-    "build_single_excitation",
-    "build_two_photon",
-    "pure_state_crosscheck",
-    "run_discretized_bath",
-    "run_wavefunction",
-    "CavityParams",
-    "Overlaps",
-    "QnmFrequency",
-    "SlabParams",
-    "derive_cavity_params",
-    "mode_function",
-    "overlaps",
-    "qnm_frequency",
-    "regularized_factor",
-    "__version__",
-]
+__all__ = ["__version__", "constants", "engine", "models", "oracle", "qnm"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
+import os
 import sys
 import time
 from importlib import resources
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import engine, models, oracle
 from .engine import NonFiniteStateError
-from .qnm import CavityParams, SlabParams, derive_cavity_params
+from .qnm import CavityParams, SlabParams, derive_cavity_params, overlaps, qnm_frequency
 
 
 class ConfigError(Exception):
@@ -44,77 +44,72 @@ _MODELS = ("single_excitation", "two_photon")
 _KINDS = {"float": (float, int), "int": (int,)}
 
 
+# each table maps a key to _check's (JSON types, range check, message) for
+# its value; a dataclass field needs only its types
 def _keys(params):
-    return {f.name: _KINDS[f.type] for f in dataclasses.fields(params)}
+    return {f.name: (_KINDS[f.type],) for f in dataclasses.fields(params)}
 
 
-_SLAB_KEYS = {**_keys(SlabParams), "convention": (str,)}
+_SLAB_KEYS = {**_keys(SlabParams), "convention": ((str,),)}
 # the CLI requires R_um, which SlabParams defaults to 0
 _SLAB_REQUIRED = ("L_um", "eps_r", "R_um")
 
 _CAVITY_KEYS = _keys(CavityParams)
 
-_TOP_KEYS = (
-    "model", "slab", "cavity", "steps_per_delay", "t_end_fs", "band_width",
-    "eps_band", "include_first_arg_delayed", "initial_state",
-)
+_OBJECT = ((dict,), None, "must be an object")
+_TOP_KEYS = {
+    "model": ((str,), _MODELS.__contains__, f"must be one of {_MODELS}"),
+    "slab": _OBJECT,
+    "cavity": _OBJECT,
+    "steps_per_delay": ((int,), lambda k: k >= 10, "must be an integer >= 10"),
+    "t_end_fs": ((float, int), lambda t: t > 0, "must be a positive finite number"),
+    # null asks for the default width
+    "band_width": ((int, type(None)), lambda w: w is None or w >= 1,
+                   "must be an integer >= 1"),
+    "eps_band": ((float, int), lambda e: 0 < e < 1, "must be a number in (0, 1)"),
+    "include_first_arg_delayed": ((bool,), None, "must be a boolean"),
+    "initial_state": _OBJECT,
+}
 
 
 def _fail(path, why):
     raise ConfigError(f"config error at {path}: {why}")
 
 
-def _finite(value):
+def _check(path, value, kinds, ok=None, why=None):
+    """``value``, if it has one of the JSON ``kinds``, is finite and passes ``ok``."""
+    # bool subclasses int, but true and false are never numbers here
+    if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
+        _fail(path, why or f"expected {kinds[0].__name__}")
     # JSON as Python reads it admits NaN, Infinity and integers past float range
-    try:
-        return not isinstance(value, (int, float)) or math.isfinite(value)
-    except OverflowError:
-        return False
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        _fail(path, "must be finite")
+    if ok is not None and not ok(value):
+        _fail(path, why)
+    return value
 
 
-def _check_block(block, path, allowed, required):
-    if not isinstance(block, dict):
-        _fail(path, "must be an object")
+def _check_block(block, prefix, table, required):
     for key in block:
-        if key not in allowed:
-            _fail(f"{path}.{key}", "unknown key")
+        if key not in table:
+            _fail(prefix + key, "unknown key")
     for key in required:
         if key not in block:
-            _fail(f"{path}.{key}", "required key missing")
+            _fail(prefix + key, "required key missing")
     for key, value in block.items():
-        kinds = allowed[key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            _fail(f"{path}.{key}", f"expected {kinds[0].__name__}")
-        if not _finite(value):
-            _fail(f"{path}.{key}", "must be finite")
-
-
-def _as_complex(value, path):
-    parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
-        _fail(path, "expected a number or a [re, im] pair")
-    if not all(map(_finite, parts)):
-        _fail(path, "must be finite")
-    return complex(*parts)
+        _check(prefix + key, value, *table[key])
 
 
 def load_config(raw):
     """Validate a parsed JSON document and resolve it to run inputs."""
-    if not isinstance(raw, dict):
-        _fail("<top>", "must be an object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            _fail(key, "unknown key")
-
-    model_name = raw.get("model", "single_excitation")
-    if model_name not in _MODELS:
-        _fail("model", f"must be one of {_MODELS}")
+    _check("<top>", raw, *_OBJECT)
+    _check_block(raw, "", _TOP_KEYS, ("steps_per_delay", "t_end_fs"))
 
     has_slab, has_cavity = "slab" in raw, "cavity" in raw
     if has_slab == has_cavity:
         _fail("<top>", "exactly one of 'slab' or 'cavity' is required")
     if has_slab:
-        _check_block(raw["slab"], "slab", _SLAB_KEYS, _SLAB_REQUIRED)
+        _check_block(raw["slab"], "slab.", _SLAB_KEYS, _SLAB_REQUIRED)
         block = dict(raw["slab"])
         convention = block.pop("convention", "cyclic")
         try:
@@ -123,7 +118,7 @@ def load_config(raw):
         except ValueError as e:
             _fail("slab", str(e))
     else:
-        _check_block(raw["cavity"], "cavity", _CAVITY_KEYS, tuple(_CAVITY_KEYS))
+        _check_block(raw["cavity"], "cavity.", _CAVITY_KEYS, tuple(_CAVITY_KEYS))
         try:
             cavity = CavityParams(**raw["cavity"])
         except ValueError as e:
@@ -132,48 +127,26 @@ def load_config(raw):
         _fail("cavity.tau_fs" if has_cavity else "slab.R_um",
               "the delay must be positive to lock the grid to it")
 
-    spd = raw.get("steps_per_delay")
-    if not isinstance(spd, int) or isinstance(spd, bool) or spd < 10:
-        _fail("steps_per_delay", "must be an integer >= 10")
-    t_end = raw.get("t_end_fs")
-    if (isinstance(t_end, bool) or not isinstance(t_end, (int, float))
-            or not _finite(t_end) or t_end <= 0):
-        _fail("t_end_fs", "must be a positive finite number")
-
-    band_width = raw.get("band_width")
-    if band_width is not None:
-        if not isinstance(band_width, int) or isinstance(band_width, bool) or band_width < 1:
-            _fail("band_width", "must be an integer >= 1")
-    eps_band = raw.get("eps_band", 1e-12)
-    if isinstance(eps_band, bool) or not isinstance(eps_band, (int, float)) or not 0 < eps_band < 1:
-        _fail("eps_band", "must be a number in (0, 1)")
-    fad = raw.get("include_first_arg_delayed", True)
-    if not isinstance(fad, bool):
-        _fail("include_first_arg_delayed", "must be a boolean")
-
     # looked up at call time, so a wrapped module attribute is the one called
-    model = getattr(models, f"build_{model_name}")(cavity)
+    model = getattr(models, f"build_{raw.get('model', 'single_excitation')}")(cavity)
 
-    init = dict(model.default_init)
-    if "initial_state" in raw:
-        block = raw["initial_state"]
-        if not isinstance(block, dict):
-            _fail("initial_state", "must be an object")
-        init = {}
-        for key, value in block.items():
-            if key not in model.equations.system_vars:
-                _fail(f"initial_state.{key}",
-                      f"unknown variable (model has {model.equations.system_vars})")
-            init[key] = _as_complex(value, f"initial_state.{key}")
+    init = {} if "initial_state" in raw else dict(model.default_init)
+    for key, value in raw.get("initial_state", {}).items():
+        path = f"initial_state.{key}"
+        if key not in model.equations.system_vars:
+            _fail(path, f"unknown variable (model has {model.equations.system_vars})")
+        parts = value if isinstance(value, list) and len(value) == 2 else [value]
+        why = "expected a number or a [re, im] pair"
+        init[key] = complex(*(_check(path, v, (float, int), None, why) for v in parts))
 
     return {
         "model": model,
         "cavity": cavity,
-        "steps_per_delay": spd,
-        "t_end_fs": float(t_end),
-        "band_width": band_width,
-        "eps_band": float(eps_band),
-        "include_first_arg_delayed": fad,
+        "steps_per_delay": raw["steps_per_delay"],
+        "t_end_fs": float(raw["t_end_fs"]),
+        "band_width": raw.get("band_width"),
+        "eps_band": float(raw.get("eps_band", 1e-12)),
+        "include_first_arg_delayed": raw.get("include_first_arg_delayed", True),
         "init": init,
     }
 
@@ -187,8 +160,6 @@ def _preset_names():
 
 def read_config_file(path):
     """Read a config from a filesystem path or a bundled preset name."""
-    import os
-
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -308,7 +279,6 @@ def _cmd_qnm_info(args):
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    from .qnm import overlaps, qnm_frequency
 
     q = qnm_frequency(slab, args.convention)
     cav = derive_cavity_params(slab, args.convention)
@@ -331,7 +301,7 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"delayheom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[], help="run a config and write CSV + sidecar")
+    p = sub.add_parser("simulate", help="run a config and write CSV + sidecar")
     p.add_argument("--config", required=True, help="config path or bundled preset name")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)

@@ -72,6 +72,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -524,8 +525,8 @@ def run(
     fraction of a step).  ``band_width`` defaults to
     :func:`default_band_width` with the given ``eps_band``.
     """
-    if t_end_fs <= 0:
-        raise ValueError("t_end_fs must be positive")
+    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
+        raise ValueError("t_end_fs must be positive and finite")
     # steps_per_delay and band_width are checked once, by the ring the
     # integrator allocates, so nothing here divides by steps_per_delay
     if band_width is None:

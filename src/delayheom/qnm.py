@@ -137,7 +137,7 @@ def qnm_frequency(slab: SlabParams, convention: str = "cyclic") -> QnmFrequency:
     )
 
 
-def mode_function(slab: SlabParams, x_um, z: complex | None = None):
+def mode_function(slab: SlabParams, x_um):
     """Resonance field profile inside the slab (unnormalised).
 
     ``f(x) = exp(+i n_r z x/L) + exp(-i n_r z x/L + i pi mode_index)``,
@@ -148,11 +148,8 @@ def mode_function(slab: SlabParams, x_um, z: complex | None = None):
     ----------
     x_um:
         Scalar or array of positions, measured from the slab centre.
-    z:
-        Optional pre-computed resonance; defaults to ``qnm_frequency(slab).z``.
     """
-    if z is None:
-        z = qnm_frequency(slab).z
+    z = qnm_frequency(slab).z
     x = np.asarray(x_um, dtype=float)
     arg = 1j * slab.n_r * z * x / slab.L_um
     out = np.exp(arg) + np.exp(-arg) * cmath.exp(1j * math.pi * slab.mode_index)
@@ -170,7 +167,7 @@ def _si(w: complex) -> complex:
     return cmath.sin(w) / w
 
 
-def regularized_factor(slab: SlabParams, omega_rad_fs: complex, z: complex | None = None) -> complex:
+def regularized_factor(slab: SlabParams, omega_rad_fs: complex) -> complex:
     """Outside-the-slab response amplitude ``M(omega)``.
 
     Driving the background with the slab's polarization profile at
@@ -186,11 +183,9 @@ def regularized_factor(slab: SlabParams, omega_rad_fs: complex, z: complex | Non
     which is finite even though the leaky profile itself diverges at
     infinity -- the divergence never enters the overlap.
     """
-    if z is None:
-        z = qnm_frequency(slab).z
     c = CONSTANTS.c_um_fs
     L = slab.L_um
-    om_tilde = z * c / L
+    om_tilde = qnm_frequency(slab).z * c / L
     a_plus = (omega_rad_fs + slab.n_r * om_tilde) * L / (2.0 * c)
     a_minus = (omega_rad_fs - slab.n_r * om_tilde) * L / (2.0 * c)
     parity = (-1.0) ** slab.mode_index
@@ -233,7 +228,7 @@ def overlaps(slab: SlabParams) -> Overlaps:
     om_t = q.z * c / slab.L_um  # complex angular eigenfrequency, 1/fs
     omega1 = om_t.real
     gamma1 = -om_t.imag
-    m1 = regularized_factor(slab, om_t, z=q.z)
+    m1 = regularized_factor(slab, om_t)
     s_aa = (2.0 * c / gamma1) * abs(m1) ** 2
     damp = math.exp(-gamma1 * slab.R_um / c)
     osc = ((om_t / (2.0 * omega1)) * cmath.exp(-1j * omega1 * slab.R_um / c)).real

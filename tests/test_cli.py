@@ -25,7 +25,10 @@ BASE_CAVITY = {
 }
 
 
-def write_cfg(tmp_path, **overrides):
+_DROP = object()    # an override that removes the key
+
+
+def base_config(**overrides):
     cfg = {
         "model": "single_excitation",
         "cavity": dict(BASE_CAVITY),
@@ -33,8 +36,12 @@ def write_cfg(tmp_path, **overrides):
         "t_end_fs": 400.0,
     }
     cfg.update(overrides)
+    return {k: v for k, v in cfg.items() if v is not _DROP}
+
+
+def write_cfg(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(base_config(**overrides)))
     return str(path)
 
 
@@ -179,6 +186,8 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         ({"t_end_fs": math.nan}, "config error at t_end_fs"),
         ({"t_end_fs": math.inf}, "config error at t_end_fs"),
         ({"t_end_fs": 10**400}, "config error at t_end_fs"),
+        ({"steps_per_delay": 10**400}, "config error at steps_per_delay"),
+        ({"band_width": 10**400}, "config error at band_width"),
         ({"cavity": dict(BASE_CAVITY, gamma_a_ev=math.nan)}, "config error at cavity.gamma_a_ev"),
         ({"cavity": dict(BASE_CAVITY, tau_fs=math.inf)}, "config error at cavity.tau_fs"),
         ({"initial_state": {"pA": [1.0, math.nan]}}, "config error at initial_state.pA"),
@@ -188,6 +197,42 @@ def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):
     assert cli.main(["simulate", "--config", write_cfg(tmp_path, **overrides),
                      "--out", str(tmp_path / "x.csv")]) == 1
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"bogus": 1}, "config error at bogus: unknown key"),
+        ({"model": "three_photon"},
+         "config error at model: must be one of ('single_excitation', 'two_photon')"),
+        ({"cavity": 3}, "config error at cavity: must be an object"),
+        ({"cavity": _DROP, "slab": 3}, "config error at slab: must be an object"),
+        ({"steps_per_delay": 5}, "config error at steps_per_delay: must be an integer >= 10"),
+        ({"steps_per_delay": _DROP}, "config error at steps_per_delay: required key missing"),
+        ({"t_end_fs": -1.0}, "config error at t_end_fs: must be a positive finite number"),
+        ({"t_end_fs": math.nan}, "config error at t_end_fs: must be finite"),
+        ({"band_width": 0}, "config error at band_width: must be an integer >= 1"),
+        ({"eps_band": 2.0}, "config error at eps_band: must be a number in (0, 1)"),
+        ({"include_first_arg_delayed": 1},
+         "config error at include_first_arg_delayed: must be a boolean"),
+        ({"initial_state": [1]}, "config error at initial_state: must be an object"),
+        ({"cavity": dict(BASE_CAVITY, gamma_a_ev="x")},
+         "config error at cavity.gamma_a_ev: expected float"),
+        ({"cavity": dict(BASE_CAVITY, tau_fs=math.inf)},
+         "config error at cavity.tau_fs: must be finite"),
+        ({"initial_state": {"pA": "x"}},
+         "config error at initial_state.pA: expected a number or a [re, im] pair"),
+    ],
+)
+def test_config_error_messages(overrides, message):
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.load_config(base_config(**overrides))
+    assert str(exc.value) == message
+
+
+def test_null_band_width_is_the_default():
+    cfg = cli.load_config(base_config(band_width=None))
+    assert cfg == cli.load_config(base_config()) and cfg["band_width"] is None
 
 
 def test_config_requires_exactly_one_geometry_block(tmp_path, capsys):

@@ -7,6 +7,8 @@ band advance testable against results worked out by hand.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,9 @@ def test_run_argument_validation():
         engine.run(eqs, {"s": 1.0}, steps_per_delay=0, t_end_fs=10.0)
     with pytest.raises(ValueError):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=0.0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end_fs"):
+            engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=t_end)
     with pytest.raises(ValueError, match="steps_per_delay"):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=0, t_end_fs=10.0, band_width=5)
     with pytest.raises(ValueError):

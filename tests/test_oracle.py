@@ -33,6 +33,9 @@ def test_wavefunction_argument_validation():
         oracle.run_wavefunction(cav, 0, 100.0)
     with pytest.raises(ValueError):
         oracle.run_wavefunction(cav, 50, 0.0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end_fs"):
+            oracle.run_wavefunction(cav, 50, t_end)
     # a fractional grid is refused, not truncated; NumPy integers pass
     with pytest.raises(ValueError, match="steps_per_delay"):
         oracle.run_wavefunction(cav, 10.5, 100.0)
@@ -96,8 +99,12 @@ def test_bath_argument_validation():
         oracle.run_discretized_bath(cav, 64, 0, 100.0)
     with pytest.raises(ValueError):
         oracle.run_discretized_bath(cav, 64, 50, 0.0)
-    with pytest.raises(ValueError):
-        oracle.run_discretized_bath(cav, 64, 50, 100.0, half_bandwidth_fs=-1.0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end_fs"):
+            oracle.run_discretized_bath(cav, 64, 50, t_end)
+    for delta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="half_bandwidth_fs"):
+            oracle.run_discretized_bath(cav, 64, 50, 100.0, half_bandwidth_fs=delta)
     with pytest.raises(ValueError, match="steps_per_delay"):
         oracle.run_discretized_bath(cav, 64, 10.5, 100.0)
     with pytest.raises(ValueError, match="n_modes"):
@@ -106,6 +113,14 @@ def test_bath_argument_validation():
         oracle.run_discretized_bath(dataclasses.replace(cav, tau_fs=0.0), 64, 50, 100.0)
     b = oracle.run_discretized_bath(cav, np.int32(64), np.int64(10), 100.0)
     assert b.n_modes == 64 and len(b.times) == 11
+
+
+def test_bath_norm_drift_reports_a_nan_run():
+    # a NaN anywhere in the state must not read as a unitary run
+    cav = dataclasses.replace(make_scaled(1.0, 0.0), gamma_b_ev=math.nan)
+    b = oracle.run_discretized_bath(cav, 16, 10, 200.0, half_bandwidth_fs=1.0)
+    assert np.isnan(b.amp_a[1:]).all()
+    assert not math.isfinite(b.norm_drift)
 
 
 def test_bath_tracks_the_delay_equations():
