@@ -186,11 +186,11 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         ({"t_end_fs": math.nan}, "config error at t_end_fs"),
         ({"t_end_fs": math.inf}, "config error at t_end_fs"),
         ({"t_end_fs": 10**400}, "config error at t_end_fs"),
-        ({"steps_per_delay": 10**400}, "config error at steps_per_delay"),
-        ({"band_width": 10**400}, "config error at band_width"),
         ({"cavity": dict(BASE_CAVITY, gamma_a_ev=math.nan)}, "config error at cavity.gamma_a_ev"),
         ({"cavity": dict(BASE_CAVITY, tau_fs=math.inf)}, "config error at cavity.tau_fs"),
         ({"initial_state": {"pA": [1.0, math.nan]}}, "config error at initial_state.pA"),
+        ({"steps_per_delay": 10**400}, "config error at steps_per_delay"),
+        ({"band_width": 10**400}, "config error at band_width"),
     ],
 )
 def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):
