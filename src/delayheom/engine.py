@@ -62,9 +62,11 @@ needs more than ``horizon + 2`` cells.
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
 :meth:`HierarchyIntegrator.band_value` applies these masks; the step's
-slices and gates stay inside them (a SECOND_ARG_DELAYED read one age past
-the band is gathered, then set to 0), so every cell the step reads was
-written before; the ring is therefore allocated without zeroing.
+slices and gates stay inside them, so every cell the step reads was
+written before; the ring is therefore allocated without zeroing.  The one
+read past the band: when W = band_width < K, the youngest line the
+SECOND_ARG_DELAYED gather reaches reads its left stage at age W + 1, a
+cell never written; it is gathered, then set to 0.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -130,8 +132,7 @@ class NonFiniteStateError(RuntimeError):
         self.time_fs = time_fs
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One linear contribution ``coefficient * var`` (read under ``pattern``,
     conjugated if requested) to d/dt of ``target``, or for BIRTH to its birth."""
 
@@ -221,11 +222,7 @@ def default_band_width(
     keeping more buys exactly nothing (see the module notes; the claim is
     also regression-tested).
     """
-    return _band_width(eqs, _count("steps_per_delay", steps_per_delay), eps_band)
-
-
-def _band_width(eqs: EquationSet, k: int, eps_band: float) -> int:
-    # divides by no k, so :func:`run` can call it before the ring checks k
+    k = _count("steps_per_delay", steps_per_delay)
     if not (0 < eps_band < 1):
         raise ValueError("eps_band must be in (0, 1)")
     own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
@@ -277,39 +274,36 @@ class BandBuffer:
         self.data = np.empty((self.n_rows, self.n_cols, int(n_vars)), dtype=complex)
 
 
-#: the coefficient sets, one per read pattern
-_KEYS = tuple(Pattern)
-
-
-def _complex_forms(eqs: EquationSet) -> tuple[np.ndarray, set]:
-    """Every coefficient set in one complex array ``g[key, row, target]``,
-    keys in ``_KEYS`` order, and the positions in ``_KEYS`` of the sets
-    with a nonzero term.
+def _real_forms(eqs: EquationSet) -> tuple[dict[Pattern, np.ndarray], set[Pattern]]:
+    """Each pattern's coefficients as one real matrix ``M[read row, target]``
+    acting on float views, and the patterns with a nonzero term.
 
     Rows ``2r`` and ``2r + 1`` take the real and imaginary part of read
-    ``r``: a plain term ``c`` adds ``(c, i c)``, a conjugated one
-    ``(c, -i c)``.  So a row of complex reads ``x`` contributes
-    ``x.view(float) @ g[key]`` to its targets, and ``g[key].view(float)``
-    is that map as one real matrix acting on float views.
+    ``r``: a plain term ``c`` adds ``(c, i c)`` to the complex column of
+    its target, a conjugated one ``(c, -i c)``.  So a row of complex
+    reads ``x`` contributes ``x.view(float) @ M`` to the float view of
+    its targets.
     """
     index = {v: i for names in (eqs.system_vars, eqs.band_vars) for i, v in enumerate(names)}
-    n = max(len(eqs.system_vars), len(eqs.band_vars))
-    at, coef, used = [], [], set()  # flat index of each real row, and its coefficient
+    size = {"system": len(eqs.system_vars), "band": len(eqs.band_vars)}
+    forms = {p: np.zeros((2 * size[read], size[target]), dtype=complex)
+             for p, (target, read) in _GROUPS.items()}
+    used = set()
     for t in eqs.terms:
-        c = t.coefficient
-        key = _KEYS.index(t.pattern)
-        i = (key * 2 * n + 2 * index[t.var]) * n + index[t.target]
-        at += (i, i + n)
-        coef += (c, -1j * c if t.conjugate else 1j * c)
+        g, c = forms[t.pattern], t.coefficient
+        r, j = 2 * index[t.var], index[t.target]
+        g[r, j] += c
+        g[r + 1, j] += -1j * c if t.conjugate else 1j * c
         if c:
-            used.add(key)
-    g = np.zeros((len(_KEYS), 2 * n, n), dtype=complex)
-    np.add.at(g.reshape(-1), np.array(at, dtype=np.intp), np.array(coef, dtype=complex))
-    return g, used
+            used.add(t.pattern)
+    return {p: g.view(np.float64) for p, g in forms.items()}, used
 
 
-#: the Heun factor, over h, of each real matrix the integrator builds
-_HEUN_SCALE = np.array([1, 1, 0.5, 0.5, 0.5, 1, 1, 0.5, 0.5])[:, None, None]
+def _heun_factor(z: np.ndarray) -> np.ndarray:
+    """R(z) = 1 + z + z^2 / 2, the Heun step of x' = x z."""
+    r = z @ (z / 2) + z
+    r.reshape(-1)[:: len(r) + 1] += 1
+    return r
 
 
 class HierarchyIntegrator:
@@ -317,15 +311,23 @@ class HierarchyIntegrator:
 
     Every read is linear in the values it reads, so a Heun step (Euler
     predictor, trapezoidal corrector) has a closed form, precomputed at
-    construction with R(z) = 1 + z + z^2 / 2.  The band advances as
-    y1 = R(h L) y0 + (h/2)(1 + h L) S_l + (h/2) S_r, with L the OWN rates
-    and S the SECOND_ARG_DELAYED and FIRST_ARG_DELAYED reads of the left
-    and right stage (historical, hence final); the system as
-    s1 = R(h C) s0 + (h/2) D (1 + h C) d_l + (h/2) D d_r, with C the
-    CURRENT and D the DIAGONAL coefficients.  The one predicted value is
-    d_r, the returning line at n + 1: (1 + h L) y0 + h S_l at age K - 1.
-    Each coefficient set is one real matrix acting on float views of the
-    complex rows, so no read is conjugated at run time.
+    construction.  Rows are read as ``x @ M``, so "M1, then M2" is
+    ``M1 @ M2``.  With C, D, L, S and F the CURRENT, DIAGONAL, OWN,
+    SECOND_ARG_DELAYED and FIRST_ARG_DELAYED sets (:func:`_real_forms`)
+    and R(z) = 1 + z + z^2 / 2 (:func:`_heun_factor`), a line advances as
+
+        y1 = y0 R(h L) + S_r (h/2) S + S_l (h/2) S (1 + h L)  (_own, _sad)
+                       + F_r (h/2) F + F_l (h/2) F (1 + h L)  (_fad)
+
+    with S_l, S_r and F_l, F_r its reads at the left and right stage
+    (historical, hence final), and the system as
+
+        s1 = s0 R(h C) + d_l (h/2) D (1 + h C) + d_r (h/2) D  (_sys_open)
+
+    with d_l the returning line, y0 at age K, and d_r the one predicted
+    value, y0 (1 + h L) + S_l h S at age K - 1: its rows are
+    (1 + h L)(h/2) D and h S (h/2) D.  Before the line returns the
+    system advances by ``_sys_cur``, R(h C) alone.
 
     ``horizon_steps`` is an optional promise that at most that many steps
     will be taken; it shrinks the ring allocation for short runs on fine
@@ -359,40 +361,33 @@ class HierarchyIntegrator:
         for name, value in init.items():
             self.state[eqs.system_index(name)] = complex(value)
 
-        g, used = _complex_forms(eqs)
-        s2, b2 = 2 * n_s, 2 * n_b
-        # real matrices padded to (2n, 2n), sliced to their reads and
-        # targets at the end: h C, h L, (h/2) D, (h/2) S, (h/2) F, h L, h S,
-        # (h/2) C, (h/2) L; then every product in one batched matmul:
-        # h C + (h C)^2 / 2, (1 + h L)(h/2) D, (h/2) D (1 + h C),
-        # (h/2) S (1 + h L), (h/2) F (1 + h L), h L + (h L)^2 / 2, h S (h/2) D
-        f = (g.take((0, 2, 1, 3, 4, 2, 3, 0, 2), axis=0) * (h * _HEUN_SCALE)).view(np.float64)
-        p = f[:7] @ f.take((7, 2, 0, 1, 1, 8, 2), axis=0)
-        p[:6] += f.take((0, 2, 2, 3, 4, 1), axis=0)
-        c_step, d_own, d_left, s_left, f_left, own_step, s_pred = p
-        self._own = np.array(own_step[:b2, :b2])  # R(h L), block diagonal
-        self._own.reshape(-1)[:: b2 + 1] += 1
-        # system rows: s0 (R(h C)), then, once the returning line is read,
-        # y0 at ages K - 1 and K and the SAD read of age K - 1 (for d_r)
-        rows = [c_step[:s2, :s2]]
-        delayed = _KEYS.index(Pattern.DIAGONAL) in used and K <= W
-        has_sad = _KEYS.index(Pattern.SECOND_ARG_DELAYED) in used
+        m, used = _real_forms(eqs)
+        h_c, h_l = h * m[Pattern.CURRENT], h * m[Pattern.OWN]
+        h_s = h * m[Pattern.SECOND_ARG_DELAYED]
+        d = h / 2 * m[Pattern.DIAGONAL]
+        s = h / 2 * m[Pattern.SECOND_ARG_DELAYED]
+        f = h / 2 * m[Pattern.FIRST_ARG_DELAYED]
+        self._own = _heun_factor(h_l)
+        # system rows: s0, then, once the returning line is read, y0 at
+        # ages K - 1 and K and S_l at age K - 1 (for d_r)
+        rows = [_heun_factor(h_c)]
+        delayed = Pattern.DIAGONAL in used and K <= W
+        has_sad = Pattern.SECOND_ARG_DELAYED in used
         if delayed:
-            rows += [d_own[:b2, :s2], d_left[:b2, :s2]]
+            rows += [d + h_l @ d, d + d @ h_c]  # (1 + h L)(h/2) D, (h/2) D (1 + h C)
             if has_sad:
-                rows.append(s_pred[:b2, :s2])
+                rows.append(h_s @ d)
         sys = np.concatenate(rows)
-        sys.reshape(-1)[: s2 * s2 : s2 + 1] += 1  # the identity of R(h C)
-        self._sys_cur = sys[:s2]
+        self._sys_cur = sys[: 2 * n_s]
         self._sys_open = sys if delayed else None
         # a set with no nonzero term is None, and its reads are skipped;
         # SAD rows: right-stage read, then left-stage read
-        self._sad = np.concatenate((f[3, :b2, :b2], s_left[:b2, :b2])) if has_sad else None
+        self._sad = np.concatenate((s, s + s @ h_l)) if has_sad else None
         self._sad_idx = None
         self._fad = None  # (left, right)
-        if include_first_arg_delayed and _KEYS.index(Pattern.FIRST_ARG_DELAYED) in used:
-            self._fad = (np.array(f_left[:b2, :b2]), np.array(f[4, :b2, :b2]))
-        self._birth = np.array(g[5, :s2, :n_b]).view(np.float64)  # copies: f, g and p go
+        if include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used:
+            self._fad = (f + f @ h_l, f)
+        self._birth = m[Pattern.BIRTH]
 
         # the ring with (position, age) flattened, for the diagonal SAD reads
         self._flat = buf.data.reshape(buf.n_rows * buf.n_cols, n_b)
@@ -457,7 +452,7 @@ class HierarchyIntegrator:
                     if hi > lo:
                         at = sad_idx[: hi - lo] + (((n - lo) % R) * C + K - 1 - lo)
                         x = flat.take(at, axis=0, mode="wrap")
-                        if lo:  # its left read is one age past the band
+                        if W < K:  # the left read of age lo is at W + 1, past the band
                             x[0, 1] = 0
                         x = x.reshape(hi - lo, -1).view(np.float64)
                         band[lo:hi] += x @ sad
@@ -527,10 +522,8 @@ def run(
     """
     if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
         raise ValueError("t_end_fs must be positive and finite")
-    # steps_per_delay and band_width are checked once, by the ring the
-    # integrator allocates, so nothing here divides by steps_per_delay
     if band_width is None:
-        band_width = _band_width(eqs, int(steps_per_delay), eps_band)
+        band_width = default_band_width(eqs, steps_per_delay, eps_band)
     n_steps = max(1, math.ceil(t_end_fs * steps_per_delay / eqs.tau_fs - 1e-9))
     integ = HierarchyIntegrator(
         eqs,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,6 +71,9 @@ class SlabParams:
     mode_index: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("L_um", "eps_r", "eps_b", "R_um"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.L_um <= 0:
             raise ValueError("L_um must be positive")
         if self.eps_b < 1.0:
@@ -252,6 +255,9 @@ class CavityParams:
     tau_fs: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.gamma_a_ev < 0 or self.gamma_b_ev < 0:
             raise ValueError("decay rates must be nonnegative")
         if self.tau_fs < 0:

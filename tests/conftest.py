@@ -68,6 +68,19 @@ def make_decoupled(gamma_tau: float, omega_tau: float = 0.0, tau_fs: float = 100
     )
 
 
+def make_unequal(
+    gamma_a_tau: float, gamma_b_tau: float, omega_a_tau: float, omega_b_tau: float,
+    v_tau: float, tau_fs: float = 100.0,
+) -> CavityParams:
+    """Two different cavities, every rate given in units of hbar / tau."""
+    s = CONSTANTS.hbar_ev_fs / tau_fs
+    return CavityParams(
+        omega_a_ev=omega_a_tau * s, gamma_a_ev=gamma_a_tau * s,
+        omega_b_ev=omega_b_tau * s, gamma_b_ev=gamma_b_tau * s,
+        v_ab_ev=v_tau * s, tau_fs=tau_fs,
+    )
+
+
 @pytest.fixture
 def scaled_cavity():
     return make_scaled

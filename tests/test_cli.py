@@ -308,3 +308,7 @@ def test_qnm_info_matches_the_library(capsys):
 def test_qnm_info_rejects_bad_geometry(capsys):
     assert cli.main(["qnm-info", "--L", "-3.0", "--eps-r", "9.87"]) == 1
     assert capsys.readouterr().err
+    for argv, name in ((["--L", "nan", "--eps-r", "9.87"], "L_um"),
+                       (["--L", "21.0", "--eps-r", "inf"], "eps_r")):
+        assert cli.main(["qnm-info", *argv]) == 1
+        assert f"{name} must be finite" in capsys.readouterr().err

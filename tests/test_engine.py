@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from delayheom import engine, models
+from delayheom import engine, models, oracle
 from delayheom.engine import (
     BandBuffer,
     EquationSet,
@@ -23,7 +23,7 @@ from delayheom.engine import (
     Term,
     default_band_width,
 )
-from tests.conftest import make_decoupled, make_scaled
+from tests.conftest import make_decoupled, make_scaled, make_unequal
 
 
 def toy_eqs(tau_fs: float = 100.0, gb: float = 0.008) -> EquationSet:
@@ -149,6 +149,8 @@ def test_run_argument_validation():
     # the grid is integral: no silent truncation of a fractional argument
     with pytest.raises(ValueError, match="steps_per_delay"):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=10.5, t_end_fs=100.0)
+    with pytest.raises(ValueError, match="steps_per_delay"):
+        engine.run(eqs, {"s": 1.0}, steps_per_delay="x", t_end_fs=100.0)
     with pytest.raises(ValueError, match="band_width"):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=10.0, band_width=7.9)
     r = engine.run(eqs, {"s": 1.0}, steps_per_delay=np.int64(20), t_end_fs=10.0,
@@ -185,6 +187,30 @@ def test_stale_lines_read_zero_beyond_the_band():
         it.step()
     assert it.band_value("w", 9, 1) == 0j     # age 8 > band width 4
     assert it.band_value("w", 9, 6) != 0j     # age 3 still live
+
+
+@pytest.mark.parametrize("build", [models.build_single_excitation, models.build_two_photon])
+def test_no_step_reads_an_unwritten_ring_cell(build):
+    # the ring is allocated without zeroing: filling every cell but the
+    # first birth with NaN must change nothing, at any band width
+    m = build(make_scaled(2.0, 3.7))
+    K, n_steps = 10, 40
+    for W in range(1, 3 * K + 3):
+        runs = []
+        for fill in (0.0, np.nan):
+            it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K, band_width=W)
+            birth = it.buffer.data[0, 0].copy()
+            it.buffer.data[...] = fill
+            it.buffer.data[0, 0] = birth
+            series = []
+            for _ in range(n_steps):
+                it.step()
+                series.append(it.state.copy())
+            band = [it.band_value(v, i, j) for v in m.equations.band_vars
+                    for i in range(n_steps - K, n_steps + 1) for j in range(i - W, i + 1)]
+            runs.append((np.array(series), it.truncation_certificate, np.array(band)))
+        (s0, c0, b0), (s1, c1, b1) = runs
+        assert np.array_equal(s0, s1) and c0 == c1 and np.array_equal(b0, b1), W
 
 
 def test_below_diagonal_reads_zero_by_name():
@@ -269,6 +295,27 @@ def test_decoupled_richardson_limit():
     assert plain > 1e-7                # the plain error is measurable ...
     assert resid < 1e-9                # ... and the extrapolation removes it
     assert resid < plain / 500.0
+
+
+#: two unequal cavities, (gamma_a, gamma_b, omega_a, omega_b, v) tau / hbar:
+#: with gamma_a != gamma_b the OWN block is no multiple of the identity, so
+#: the order of each Heun product with it shows in the result
+UNEQUAL = ((1.0, 0.3, 0.0, 2.1, 0.65), (0.4, 1.7, 3.7, -1.2, 0.2))
+
+
+@pytest.mark.parametrize("kind", ["single_excitation", "two_photon"])
+@pytest.mark.parametrize("rates", UNEQUAL)
+def test_unequal_cavities_track_the_delay_equations(rates, kind):
+    cav = make_unequal(*rates)
+    m = getattr(models, f"build_{kind}")(cav)
+    devs = {}
+    for K in (100, 200):
+        r = engine.run(m.equations, m.default_init, steps_per_delay=K, t_end_fs=1000.0)
+        w = oracle.run_wavefunction(cav, K, 1000.0)
+        want = models.pure_state_crosscheck(w.amp_a, w.amp_b, kind)
+        devs[K] = max(np.abs(r.series[k] - want[k]).max() for k in want)
+    assert devs[200] <= 1e-3
+    assert devs[100] / devs[200] >= 3.5     # second order
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +404,7 @@ def test_real_form_matches_the_complex_pair(case):
             terms.append(Term(band_vars[(j + 1) % 3], c_sad,
                               w, Pattern.SECOND_ARG_DELAYED, not conj[j]))
     eqs = EquationSet(sys_vars, band_vars, terms, 100.0)
-    g, _ = engine._complex_forms(eqs)
+    forms, _ = engine._real_forms(eqs)
     index = {v: i for names in (sys_vars, band_vars) for i, v in enumerate(names)}
     for key, n_read, n_target in ((Pattern.DIAGONAL, 3, 2), (Pattern.BIRTH, 2, 3),
                                   (Pattern.SECOND_ARG_DELAYED, 3, 3)):
@@ -366,7 +413,7 @@ def test_real_form_matches_the_complex_pair(case):
         for t in terms:
             if t.pattern is key:
                 (Q if t.conjugate else P)[index[t.var], index[t.target]] += t.coefficient
-        real = g[engine._KEYS.index(key), : 2 * n_read, :n_target].view(np.float64)
+        real = forms[key]
         x = rng.normal(size=(5, n_read)) + 1j * rng.normal(size=(5, n_read))
         got = (x.view(np.float64) @ real).view(np.complex128)
         want = x @ P + x.conj() @ Q
@@ -585,6 +632,71 @@ def test_frozen_spot_values(kind):
     m = build(make_scaled(2.0, 3.7))
     r = engine.run(m.equations, m.default_init, steps_per_delay=K, t_end_fs=600.0)
     for name, want in FROZEN[kind].items():
+        got = [complex(r.series[name][i]) for i in (K + 1, 2 * K + 1, -1)]
+        assert got == pytest.approx([complex(w) for w in want], rel=1e-12)
+
+
+# truncation certificate at band width 2K and spot values as above (K = 100,
+# t_end = 600 fs) for the two UNEQUAL cavities, whose runs the wave-function
+# oracle checks above: the width opens the FIRST_ARG_DELAYED reads, which
+# only the certificate sees
+FROZEN_UNEQUAL = {
+    (UNEQUAL[0], "single_excitation"): (0.8230068479378082, {
+        "pA": (0.13267360069642542,
+              0.017946492920169903,
+              0.47674602329209415),
+        "pB": (0.00016731844999999998,
+              0.4834447612749496,
+              1.9518014023439507),
+        "cAB": (-0.004703961456103772,
+               -0.093132986313548 - 5.039058675495249e-05j,
+               -0.6262304680134536 - 0.7336784761709962j),
+    }),
+    (UNEQUAL[0], "two_photon"): (0.584518902542058, {
+        "g20": (0.13267360069642542,
+               0.017946492920169903 + 1.9418430649243706e-05j,
+               0.3196130888624776 - 0.3536527312621765j),
+        "g02": (0.00016731845,
+               0.4834447612749498,
+               -1.6354613941905605 - 1.065225732058735j),
+        "g11": (-0.006652406088102248,
+               -0.13170993234892747 - 7.126305120479186e-05j,
+               0.17584365937506732 + 1.352711662713174j),
+    }),
+    (UNEQUAL[1], "single_excitation"): (0.4493299255670137, {
+        "pA": (0.44575253756525884,
+              0.20028556923554364,
+              0.0027788304488578467),
+        "pB": (1.5936127999999998e-05,
+              0.022549259367132785,
+              0.0008623117365842682),
+        "cAB": (0.0022410506208342617 - 0.0014000584460877078j,
+               0.05699393726421494 - 0.035605158776876374j,
+               0.0015399256048624723 + 0.0001575657374418555j),
+    }),
+    (UNEQUAL[1], "two_photon"): (0.4493299255670137, {
+        "g20": (0.44575253756525884,
+               0.20028556923554364 + 4.240213290188612e-06j,
+               -0.0012995828856675416 + 0.002455855768413388j),
+        "g02": (6.988746346283402e-06 + 1.4321927249490358e-05j,
+               0.009888917434237844 + 0.020265201947798375j,
+               -0.00024053360104388463 + 0.0008280434457451684j),
+        "g11": (0.003169324181948458 + 0.001979981642572237j,
+               0.08060053281481011 + 0.05035500514126085j,
+               -0.0008214793721054931 + 0.0020289971875625747j),
+    }),
+}
+
+
+@pytest.mark.parametrize("rates, kind", sorted(FROZEN_UNEQUAL))
+def test_frozen_unequal_spot_values(rates, kind):
+    K = 100
+    m = getattr(models, f"build_{kind}")(make_unequal(*rates))
+    r = engine.run(m.equations, m.default_init, steps_per_delay=K, t_end_fs=600.0,
+                   band_width=2 * K)
+    cert, spots = FROZEN_UNEQUAL[rates, kind]
+    assert r.truncation_certificate == pytest.approx(cert, rel=1e-12, abs=0)
+    for name, want in spots.items():
         got = [complex(r.series[name][i]) for i in (K + 1, 2 * K + 1, -1)]
         assert got == pytest.approx([complex(w) for w in want], rel=1e-12)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,9 @@ def test_bath_argument_validation():
 
 def test_bath_norm_drift_reports_a_nan_run():
     # a NaN anywhere in the state must not read as a unitary run
-    cav = dataclasses.replace(make_scaled(1.0, 0.0), gamma_b_ev=math.nan)
+    # CavityParams refuses NaN, so the oracle gets a namespace with its fields
+    cav = types.SimpleNamespace(**{**dataclasses.asdict(make_scaled(1.0, 0.0)),
+                                   "gamma_b_ev": math.nan})
     b = oracle.run_discretized_bath(cav, 16, 10, 200.0, half_bandwidth_fs=1.0)
     assert np.isnan(b.amp_a[1:]).all()
     assert not math.isfinite(b.norm_drift)

@@ -272,6 +272,20 @@ def test_cavity_validation() -> None:
     CavityParams.from_rates(0.0, 0.0, 100.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_refuse_non_finite_fields_by_name(bad) -> None:
+    # NaN passes every range comparison, so it is refused on its own
+    slab = dict(L_um=10.0, eps_r=4.0, eps_b=1.0, R_um=1.0)
+    for name in slab:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SlabParams(**{**slab, name: bad})
+    cav = dict(omega_a_ev=0.1, gamma_a_ev=0.01, omega_b_ev=0.1,
+               gamma_b_ev=0.01, v_ab_ev=0.005, tau_fs=1.0)
+    for name in cav:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CavityParams(**{**cav, name: bad})
+
+
 def test_physical_constants_defined_once() -> None:
     src = Path(delayheom.__file__).parent
     offenders = {
