@@ -48,16 +48,16 @@ is bit-for-bit independent of those terms, as the structure promises.
 
 Storage
 -------
-One complex array ``data[row, age, variable]``: the band value B(i, j) of
-line j at position i lives at ``data[i % n_rows, i - j]``.  Rows are
-positions modulo K + 2 (nothing ever reads further back than one delay);
-axis 1 is the age i - j, so a line set at one position is a contiguous
-row, and one line's history at successive positions is a diagonal of the
-ring.  Lines stop advancing at age ``band_width``, so axis 1 keeps
-band_width + 2 cells; the largest magnitude ever discarded at that edge is
-reported as the truncation certificate.  A run of at most ``horizon`` steps
-reaches neither a position nor an age beyond ``horizon``, so neither axis
-needs more than ``horizon + 2`` cells.
+One complex array, the ring ``buffer[row, age, variable]``: the band value
+B(i, j) of line j at position i lives at ``buffer[i % R, i - j]``.  Its R
+rows are positions modulo K + 2 (nothing ever reads further back than one
+delay); axis 1 is the age i - j, so a line set at one position is a
+contiguous row, and one line's history at successive positions is a
+diagonal of the ring.  Lines stop advancing at age ``band_width``, so
+axis 1 keeps band_width + 2 cells; the largest magnitude ever discarded
+at that edge is reported as the truncation certificate.  A run of at most
+``horizon`` steps reaches neither a position nor an age beyond
+``horizon``, so neither axis needs more than ``horizon + 2`` cells.
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
@@ -86,7 +86,6 @@ __all__ = [
     "EquationSet",
     "EquationSetError",
     "NonFiniteStateError",
-    "BandBuffer",
     "HierarchyIntegrator",
     "SimResult",
     "default_band_width",
@@ -162,9 +161,6 @@ class EquationSet:
         # the set is frozen: keep no reference to a caller's mutable sequence
         for name in ("system_vars", "band_vars", "terms"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        self.validate()
-
-    def validate(self) -> None:
         names = list(self.system_vars) + list(self.band_vars)
         if not self.system_vars:
             raise EquationSetError("at least one system variable is required")
@@ -200,12 +196,6 @@ class EquationSet:
                 "every band variable needs exactly one BIRTH term "
                 f"(got births of {sorted(born)}, band vars {sorted(self.band_vars)})"
             )
-
-    def system_index(self, name: str) -> int:
-        return self.system_vars.index(name)
-
-    def band_index(self, name: str) -> int:
-        return self.band_vars.index(name)
 
 
 def default_band_width(
@@ -246,32 +236,6 @@ def _count(name: str, value) -> int:
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
     return n
-
-
-class BandBuffer:
-    """Ring storage for the band, ``data[position ring, age, variable]``
-    (see the module notes, Storage)."""
-
-    def __init__(
-        self,
-        n_vars: int,
-        steps_per_delay: int,
-        band_width: int,
-        horizon: int | None = None,
-    ):
-        span = _count("steps_per_delay", steps_per_delay)
-        age_span = _count("band_width", band_width)
-        # a run of at most `horizon` steps touches positions and ages
-        # 0..horizon only, so the ring shrinks accordingly -- this is what
-        # keeps fine delay grids (large steps_per_delay) affordable when
-        # the run itself is short
-        if horizon is not None:
-            horizon = _count("horizon", horizon)
-            span, age_span = min(span, horizon), min(age_span, horizon)
-        self.n_rows = span + 2
-        self.n_cols = age_span + 2
-        # not zeroed: the step writes every cell before it reads it
-        self.data = np.empty((self.n_rows, self.n_cols, int(n_vars)), dtype=complex)
 
 
 def _real_forms(eqs: EquationSet) -> tuple[dict[Pattern, np.ndarray], set[Pattern]]:
@@ -329,9 +293,10 @@ class HierarchyIntegrator:
     (1 + h L)(h/2) D and h S (h/2) D.  Before the line returns the
     system advances by ``_sys_cur``, R(h C) alone.
 
-    ``horizon_steps`` is an optional promise that at most that many steps
-    will be taken; it shrinks the ring allocation for short runs on fine
-    delay grids and makes further stepping an error.
+    The band lives in ``buffer[row, age, variable]``, the ring of the
+    module notes (Storage).  ``horizon_steps`` is an optional promise that
+    at most that many steps will be taken; it shrinks the ring for short
+    runs on fine delay grids and makes further stepping an error.
     """
 
     def __init__(
@@ -345,13 +310,20 @@ class HierarchyIntegrator:
         horizon_steps: int | None = None,
     ):
         n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
-        # the ring checks steps_per_delay, band_width and the horizon, so
-        # it is allocated before anything divides by steps_per_delay
-        buf = self.buffer = BandBuffer(n_b, steps_per_delay, band_width, horizon=horizon_steps)
-        self._horizon = None if horizon_steps is None else int(horizon_steps)
+        self.K = K = _count("steps_per_delay", steps_per_delay)
+        self.band_width = W = _count("band_width", band_width)
+        rows, ages = K, W
+        self._horizon = None
+        if horizon_steps is not None:
+            # a run of at most this many steps touches positions and ages
+            # 0..horizon only, so the ring shrinks accordingly -- this is
+            # what keeps fine delay grids affordable when the run is short
+            self._horizon = _count("horizon", horizon_steps)
+            rows, ages = min(K, self._horizon), min(W, self._horizon)
+        # not zeroed: the step writes every cell before it reads it
+        # (``buffer.data`` is the array's memoryview, of the same nbytes)
+        self.buffer = np.empty((rows + 2, ages + 2, n_b), dtype=complex)
         self.eqs = eqs
-        self.K = K = int(steps_per_delay)
-        self.band_width = W = int(band_width)
         self.h_fs = h = eqs.tau_fs / K
 
         unknown = set(init) - set(eqs.system_vars)
@@ -359,7 +331,7 @@ class HierarchyIntegrator:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
         self.state = np.zeros(n_s, dtype=complex)
         for name, value in init.items():
-            self.state[eqs.system_index(name)] = complex(value)
+            self.state[eqs.system_vars.index(name)] = complex(value)
 
         m, used = _real_forms(eqs)
         h_c, h_l = h * m[Pattern.CURRENT], h * m[Pattern.OWN]
@@ -389,17 +361,19 @@ class HierarchyIntegrator:
             self._fad = (f + f @ h_l, f)
         self._birth = m[Pattern.BIRTH]
 
-        # the ring with (position, age) flattened, for the diagonal SAD reads
-        self._flat = buf.data.reshape(buf.n_rows * buf.n_cols, n_b)
+        # the ring with (position, age) flattened, for the diagonal SAD
+        # reads; R * C, not -1, which is ambiguous when n_b is 0
+        R, C = self.buffer.shape[:2]
+        self._flat = self.buffer.reshape(R * C, n_b)
         self.n = 0
         self.truncation_certificate = 0.0
-        np.matmul(self.state.view(np.float64), self._birth, out=buf.data[0, 0].view(np.float64))
+        np.matmul(self.state.view(np.float64), self._birth, out=self.buffer[0, 0].view(np.float64))
 
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module
         notes (Storage) mask it.  Positions not computed yet, or evicted
         from the ring (more than one delay behind step n), are an error."""
-        v = self.eqs.band_index(var)
+        v = self.eqs.band_vars.index(var)
         if label < 0 or position < label or position - label > self.band_width:
             return 0j
         if position > self.n:
@@ -409,7 +383,7 @@ class HierarchyIntegrator:
                 f"position {position} already evicted (latest {self.n}, "
                 f"ring keeps one delay)"
             )
-        return complex(self.buffer.data[position % self.buffer.n_rows, position - label, v])
+        return complex(self.buffer[position % self.buffer.shape[0], position - label, v])
 
     # -- the step --------------------------------------------------------
 
@@ -425,7 +399,8 @@ class HierarchyIntegrator:
                 f"(horizon_steps); construct without a horizon to continue"
             )
         K, W = self.K, self.band_width
-        A, R, C = self.buffer.data, self.buffer.n_rows, self.buffer.n_cols
+        A = self.buffer
+        R, C = A.shape[:2]
         flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
         if sad is not None and self._sad_idx is None and self.n + n_steps > K:
             # built by the first call that gathers: flat index of the SAD
@@ -522,6 +497,7 @@ def run(
     """
     if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
         raise ValueError("t_end_fs must be positive and finite")
+    steps_per_delay = _count("steps_per_delay", steps_per_delay)
     if band_width is None:
         band_width = default_band_width(eqs, steps_per_delay, eps_band)
     n_steps = max(1, math.ceil(t_end_fs * steps_per_delay / eqs.tau_fs - 1e-9))

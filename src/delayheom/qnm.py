@@ -15,8 +15,6 @@ Conventions
   angular result by ``2*pi`` (the form in which the benchmark resonance
   values are usually quoted); ``"angular"`` leaves it alone.  Only the
   ratio ``gamma/omega`` is convention independent.
-* Positions are measured from the slab centre, so a slab occupies
-  ``[-L/2, +L/2]``.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .constants import CONSTANTS
 
@@ -35,7 +31,6 @@ __all__ = [
     "CavityParams",
     "Overlaps",
     "qnm_frequency",
-    "mode_function",
     "regularized_factor",
     "overlaps",
     "derive_cavity_params",
@@ -138,27 +133,6 @@ def qnm_frequency(slab: SlabParams, convention: str = "cyclic") -> QnmFrequency:
         gamma_ev=-z.imag * scale,
         convention=convention,
     )
-
-
-def mode_function(slab: SlabParams, x_um):
-    """Resonance field profile inside the slab (unnormalised).
-
-    ``f(x) = exp(+i n_r z x/L) + exp(-i n_r z x/L + i pi mode_index)``,
-    i.e. a standing wave that is odd about the centre for odd mode_index
-    (``f(0) = 0``) and even for even mode_index (``f(0) = 2``).
-
-    Parameters
-    ----------
-    x_um:
-        Scalar or array of positions, measured from the slab centre.
-    """
-    z = qnm_frequency(slab).z
-    x = np.asarray(x_um, dtype=float)
-    arg = 1j * slab.n_r * z * x / slab.L_um
-    out = np.exp(arg) + np.exp(-arg) * cmath.exp(1j * math.pi * slab.mode_index)
-    if np.isscalar(x_um):
-        return complex(out)
-    return out
 
 
 def _si(w: complex) -> complex:

@@ -1,7 +1,8 @@
 """Top-level acceptance gate: ten numbered end-to-end checks.
 
-Each test wraps one criterion in ``record_criterion``; the session
-summary prints one PASS/FAIL line per criterion.  Tolerances and wall
+Each numbered test wraps one criterion in ``record_criterion``; the
+session summary prints one PASS/FAIL line per criterion.  An unnumbered
+closed-form anchor sits beside criterion 7.  Tolerances and wall
 clock budgets are stated inline next to each check.
 """
 
@@ -119,6 +120,25 @@ def test_criterion_7_trapped_state_is_stationary(record_criterion):
             rates = np.abs(np.diff(r.series[k][tail].real) / r.h_fs)
             assert rates.max() < 1e-6
         assert time.perf_counter() - t0 < 30.0
+
+
+def test_trapped_population_matches_closed_form():
+    # at v = gamma/2 and omega tau = 0 (mod 2 pi) the trapped population
+    # is pA(inf) = 1 / (4 (1 + gamma tau / hbar)^2): an anchor that needs
+    # no oracle; the late pA must reach it at second order in h.
+    # gamma tau = 2 is left out: its ratio reads 3.8 at 40 tau and shows
+    # 4 only by about 80 tau
+    for gamma_tau in (0.5, 1.0):
+        want = 1.0 / (4.0 * (1.0 + gamma_tau) ** 2)
+        for omega_tau in (0.0, 2.0 * math.pi):
+            m = models.build_single_excitation(make_scaled(gamma_tau, omega_tau))
+            dev = {}
+            for K in (100, 200):
+                r = engine.run(m.equations, m.default_init,
+                               steps_per_delay=K, t_end_fs=40 * m.equations.tau_fs)
+                dev[K] = abs(r.series["pA"][-1].real - want) / want
+            assert dev[200] <= 2e-5, (gamma_tau, omega_tau)
+            assert 3.5 <= dev[100] / dev[200] <= 4.5, (gamma_tau, omega_tau)
 
 
 def test_criterion_8_two_photon_sum_rule(record_criterion):

@@ -14,7 +14,6 @@ import pytest
 
 from delayheom import engine, models, oracle
 from delayheom.engine import (
-    BandBuffer,
     EquationSet,
     EquationSetError,
     HierarchyIntegrator,
@@ -149,8 +148,10 @@ def test_run_argument_validation():
     # the grid is integral: no silent truncation of a fractional argument
     with pytest.raises(ValueError, match="steps_per_delay"):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=10.5, t_end_fs=100.0)
-    with pytest.raises(ValueError, match="steps_per_delay"):
-        engine.run(eqs, {"s": 1.0}, steps_per_delay="x", t_end_fs=100.0)
+    for band_width in (None, 5):
+        with pytest.raises(ValueError, match="steps_per_delay"):
+            engine.run(eqs, {"s": 1.0}, steps_per_delay="x", t_end_fs=100.0,
+                       band_width=band_width)
     with pytest.raises(ValueError, match="band_width"):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=10.0, band_width=7.9)
     r = engine.run(eqs, {"s": 1.0}, steps_per_delay=np.int64(20), t_end_fs=10.0,
@@ -199,9 +200,9 @@ def test_no_step_reads_an_unwritten_ring_cell(build):
         runs = []
         for fill in (0.0, np.nan):
             it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K, band_width=W)
-            birth = it.buffer.data[0, 0].copy()
-            it.buffer.data[...] = fill
-            it.buffer.data[0, 0] = birth
+            birth = it.buffer[0, 0].copy()
+            it.buffer[...] = fill
+            it.buffer[0, 0] = birth
             series = []
             for _ in range(n_steps):
                 it.step()
@@ -373,7 +374,7 @@ def test_population_imaginary_parts_have_exact_zero_coefficients(gamma_tau, omeg
     it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K,
                              band_width=K + 1)
     for name in ("pA", "pB"):
-        col = 2 * m.equations.system_index(name) + 1
+        col = 2 * m.equations.system_vars.index(name) + 1
         for mat in (it._sys_cur, it._sys_open):
             others = np.delete(mat[:, col], col)
             assert np.all(others == 0.0), name
@@ -516,7 +517,7 @@ def test_horizon_shrinks_storage_without_changing_results():
         m.equations, m.default_init, steps_per_delay=500, band_width=501,
         horizon_steps=150,
     )
-    assert short.buffer.data.shape[0] < full.buffer.data.shape[0]
+    assert short.buffer.shape[0] < full.buffer.shape[0]
     for _ in range(150):
         full.step()
         short.step()
@@ -540,12 +541,15 @@ def test_fine_delay_grid_short_run_stays_small():
     # a run much shorter than the delay must not pay for the full
     # delay-squared ring (this is what makes stiff, vastly-delayed
     # configurations usable at a resolving step size)
-    buf = BandBuffer(4, 20000, 500, horizon=400)
-    assert buf.data.shape == (402, 402, 4)
-    # ages only reach the band width, however long the delay
-    assert BandBuffer(4, 1000, 346).data.shape == (1002, 348, 4)
+    m = models.build_single_excitation(make_scaled(2.0, 3.7))   # 4 band variables
 
-    m = models.build_single_excitation(make_scaled(2.0, 3.7))
+    def ring_shape(**kw):
+        return HierarchyIntegrator(m.equations, m.default_init, **kw).buffer.shape
+
+    assert ring_shape(steps_per_delay=20000, band_width=500, horizon_steps=400) == (402, 402, 4)
+    # ages only reach the band width, however long the delay
+    assert ring_shape(steps_per_delay=1000, band_width=346) == (1002, 348, 4)
+
     r = engine.run(m.equations, m.default_init,
                    steps_per_delay=20000, t_end_fs=2.0)
     assert r.n_steps == 400
