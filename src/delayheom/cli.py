@@ -50,11 +50,14 @@ def _keys(params):
     return {f.name: (_KINDS[f.type],) for f in dataclasses.fields(params)}
 
 
-_SLAB_KEYS = {**_keys(SlabParams), "convention": ((str,),)}
+# the grid is locked to the delay, tau_fs or R_um / c
+_DELAY = (_KINDS["float"], lambda d: d > 0,
+          "the delay must be positive to lock the grid to it")
+_SLAB_KEYS = {**_keys(SlabParams), "R_um": _DELAY, "convention": ((str,),)}
 # the CLI requires R_um, which SlabParams defaults to 0
 _SLAB_REQUIRED = ("L_um", "eps_r", "R_um")
 
-_CAVITY_KEYS = _keys(CavityParams)
+_CAVITY_KEYS = {**_keys(CavityParams), "tau_fs": _DELAY}
 
 _OBJECT = ((dict,), None, "must be an object")
 _TOP_KEYS = {
@@ -123,12 +126,14 @@ def load_config(raw):
             cavity = CavityParams(**raw["cavity"])
         except ValueError as e:
             _fail("cavity", str(e))
-    if cavity.tau_fs <= 0:
-        _fail("cavity.tau_fs" if has_cavity else "slab.R_um",
-              "the delay must be positive to lock the grid to it")
 
     # looked up at call time, so a wrapped module attribute is the one called
     model = getattr(models, f"build_{raw.get('model', 'single_excitation')}")(cavity)
+    K, width = raw["steps_per_delay"], raw.get("band_width")
+    eps_band = float(raw.get("eps_band", 1e-12))
+    if width is not None and width < K <= engine.default_band_width(model.equations, K, eps_band):
+        _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
+              "the returning line, which eps_band keeps (open loop)")
 
     init = {} if "initial_state" in raw else dict(model.default_init)
     for key, value in raw.get("initial_state", {}).items():
@@ -142,10 +147,10 @@ def load_config(raw):
     return {
         "model": model,
         "cavity": cavity,
-        "steps_per_delay": raw["steps_per_delay"],
+        "steps_per_delay": K,
         "t_end_fs": float(raw["t_end_fs"]),
-        "band_width": raw.get("band_width"),
-        "eps_band": float(raw.get("eps_band", 1e-12)),
+        "band_width": width,
+        "eps_band": eps_band,
         "include_first_arg_delayed": raw.get("include_first_arg_delayed", True),
         "init": init,
     }

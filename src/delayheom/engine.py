@@ -31,13 +31,14 @@ Delay gating
 Reads across the delay switch on only once their whole step lies inside the
 causal region, judged at the step start n (in units of h, K = tau/h):
 
-* DIAGONAL and SECOND_ARG_DELAYED terms participate from n >= K on (before
-  that the read would cross the start of the history, where lines do not
-  exist yet);
-* SECOND_ARG_DELAYED additionally requires the advancing line to be younger
-  than the delay (age <= K - 1);
-* FIRST_ARG_DELAYED requires it to be at least one delay old (age >= K).
+* every delayed read (DIAGONAL, SECOND_ARG_DELAYED, FIRST_ARG_DELAYED)
+  participates from n >= K on (before that the read would cross the start
+  of the history, where lines do not exist yet);
+* SECOND_ARG_DELAYED acts on ages [max(0, K - 1 - W), min(W, K)) (W =
+  band_width): lines younger than the delay whose read lies in the band;
+* FIRST_ARG_DELAYED acts on ages >= K, so it exists only for W > K.
 
+Construction fixes both age ranges and drops a read whose range is empty.
 A gated term contributes to both slope evaluations of a step or to neither.
 Boundary reads landing exactly on a line's birth position return the
 post-source value (the one-sided limit from inside the causal region).  This
@@ -64,9 +65,10 @@ birth (i < j) and beyond the retained band (i - j > band_width).
 :meth:`HierarchyIntegrator.band_value` applies these masks; the step's
 slices and gates stay inside them, so every cell the step reads was
 written before; the ring is therefore allocated without zeroing.  The one
-read past the band: when W = band_width < K, the youngest line the
-SECOND_ARG_DELAYED gather reaches reads its left stage at age W + 1, a
-cell never written; it is gathered, then set to 0.
+read past the band: when W < K, the youngest line of the SECOND_ARG_DELAYED
+range, age K - 1 - W (fixed at construction, as is whether FAD exists),
+reads its left stage at age W + 1, a cell never written; it is gathered,
+then set to 0.
 """
 
 from __future__ import annotations
@@ -352,17 +354,17 @@ class HierarchyIntegrator:
         sys = np.concatenate(rows)
         self._sys_cur = sys[: 2 * n_s]
         self._sys_open = sys if delayed else None
-        # a set with no nonzero term is None, and its reads are skipped;
-        # SAD rows: right-stage read, then left-stage read
-        self._sad = np.concatenate((s, s + s @ h_l)) if has_sad else None
-        self._sad_idx = None
-        self._fad = None  # (left, right)
-        if include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used:
-            self._fad = (f + f @ h_l, f)
+        # a delayed read with no nonzero term or no age to act on is None
+        # (module notes, Delay gating); rows: right-stage read, then left
+        self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
+        self._sad = np.concatenate((s, s + s @ h_l)) if has_sad and hi > lo else None
+        self._idx = None  # the gathers' flat indexes, built by _advance
+        use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
+        self._fad = np.concatenate((f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
 
-        # the ring with (position, age) flattened, for the diagonal SAD
-        # reads; R * C, not -1, which is ambiguous when n_b is 0
+        # the ring with (position, age) flattened, for the gathers of the
+        # delayed band reads; R * C, not -1, which is ambiguous when n_b is 0
         R, C = self.buffer.shape[:2]
         self._flat = self.buffer.reshape(R * C, n_b)
         self.n = 0
@@ -402,13 +404,14 @@ class HierarchyIntegrator:
         A = self.buffer
         R, C = A.shape[:2]
         flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
-        if sad is not None and self._sad_idx is None and self.n + n_steps > K:
-            # built by the first call that gathers: flat index of the SAD
-            # cells of age lo + j relative to age lo (at most min(K, W + 1))
-            at = np.arange(0, -(C + 1) * min(K, W + 1), -(C + 1)).repeat(2)
-            at[1::2] += 1
-            self._sad_idx = at.reshape(-1, 2)
-        sad_idx = self._sad_idx
+        lo, hi = self._sad_ages
+        if self._idx is None and self.n + n_steps > K:
+            # built by the first call that gathers: the flat index of the
+            # (right, left) cells the SAD line of age lo + j and the FAD line
+            # of age K + j read, less the row offset each step adds
+            self._idx = ((K - 1 - lo - (C + 1) * np.arange(hi - lo))[:, None] + (0, 1),
+                         np.arange(C - 2 - K)[:, None] + (C + 1, 0))
+        sad_idx, fad_idx = self._idx or (None, None)
         sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
         # overflow is deliberate territory here: a diverging run is caught
         # by the isfinite check and surfaced as NonFiniteStateError
@@ -423,20 +426,16 @@ class HierarchyIntegrator:
                     # at its own birth position n - a, at age K - 1 - a
                     # (right stage) and K - a (left): two adjacent cells,
                     # flat index ((n - a) % R) * C + K - 1 - a
-                    lo, hi = max(0, K - 1 - W), min(n_adv, K)
-                    if hi > lo:
-                        at = sad_idx[: hi - lo] + (((n - lo) % R) * C + K - 1 - lo)
-                        x = flat.take(at, axis=0, mode="wrap")
-                        if W < K:  # the left read of age lo is at W + 1, past the band
-                            x[0, 1] = 0
-                        x = x.reshape(hi - lo, -1).view(np.float64)
-                        band[lo:hi] += x @ sad
-                if fad is not None and n_adv > K:
-                    # the same lines one delay earlier in position
+                    x = flat.take(sad_idx + ((n - lo) % R) * C, axis=0, mode="wrap")
+                    if W < K:  # the left read of age lo is at W + 1, past the band
+                        x[0, 1] = 0
+                    band[lo:hi] += x.reshape(hi - lo, -1).view(np.float64) @ sad
+                if n >= K and fad is not None:
+                    # the line of age a >= K one delay earlier: age a + 1 - K
+                    # (right stage) in row n + 1 - K, a - K (left) in row n - K
                     m = n_adv - K
-                    left, right = A[(n - K) % R, :m], A[(n + 1 - K) % R, 1 : m + 1]
-                    band[K:] += left.view(np.float64) @ fad[0]
-                    band[K:] += right.view(np.float64) @ fad[1]
+                    x = flat.take(fad_idx[:m] + ((n - K) % R) * C, axis=0, mode="wrap")
+                    band[K:] += x.reshape(m, -1).view(np.float64) @ fad
                 s = self.state.view(np.float64)
                 if n >= K and sys_open is not None:
                     reads = [s, A[n % R, K - 1 : K + 1].view(np.float64)]

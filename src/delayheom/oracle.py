@@ -44,11 +44,7 @@ class WavefunctionResult:
 
 
 @dataclass
-class BathResult:
-    times: np.ndarray
-    amp_a: np.ndarray
-    amp_b: np.ndarray
-    h_fs: float
+class BathResult(WavefunctionResult):
     n_modes: int
     norm_drift: float        # max |  ||psi||^2 - 1 |  over the run; NaN if a norm is
     recurrence_fs: float     # 2 pi / (mode spacing): finite-bath echo time
@@ -65,6 +61,17 @@ def _count(name, value, least=1):
     return n
 
 
+def _grid(cavity, steps_per_delay, t_end_fs):
+    """``(K, h, n_steps)`` of the grid locked to the delay, ``h = tau / K``."""
+    K = _count("steps_per_delay", steps_per_delay)
+    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
+        raise ValueError("t_end_fs must be positive and finite")
+    if cavity.tau_fs <= 0:
+        raise ValueError("need a positive delay to lock the grid to")
+    h = cavity.tau_fs / K
+    return K, h, max(1, math.ceil(t_end_fs / h - 1e-9))
+
+
 def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):
     """Delay equations for the two excited-state amplitudes.
 
@@ -77,13 +84,7 @@ def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):
     solvers share a continuum limit but no code or state layout.
     """
     hbar = CONSTANTS.hbar_ev_fs
-    K = _count("steps_per_delay", steps_per_delay)
-    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be positive and finite")
-    if cavity.tau_fs <= 0:
-        raise ValueError("need a positive delay to lock the grid to")
-    h = cavity.tau_fs / K
-    n_steps = max(1, math.ceil(t_end_fs / h - 1e-9))
+    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     v = cavity.v_ab_ev / hbar
@@ -152,11 +153,7 @@ def run_discretized_bath(
     """
     hbar = CONSTANTS.hbar_ev_fs
     M = _count("n_modes", n_modes, least=2)
-    K = _count("steps_per_delay", steps_per_delay)
-    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be positive and finite")
-    if cavity.tau_fs <= 0:
-        raise ValueError("need a positive delay to lock the grid to")
+    _, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     if half_bandwidth_fs is None:
@@ -165,8 +162,6 @@ def run_discretized_bath(
     if not 0 < delta <= sys.float_info.max:
         raise ValueError(f"half_bandwidth_fs must be positive and finite, got {delta!r}")
 
-    h = cavity.tau_fs / K
-    n_steps = max(1, math.ceil(t_end_fs / h - 1e-9))
     omega1 = cavity.omega_a_ev / hbar          # rotating-frame reference
     det_b = (cavity.omega_b_ev - cavity.omega_a_ev) / hbar
     tau = cavity.tau_fs

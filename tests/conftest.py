@@ -1,4 +1,4 @@
-"""Shared fixtures: scaled two-cavity configs and the acceptance report.
+"""Shared helpers: scaled two-cavity configs, and the acceptance report.
 
 The ``record_criterion`` fixture wraps each numbered acceptance check and
 collects a verdict; a one-line PASS/FAIL summary per criterion is printed
@@ -79,13 +79,3 @@ def make_unequal(
         omega_b_ev=omega_b_tau * s, gamma_b_ev=gamma_b_tau * s,
         v_ab_ev=v_tau * s, tau_fs=tau_fs,
     )
-
-
-@pytest.fixture
-def scaled_cavity():
-    return make_scaled
-
-
-@pytest.fixture
-def decoupled_cavity():
-    return make_decoupled

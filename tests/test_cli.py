@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from delayheom import __version__, cli, qnm
+from delayheom import __version__, cli, engine, qnm
 
 BASE_CAVITY = {
     "omega_a_ev": 0.0243538424053,
@@ -24,6 +24,8 @@ BASE_CAVITY = {
     "tau_fs": 100.0,
 }
 
+
+SLAB = {"L_um": 21.0, "eps_r": 9.87, "R_um": 100.0}
 
 _DROP = object()    # an override that removes the key
 
@@ -94,7 +96,7 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
 
 
 def test_simulate_roundtrips_full_precision(tmp_path):
-    from delayheom import engine, models
+    from delayheom import models
 
     cfgfile = write_cfg(tmp_path)
     out = tmp_path / "run.csv"
@@ -191,6 +193,8 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         ({"initial_state": {"pA": [1.0, math.nan]}}, "config error at initial_state.pA"),
         ({"steps_per_delay": 10**400}, "config error at steps_per_delay"),
         ({"band_width": 10**400}, "config error at band_width"),
+        # open loop: the band ends before the returning line
+        ({"steps_per_delay": 100, "band_width": 40}, "config error at band_width"),
     ],
 )
 def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):
@@ -222,6 +226,18 @@ def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):
          "config error at cavity.tau_fs: must be finite"),
         ({"initial_state": {"pA": "x"}},
          "config error at initial_state.pA: expected a number or a [re, im] pair"),
+        ({"cavity": _DROP, "slab": dict(SLAB, eps_r=0.5)},
+         "config error at slab: eps_r must exceed eps_b"),
+        ({"cavity": dict(BASE_CAVITY, gamma_b_ev=-1.0)},
+         "config error at cavity: decay rates must be nonnegative"),
+        ({"cavity": dict(BASE_CAVITY, tau_fs=0.0)},
+         "config error at cavity.tau_fs: the delay must be positive to lock the grid to it"),
+        ({"cavity": dict(BASE_CAVITY, tau_fs=-5.0)},
+         "config error at cavity.tau_fs: the delay must be positive to lock the grid to it"),
+        ({"cavity": _DROP, "slab": dict(SLAB, R_um=0.0)},
+         "config error at slab.R_um: the delay must be positive to lock the grid to it"),
+        ({"cavity": _DROP, "slab": dict(SLAB, R_um=-1.0)},
+         "config error at slab.R_um: the delay must be positive to lock the grid to it"),
     ],
 )
 def test_config_error_messages(overrides, message):
@@ -235,12 +251,23 @@ def test_null_band_width_is_the_default():
     assert cfg == cli.load_config(base_config()) and cfg["band_width"] is None
 
 
+def test_band_width_below_one_delay_loads_when_eps_drops_the_line():
+    # at gamma tau / hbar = 40 the eps rule keeps 70 < K steps of a line,
+    # so a user width of 50 is no more open loop than the default
+    g = 40 * BASE_CAVITY["gamma_a_ev"]
+    cav = dict(BASE_CAVITY, gamma_a_ev=g, gamma_b_ev=g, v_ab_ev=g / 2)
+    cfg = cli.load_config(base_config(cavity=cav, steps_per_delay=100, band_width=50))
+    assert engine.default_band_width(cfg["model"].equations, 100) == 70
+    assert cfg["band_width"] == 50
+    with pytest.raises(cli.ConfigError, match="config error at band_width"):
+        cli.load_config(base_config(steps_per_delay=100, band_width=99))
+
+
 def test_config_requires_exactly_one_geometry_block(tmp_path, capsys):
-    slab = {"L_um": 21.0, "eps_r": 9.87, "R_um": 100.0}
     path = tmp_path / "both.json"
     path.write_text(json.dumps({
         "model": "single_excitation", "cavity": dict(BASE_CAVITY),
-        "slab": slab, "steps_per_delay": 50, "t_end_fs": 100.0,
+        "slab": dict(SLAB), "steps_per_delay": 50, "t_end_fs": 100.0,
     }))
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -271,6 +298,10 @@ def test_compare_pass_and_fail_codes(tmp_path, capsys):
     assert cli.main(["compare", "--config", cfgfile,
                      "--tolerance", "1e-12"]) == 3
     assert "FAIL" in capsys.readouterr().out
+    # the photon may start in the second cavity too
+    cfgfile = write_cfg(tmp_path, initial_state={"pB": 1.0})
+    assert cli.main(["compare", "--config", cfgfile]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_compare_rejects_unsupported_initial_states(tmp_path, capsys):

@@ -53,6 +53,8 @@ def test_validate_rejects_duplicate_and_overlapping_names():
         EquationSet(("s", "s"), ("w",), (BIRTH_W,), 100.0)
     with pytest.raises(EquationSetError):
         EquationSet(("s",), ("s",), (Term("s", 1.0, "s", Pattern.BIRTH),), 100.0)
+    with pytest.raises(EquationSetError, match="at least one system variable is required"):
+        EquationSet((), ("w",), (BIRTH_W,), 100.0)
 
 
 def test_validate_rejects_bad_patterns():
@@ -87,6 +89,9 @@ def test_validate_rejects_bad_patterns():
             ("s",), ("w",),
             (Term("w", -1.0 + 0j, "w", Pattern.OWN, conjugate=True), BIRTH_W), 100.0,
         )
+    # a term must target a declared variable
+    with pytest.raises(EquationSetError, match="term targets unknown variable 'x'"):
+        EquationSet(("s",), ("w",), (Term("x", 1.0, "s", Pattern.CURRENT), BIRTH_W), 100.0)
 
 
 def test_validate_requires_exactly_one_source_per_band_var():
@@ -480,14 +485,15 @@ def test_band_width_beyond_one_delay_changes_nothing():
 
 
 def test_truncation_certificate_reported_and_consistent():
-    m = models.build_single_excitation(make_scaled(2.0, 3.7))
+    # W = 40 < K drops the returning line, which W = K keeps whole: the
+    # shift is real (a W = 80 run is open loop too, and shifts nothing)
     kw = dict(steps_per_delay=100, t_end_fs=500.0)
-    r1 = engine.run(m.equations, m.default_init, band_width=40, **kw)
-    r2 = engine.run(m.equations, m.default_init, band_width=80, **kw)
-    assert r1.truncation_certificate >= 0.0
-    for k in ("pA", "pB"):
-        drift = np.abs(r1.series[k][-1] - r2.series[k][-1])
-        assert drift <= r1.truncation_certificate
+    for build in (models.build_single_excitation, models.build_two_photon):
+        m = build(make_scaled(2.0, 3.7))
+        r1 = engine.run(m.equations, m.default_init, band_width=40, **kw)
+        r2 = engine.run(m.equations, m.default_init, band_width=100, **kw)
+        shift = max(np.abs(r1.series[k] - r2.series[k]).max() for k in m.equations.system_vars)
+        assert 0.0 < shift <= r1.truncation_certificate
 
 
 def test_dropping_far_side_terms_leaves_system_untouched():

@@ -40,6 +40,8 @@ def test_wavefunction_argument_validation():
     # a fractional grid is refused, not truncated; NumPy integers pass
     with pytest.raises(ValueError, match="steps_per_delay"):
         oracle.run_wavefunction(cav, 10.5, 100.0)
+    with pytest.raises(ValueError, match="need a positive delay to lock the grid to"):
+        oracle.run_wavefunction(dataclasses.replace(cav, tau_fs=0.0), 50, 100.0)
     r = oracle.run_wavefunction(cav, np.int64(10), 100.0)
     assert len(r.times) == 11
 
