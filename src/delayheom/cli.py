@@ -126,10 +126,19 @@ def load_config(raw):
             cavity = CavityParams(**raw["cavity"])
         except ValueError as e:
             _fail("cavity", str(e))
+        # a slab's derived coupling sits on this bound exactly
+        if 4 * cavity.v_ab_ev**2 > cavity.gamma_a_ev * cavity.gamma_b_ev * (1 + 1e-12):
+            _fail("cavity.v_ab_ev", "must satisfy 2|v_ab_ev| <= sqrt(gamma_a_ev gamma_b_ev): "
+                  "a larger coupling is active, and the populations grow without bound")
+
+    K, t_end = raw["steps_per_delay"], float(raw["t_end_fs"])
+    steps = t_end * K / cavity.tau_fs
+    if not steps < sys.maxsize:    # refuses an infinite count too
+        _fail("t_end_fs", f"implies {steps:.3g} steps, more than an array can index")
 
     # looked up at call time, so a wrapped module attribute is the one called
     model = getattr(models, f"build_{raw.get('model', 'single_excitation')}")(cavity)
-    K, width = raw["steps_per_delay"], raw.get("band_width")
+    width = raw.get("band_width")
     eps_band = float(raw.get("eps_band", 1e-12))
     if width is not None and width < K <= engine.default_band_width(model.equations, K, eps_band):
         _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
@@ -148,7 +157,7 @@ def load_config(raw):
         "model": model,
         "cavity": cavity,
         "steps_per_delay": K,
-        "t_end_fs": float(raw["t_end_fs"]),
+        "t_end_fs": t_end,
         "band_width": width,
         "eps_band": eps_band,
         "include_first_arg_delayed": raw.get("include_first_arg_delayed", True),
@@ -197,31 +206,29 @@ def _run_from(cfg):
 
 # ---------------------------------------------------------------- output
 
-def write_csv(path, result, var_order):
-    cols = ["time_fs"] + [f"{name}_{part}" for name in var_order for part in ("re", "im")]
+def write_csv(path, result):
+    # the series keep the model's variable order
+    cols = ["time_fs"] + [f"{name}_{part}" for name in result.series for part in ("re", "im")]
     table = np.column_stack([result.times] + [
-        part(result.series[name]) for name in var_order for part in (np.real, np.imag)
+        part(values) for values in result.series.values() for part in (np.real, np.imag)
     ])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
 def _write_meta(path, cfg, result, wall_s):
-    meta = {
-        "package_version": __version__,
-        "model": cfg["model"].kind,
-        "cavity": dataclasses.asdict(cfg["cavity"]),
-        "steps_per_delay": result.steps_per_delay,
-        "h_fs": result.h_fs,
-        "t_end_fs": cfg["t_end_fs"],
-        "n_steps": result.n_steps,
-        "band_width": result.band_width,
-        "eps_band": cfg["eps_band"],
-        "include_first_arg_delayed": result.include_first_arg_delayed,
-        "initial_state": {k: [v.real, v.imag] for k, v in sorted(cfg["init"].items())},
-        "truncation_certificate": result.truncation_certificate,
-        "wall_time_s": wall_s,  # excluded from the determinism contract
-    }
+    # every run fact the result holds, then the inputs it does not
+    meta = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+            if f.name not in ("times", "series")}
+    meta.update(
+        package_version=__version__,
+        model=cfg["model"].kind,
+        cavity=dataclasses.asdict(cfg["cavity"]),
+        t_end_fs=cfg["t_end_fs"],
+        eps_band=cfg["eps_band"],
+        initial_state={k: [v.real, v.imag] for k, v in sorted(cfg["init"].items())},
+        wall_time_s=wall_s,  # excluded from the determinism contract
+    )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -234,7 +241,7 @@ def _cmd_simulate(args):
     t0 = time.perf_counter()
     result = _run_from(cfg)
     wall = time.perf_counter() - t0
-    write_csv(args.out, result, cfg["model"].equations.system_vars)
+    write_csv(args.out, result)
     _write_meta(args.out + ".meta.json", cfg, result, wall)
     print(f"wrote {args.out}: {result.n_steps + 1} rows, "
           f"h = {result.h_fs:g} fs, band_width = {result.band_width}, "

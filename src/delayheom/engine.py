@@ -469,12 +469,12 @@ class SimResult:
     times: np.ndarray
     series: dict[str, np.ndarray]
     h_fs: float
-    tau_fs: float
     steps_per_delay: int
     band_width: int
     n_steps: int
     truncation_certificate: float
     include_first_arg_delayed: bool
+    open_loop: bool    # band_width < steps_per_delay: the returning line is dropped
 
 
 def run(
@@ -499,7 +499,10 @@ def run(
     steps_per_delay = _count("steps_per_delay", steps_per_delay)
     if band_width is None:
         band_width = default_band_width(eqs, steps_per_delay, eps_band)
-    n_steps = max(1, math.ceil(t_end_fs * steps_per_delay / eqs.tau_fs - 1e-9))
+    steps = t_end_fs * steps_per_delay / eqs.tau_fs
+    if not steps < sys.maxsize:    # refuses an infinite count too
+        raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
+    n_steps = max(1, math.ceil(steps - 1e-9))
     integ = HierarchyIntegrator(
         eqs,
         init,
@@ -511,16 +514,14 @@ def run(
     traj = np.zeros((n_steps + 1, len(eqs.system_vars)), dtype=complex)
     traj[0] = integ.state
     integ._advance(n_steps, traj.view(np.float64)[1:])
-    times = np.arange(n_steps + 1) * integ.h_fs
-    series = {name: traj[:, k].copy() for k, name in enumerate(eqs.system_vars)}
     return SimResult(
-        times=times,
-        series=series,
+        times=np.arange(n_steps + 1) * integ.h_fs,
+        series={name: traj[:, k].copy() for k, name in enumerate(eqs.system_vars)},
         h_fs=integ.h_fs,
-        tau_fs=eqs.tau_fs,
         steps_per_delay=integ.K,
         band_width=integ.band_width,
         n_steps=n_steps,
         truncation_certificate=integ.truncation_certificate,
         include_first_arg_delayed=include_first_arg_delayed,
+        open_loop=integ.band_width < integ.K,
     )

@@ -72,6 +72,13 @@ def _rates(cavity: CavityParams):
     return ga, gb, v, ea, eb
 
 
+def _model(kind, census, terms, cavity, first) -> HierarchyModel:
+    """The model of ``kind`` on the delay of ``cavity``, started with the
+    whole population in its system variable ``first``."""
+    eqs = EquationSet(census["system"], census["band"], terms, cavity.tau_fs)
+    return HierarchyModel(kind, eqs, {first: 1.0 + 0j})
+
+
 def build_single_excitation(cavity: CavityParams) -> HierarchyModel:
     """One shared excitation: populations pA, pB and the coherence cAB.
 
@@ -123,17 +130,7 @@ def build_single_excitation(cavity: CavityParams) -> HierarchyModel:
         Term("bA_0A", -2.0 * v * ebc, "bB_0A", sad, conjugate=True),
         Term("bA_0A", -2.0 * v * ebc, "bA_0B", fad),
     )
-    eqs = EquationSet(
-        system_vars=SINGLE_EXCITATION_VARS["system"],
-        band_vars=SINGLE_EXCITATION_VARS["band"],
-        terms=terms,
-        tau_fs=cavity.tau_fs,
-    )
-    return HierarchyModel(
-        kind="single_excitation",
-        equations=eqs,
-        default_init={"pA": 1.0 + 0j},
-    )
+    return _model("single_excitation", SINGLE_EXCITATION_VARS, terms, cavity, "pA")
 
 
 def build_two_photon(cavity: CavityParams) -> HierarchyModel:
@@ -188,17 +185,7 @@ def build_two_photon(cavity: CavityParams) -> HierarchyModel:
         Term("bB12_01", 1.0, "g02", birth),
         Term("bB12_01", -gb, "bB12_01", own),
     )
-    eqs = EquationSet(
-        system_vars=TWO_PHOTON_VARS["system"],
-        band_vars=TWO_PHOTON_VARS["band"],
-        terms=terms,
-        tau_fs=cavity.tau_fs,
-    )
-    return HierarchyModel(
-        kind="two_photon",
-        equations=eqs,
-        default_init={"g20": 1.0 + 0j},
-    )
+    return _model("two_photon", TWO_PHOTON_VARS, terms, cavity, "g20")
 
 
 def pure_state_crosscheck(amp_a, amp_b, kind: str = "single_excitation"):

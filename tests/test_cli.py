@@ -7,6 +7,7 @@ subprocesses -- so the exit-code contract (0 ok, 1 config/usage,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from delayheom import __version__, cli, engine, qnm
+from tests.conftest import make_unequal
 
 BASE_CAVITY = {
     "omega_a_ev": 0.0243538424053,
@@ -83,7 +85,7 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
         "package_version", "model", "cavity", "steps_per_delay", "h_fs",
         "t_end_fs", "n_steps", "band_width", "eps_band",
         "include_first_arg_delayed", "initial_state",
-        "truncation_certificate", "wall_time_s",
+        "truncation_certificate", "open_loop", "wall_time_s",
     }
     assert meta["model"] == "single_excitation"
     assert meta["steps_per_delay"] == 50
@@ -93,6 +95,14 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
     assert meta["initial_state"] == {"pA": [1.0, 0.0]}
     assert meta["truncation_certificate"] >= 0.0
     assert "wall_time_s" in meta
+    # the sidecar holds every run fact of the result, as the result has it
+    cfg = cli.load_config(base_config())
+    m = cfg["model"]
+    r = engine.run(m.equations, m.default_init, steps_per_delay=50, t_end_fs=400.0)
+    facts = {f.name for f in dataclasses.fields(r)} - {"times", "series"}
+    assert facts <= set(meta)
+    assert {k: meta[k] for k in facts} == {k: getattr(r, k) for k in facts}
+    assert meta["open_loop"] is False
 
 
 def test_simulate_roundtrips_full_precision(tmp_path):
@@ -148,6 +158,8 @@ def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
     meta = json.loads((tmp_path / "slab.csv.meta.json").read_text())
     assert meta["cavity"]["tau_fs"] == 44000.0
     assert meta["truncation_certificate"] < 1e-10
+    # the eps width, 534 of K = 16000 steps, drops the returning line
+    assert (meta["band_width"], meta["steps_per_delay"], meta["open_loop"]) == (534, 16000, True)
 
 
 def test_missing_config_lists_presets(tmp_path, capsys):
@@ -159,11 +171,15 @@ def test_missing_config_lists_presets(tmp_path, capsys):
 
 
 def test_divergent_run_exits_two(tmp_path, capsys):
-    cav = dict(BASE_CAVITY, v_ab_ev=50.0)      # absurd coupling: blows up
-    cfgfile = write_cfg(tmp_path, cavity=cav, t_end_fs=5000.0)
+    # a passive cavity on a grid too coarse for its decay (2 gamma h / hbar
+    # is about 3, past Heun's stability edge of 2): the run blows up
+    cav = dict(BASE_CAVITY, omega_a_ev=0.0, omega_b_ev=0.0,
+               gamma_a_ev=0.1, gamma_b_ev=0.1, v_ab_ev=0.05)
+    cfgfile = write_cfg(tmp_path, cavity=cav, steps_per_delay=10, t_end_fs=10000.0)
     assert cli.main(["simulate", "--config", cfgfile,
                      "--out", str(tmp_path / "x.csv")]) == 2
-    assert "numerical failure: non-finite state at step" in capsys.readouterr().err
+    assert ("numerical failure: non-finite state at step 750 (t = 7500 fs)"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +211,11 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         ({"band_width": 10**400}, "config error at band_width"),
         # open loop: the band ends before the returning line
         ({"steps_per_delay": 100, "band_width": 40}, "config error at band_width"),
+        # step counts no array can index: infinite, and past sys.maxsize
+        ({"cavity": dict(BASE_CAVITY, tau_fs=1e-300), "steps_per_delay": 10,
+          "t_end_fs": 1e300}, "config error at t_end_fs: implies inf steps"),
+        ({"cavity": dict(BASE_CAVITY, tau_fs=1e-300), "steps_per_delay": 10,
+          "t_end_fs": 1e-280}, "config error at t_end_fs: implies 1e+21 steps"),
     ],
 )
 def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):
@@ -238,6 +259,11 @@ def test_config_errors_name_the_path(tmp_path, capsys, overrides, needle):
          "config error at slab.R_um: the delay must be positive to lock the grid to it"),
         ({"cavity": _DROP, "slab": dict(SLAB, R_um=-1.0)},
          "config error at slab.R_um: the delay must be positive to lock the grid to it"),
+        # an active coupling, 2|v| / sqrt(gamma_a gamma_b) = 2.37: the
+        # populations reach 3e3 by 2000 fs
+        ({"cavity": dataclasses.asdict(make_unequal(1.0, 0.3, 0.0, 2.1, 0.65))},
+         "config error at cavity.v_ab_ev: must satisfy 2|v_ab_ev| <= sqrt(gamma_a_ev "
+         "gamma_b_ev): a larger coupling is active, and the populations grow without bound"),
     ],
 )
 def test_config_error_messages(overrides, message):

@@ -144,6 +144,10 @@ def test_run_argument_validation():
     for t_end in (math.inf, math.nan):
         with pytest.raises(ValueError, match="t_end_fs"):
             engine.run(eqs, {"s": 1.0}, steps_per_delay=20, t_end_fs=t_end)
+    # step counts no array can index: infinite, and past sys.maxsize
+    for t_end in (1e300, 1e-280):
+        with pytest.raises(ValueError, match="t_end_fs implies"):
+            engine.run(toy_eqs(tau_fs=1e-300), {"s": 1.0}, steps_per_delay=10, t_end_fs=t_end)
     with pytest.raises(ValueError, match="steps_per_delay"):
         engine.run(eqs, {"s": 1.0}, steps_per_delay=0, t_end_fs=10.0, band_width=5)
     with pytest.raises(ValueError):
@@ -305,7 +309,9 @@ def test_decoupled_richardson_limit():
 
 #: two unequal cavities, (gamma_a, gamma_b, omega_a, omega_b, v) tau / hbar:
 #: with gamma_a != gamma_b the OWN block is no multiple of the identity, so
-#: the order of each Heun product with it shows in the result
+#: the order of each Heun product with it shows in the result.  The first
+#: is active (2|v| > sqrt(gamma_a gamma_b), which the CLI refuses): its
+#: populations grow, so it and its frozen values test the algebra only
 UNEQUAL = ((1.0, 0.3, 0.0, 2.1, 0.65), (0.4, 1.7, 3.7, -1.2, 0.2))
 
 
@@ -494,6 +500,7 @@ def test_truncation_certificate_reported_and_consistent():
         r2 = engine.run(m.equations, m.default_init, band_width=100, **kw)
         shift = max(np.abs(r1.series[k] - r2.series[k]).max() for k in m.equations.system_vars)
         assert 0.0 < shift <= r1.truncation_certificate
+        assert (r1.open_loop, r2.open_loop) == (True, False)
 
 
 def test_dropping_far_side_terms_leaves_system_untouched():
@@ -594,8 +601,8 @@ def test_result_layout():
     m = models.build_single_excitation(make_scaled(1.0, 3.7))
     r = engine.run(m.equations, m.default_init, steps_per_delay=50, t_end_fs=300.0)
     assert r.h_fs == pytest.approx(2.0)
-    assert r.tau_fs == 100.0
     assert r.steps_per_delay == 50
+    assert r.open_loop is False        # the default width keeps the returning line
     assert len(r.times) == r.n_steps + 1
     assert set(r.series) == {"pA", "pB", "cAB"}
     for v in r.series.values():

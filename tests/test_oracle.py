@@ -42,6 +42,10 @@ def test_wavefunction_argument_validation():
         oracle.run_wavefunction(cav, 10.5, 100.0)
     with pytest.raises(ValueError, match="need a positive delay to lock the grid to"):
         oracle.run_wavefunction(dataclasses.replace(cav, tau_fs=0.0), 50, 100.0)
+    # step counts no array can index: infinite, and past sys.maxsize
+    for t_end in (1e300, 1e-280):
+        with pytest.raises(ValueError, match="t_end_fs implies"):
+            oracle.run_wavefunction(dataclasses.replace(cav, tau_fs=1e-300), 10, t_end)
     r = oracle.run_wavefunction(cav, np.int64(10), 100.0)
     assert len(r.times) == 11
 
@@ -114,6 +118,8 @@ def test_bath_argument_validation():
         oracle.run_discretized_bath(cav, 64.9, 50, 100.0)
     with pytest.raises(ValueError, match="need a positive delay"):
         oracle.run_discretized_bath(dataclasses.replace(cav, tau_fs=0.0), 64, 50, 100.0)
+    with pytest.raises(ValueError, match="t_end_fs implies inf steps"):
+        oracle.run_discretized_bath(dataclasses.replace(cav, tau_fs=1e-300), 64, 10, 1e300)
     b = oracle.run_discretized_bath(cav, np.int32(64), np.int64(10), 100.0)
     assert b.n_modes == 64 and len(b.times) == 11
 
