@@ -225,8 +225,13 @@ def default_band_width(
     cap = k + 1
     if slowest <= 0:
         return cap
-    width = math.ceil(math.log(1.0 / eps_band) * k / (slowest * eqs.tau_fs))
-    return max(1, min(width, cap))
+    # near the subnormal range the product underflows and the quotient
+    # overflows: both mean a line outlives the delay
+    decay = slowest * eqs.tau_fs
+    steps = math.log(1.0 / eps_band) * k / decay if decay else math.inf
+    if not steps < cap:
+        return cap
+    return max(1, math.ceil(steps))
 
 
 def _count(name: str, value) -> int:

@@ -46,7 +46,7 @@ class WavefunctionResult:
 @dataclass
 class BathResult(WavefunctionResult):
     n_modes: int
-    norm_drift: float        # max |  ||psi||^2 - 1 |  over the run; NaN if a norm is
+    norm_drift: float        # max |  ||psi||^2 - 1 |  over the run; NaN if a norm is NaN
     recurrence_fs: float     # 2 pi / (mode spacing): finite-bath echo time
 
 
@@ -144,10 +144,21 @@ def run_discretized_bath(
     the free phases e = exp(-i detun t) sampled at the step midpoint.  The
     step is the Cayley/Crank-Nicolson update of that H, solved by
     eliminating the field: since |e| = 1, V V^H = G G^H is constant, so
-    the 2x2 Schur system on the cavities is inverted once for the whole
-    run.  The update is unitary to solver precision -- ``norm_drift``
-    reports the worst deviation, and stays at rounding level regardless
-    of the step size.
+    the 2x2 Schur system L = 1 + i a dc + a^2 G G^H (a = h/2) on the
+    cavities is inverted once for the whole run.  Substituting the
+    half-step field leaves, per step,
+
+        psi' = keep psi + feed (V f),    f' = f - i a V^H (psi + psi'),
+
+    with keep = L^-1 (1 - i a dc - a^2 G G^H) and feed = -2 i a L^-1 built
+    once: one product with V and one rank-2 update of the field.  The loop
+    holds conj(V) and advances it by the phase recurrence conj(V) *=
+    exp(+i detun h); every K steps (once per delay) it is re-anchored from
+    the exact ``exp`` at the midpoint, which keeps the amplitudes within
+    ~1e-13 of an exact-phase step over 10^4 steps, against ~1e-12 for the
+    bare recurrence.  The update is unitary to solver precision --
+    ``norm_drift`` reports the worst deviation, and stays at rounding
+    level regardless of the step size.
 
     The mode comb makes the dynamics periodic: after ``recurrence_fs =
     2 pi / spacing`` the emitted field returns.  Keep ``t_end_fs`` well
@@ -156,7 +167,7 @@ def run_discretized_bath(
     """
     hbar = CONSTANTS.hbar_ev_fs
     M = _count("n_modes", n_modes, least=2)
-    _, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs)
+    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     if half_bandwidth_fs is None:
@@ -179,24 +190,33 @@ def run_discretized_bath(
     env = np.sqrt(1.0 + 4.0 * (np.abs(detun) / delta) ** 6)
     right = env * np.vstack([np.ones(M), np.exp(-1j * omega_k * tau)])
     G = g_row[:, None] * np.hstack([right, right.conj()])
-    G_adj = G.conj().T
+    GG = G @ G.conj().T
     dc = np.diag([0.0, det_b]).astype(complex)
     alpha = 0.5 * h
-    lhs_inv = np.linalg.inv(np.eye(2) + 1j * alpha * dc + alpha**2 * (G @ G_adj))
+    lhs_inv = np.linalg.inv(np.eye(2) + 1j * alpha * dc + alpha**2 * GG)
+    keep = lhs_inv @ (np.eye(2) - 1j * alpha * dc - alpha**2 * GG)
+    feed = -2j * alpha * lhs_inv
 
+    G_bar = G.conj()
+    u_bar = np.tile(np.exp(1j * detun * h), 2)    # one step of the conjugate phases
+    V_bar = np.empty_like(G)
     psi_c = np.array([complex(init[0]), complex(init[1])])
-    field = np.zeros((2, M), dtype=complex)        # right-, then left-running
+    field = np.zeros(2 * M, dtype=complex)         # right-, then left-running
     amp_a = np.zeros(n_steps + 1, dtype=complex)
     amp_b = np.zeros(n_steps + 1, dtype=complex)
     amp_a[0], amp_b[0] = psi_c
     norms = np.empty(n_steps + 1)
     norms[0] = np.vdot(psi_c, psi_c).real
     for n in range(n_steps):
-        e = np.exp(-1j * detun * ((n + 0.5) * h))
-        b_c = psi_c - 1j * alpha * (dc @ psi_c + G @ (e * field).ravel())
-        b_f = field - 1j * alpha * e.conj() * (G_adj @ psi_c).reshape(2, M)
-        psi_c = lhs_inv @ (b_c - 1j * alpha * G @ (e * b_f).ravel())
-        field = b_f - 1j * alpha * e.conj() * (G_adj @ psi_c).reshape(2, M)
+        if n % K:
+            V_bar *= u_bar
+        else:
+            np.multiply(G_bar, np.tile(np.exp(1j * detun * ((n + 0.5) * h)), 2), out=V_bar)
+        # vdot conjugates its first argument, so this is V f with no copy of V
+        Vf = np.array([np.vdot(V_bar[0], field), np.vdot(V_bar[1], field)])
+        psi_n = keep @ psi_c + feed @ Vf
+        field -= (1j * alpha * (psi_c + psi_n)) @ V_bar
+        psi_c = psi_n
         amp_a[n + 1], amp_b[n + 1] = psi_c
         norms[n + 1] = np.vdot(psi_c, psi_c).real + np.vdot(field, field).real
     times = np.arange(n_steps + 1) * h

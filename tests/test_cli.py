@@ -289,6 +289,17 @@ def test_band_width_below_one_delay_loads_when_eps_drops_the_line():
         cli.load_config(base_config(steps_per_delay=100, band_width=99))
 
 
+def test_subnormal_delay_runs_at_the_capped_width(tmp_path, capsys):
+    # ln(1/eps) K / (gamma tau) overflows to inf at tau = 1e-310 fs: the
+    # default width is the cap K + 1, not an OverflowError
+    out = tmp_path / "x.csv"
+    cfgfile = write_cfg(tmp_path, cavity=dict(BASE_CAVITY, tau_fs=1e-310),
+                        steps_per_delay=10, t_end_fs=1e-309)
+    assert cli.main(["simulate", "--config", cfgfile, "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert (meta["band_width"], meta["n_steps"]) == (11, 100)
+
+
 def test_config_requires_exactly_one_geometry_block(tmp_path, capsys):
     path = tmp_path / "both.json"
     path.write_text(json.dumps({

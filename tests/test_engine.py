@@ -7,6 +7,7 @@ band advance testable against results worked out by hand.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -456,6 +457,12 @@ def test_default_band_width_formula_and_clamp():
          BIRTH_W, Term("u", 1.0, "s", Pattern.BIRTH)), 100.0,
     )
     assert default_band_width(two, 1000) == 1001
+    # a delay near the subnormal range: at 1e-310 fs the quotient overflows,
+    # at 1e-322 fs its divisor underflows to 0; either way a line outlives
+    # the delay, so the width is the cap
+    for tau_fs in (1e-310, 1e-322):
+        cav = dataclasses.replace(make_scaled(1.0, 0.0), tau_fs=tau_fs)
+        assert default_band_width(models.build_single_excitation(cav).equations, 10) == 11
     with pytest.raises(ValueError):
         default_band_width(eqs, 20, eps_band=0.0)
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import pytest
 
 from delayheom import oracle
 from delayheom.constants import CONSTANTS
-from tests.conftest import make_decoupled, make_scaled
+from tests.conftest import make_decoupled, make_scaled, make_unequal
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,60 @@ def test_bath_frozen_spot_values():
     assert b.amp_b[-1] == pytest.approx(
         -0.004938335453769151 + 0.1830278151809155j, abs=1e-12
     )
+
+
+def _exact_phase_bath(cav, n_modes, steps_per_delay, t_end_fs):
+    """The Cayley step with the free phases taken from ``exp`` at every
+    midpoint and the half-step field formed explicitly: the oracle's update
+    before the phase recurrence, kept as the reference for it (default
+    bandwidth, cavity A excited)."""
+    hbar = CONSTANTS.hbar_ev_fs
+    M, h = n_modes, cav.tau_fs / steps_per_delay
+    ga, gb = cav.gamma_a_ev / hbar, cav.gamma_b_ev / hbar
+    delta = 80.0 * max(ga, gb)
+    dw = 2.0 * delta / M
+    detun = -delta + (np.arange(M) + 0.5) * dw
+    env = np.sqrt(1.0 + 4.0 * (np.abs(detun) / delta) ** 6)
+    omega_k = cav.omega_a_ev / hbar + detun
+    right = env * np.vstack([np.ones(M), np.exp(-1j * omega_k * cav.tau_fs)])
+    G = np.array([[math.sqrt(ga * dw / (2.0 * math.pi))],
+                  [math.sqrt(gb * dw / (2.0 * math.pi))]]) * np.hstack([right, right.conj()])
+    G_adj = G.conj().T
+    dc = np.diag([0.0, (cav.omega_b_ev - cav.omega_a_ev) / hbar]).astype(complex)
+    alpha = 0.5 * h
+    lhs_inv = np.linalg.inv(np.eye(2) + 1j * alpha * dc + alpha**2 * (G @ G_adj))
+    n_steps = math.ceil(t_end_fs / h - 1e-9)
+    psi_c, field = np.array([1.0 + 0j, 0j]), np.zeros((2, M), dtype=complex)
+    amps = [psi_c]
+    for n in range(n_steps):
+        e = np.exp(-1j * detun * ((n + 0.5) * h))
+        b_c = psi_c - 1j * alpha * (dc @ psi_c + G @ (e * field).ravel())
+        b_f = field - 1j * alpha * e.conj() * (G_adj @ psi_c).reshape(2, M)
+        psi_c = lhs_inv @ (b_c - 1j * alpha * G @ (e * b_f).ravel())
+        field = b_f - 1j * alpha * e.conj() * (G_adj @ psi_c).reshape(2, M)
+        amps.append(psi_c)
+    return np.array(amps)
+
+
+@pytest.mark.parametrize(
+    "cav, n_modes, steps_per_delay, t_end_fs",
+    [
+        # unequal, detuned cavities: the detuning enters the per-step
+        # cavity map, which equal cavities leave at zero
+        (make_unequal(0.4, 1.7, 3.7, -1.2, 0.2), 512, 50, 1000.0),
+        # 10,000 steps: a phase recurrence that is never re-anchored has
+        # drifted the amplitudes by over 1e-12 here
+        (make_scaled(1.0, 0.0), 512, 50, 20000.0),
+    ],
+    ids=["unequal", "long"],
+)
+def test_bath_step_matches_the_exact_phase_step(cav, n_modes, steps_per_delay, t_end_fs):
+    b = oracle.run_discretized_bath(cav, n_modes, steps_per_delay, t_end_fs)
+    ref = _exact_phase_bath(cav, n_modes, steps_per_delay, t_end_fs)
+    assert len(ref) == len(b.times)
+    assert np.abs(b.amp_a - ref[:, 0]).max() <= 1e-12
+    assert np.abs(b.amp_b - ref[:, 1]).max() <= 1e-12
+    assert b.norm_drift < 1e-10
 
 
 def test_bath_recurrence_time_formula():
