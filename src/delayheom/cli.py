@@ -175,8 +175,11 @@ def _preset_names():
 def read_config_file(path):
     """Read a config from a filesystem path or a bundled preset name."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {path}: {e}") from e
     else:
         name = path[:-5] if path.endswith(".json") else path
         if os.sep not in path and name in _preset_names():
@@ -237,6 +240,12 @@ def _write_meta(path, cfg, result, wall_s):
 # ------------------------------------------------------------ subcommands
 
 def _cmd_simulate(args):
+    # refused before the run, not after it
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise _UsageError(f"delayheom simulate: error: --out directory does not exist: {out_dir}")
+    if os.path.isdir(args.out):
+        raise _UsageError(f"delayheom simulate: error: --out is a directory: {args.out}")
     cfg = load_config(read_config_file(args.config))
     t0 = time.perf_counter()
     result = _run_from(cfg)
@@ -264,6 +273,9 @@ def _amplitude_init(cfg):
 
 
 def _cmd_compare(args):
+    if not 0 <= args.tolerance <= sys.float_info.max:    # refuses NaN too
+        raise _UsageError(f"delayheom compare: error: --tolerance must be a finite number >= 0, "
+                          f"got {args.tolerance}")
     cfg = load_config(read_config_file(args.config))
     a0, b0 = _amplitude_init(cfg)
     result = _run_from(cfg)

@@ -59,6 +59,8 @@ axis 1 keeps band_width + 2 cells; the largest magnitude ever discarded
 at that edge is reported as the truncation certificate.  A run of at most
 ``horizon`` steps reaches neither a position nor an age beyond
 ``horizon``, so neither axis needs more than ``horizon + 2`` cells.
+The step reads and writes only a float view of the ring, one cell per
+row; it gathers all delayed reads of a step with one ``take`` of it.
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
@@ -322,8 +324,7 @@ class HierarchyIntegrator:
         rows, ages = K, W
         self._horizon = None
         if horizon_steps is not None:
-            # a run of at most this many steps touches positions and ages
-            # 0..horizon only, so the ring shrinks accordingly -- this is
+            # a run this short touches a smaller ring (Storage): this is
             # what keeps fine delay grids affordable when the run is short
             self._horizon = _count("horizon", horizon_steps)
             rows, ages = min(K, self._horizon), min(W, self._horizon)
@@ -363,18 +364,18 @@ class HierarchyIntegrator:
         # (module notes, Delay gating); rows: right-stage read, then left
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((s, s + s @ h_l)) if has_sad and hi > lo else None
-        self._idx = None  # the gathers' flat indexes, built by _advance
+        self._idx = None  # the gather's flat index, built by _advance
         use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
         self._fad = np.concatenate((f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
 
-        # the ring with (position, age) flattened, for the gathers of the
-        # delayed band reads; R * C, not -1, which is ambiguous when n_b is 0
+        # the ring as floats with (position, age) flattened, the one view the
+        # step reads and writes; R * C, not -1, which is ambiguous when n_b is 0
         R, C = self.buffer.shape[:2]
-        self._flat = self.buffer.reshape(R * C, n_b)
+        self._flat = self.buffer.view(np.float64).reshape(R * C, 2 * n_b)
         self.n = 0
         self.truncation_certificate = 0.0
-        np.matmul(self.state.view(np.float64), self._birth, out=self.buffer[0, 0].view(np.float64))
+        np.matmul(self.state.view(np.float64), self._birth, out=self._flat[0])
 
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module
@@ -406,46 +407,47 @@ class HierarchyIntegrator:
                 f"(horizon_steps); construct without a horizon to continue"
             )
         K, W = self.K, self.band_width
-        A = self.buffer
-        R, C = A.shape[:2]
+        R, C = self.buffer.shape[:2]
         flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
-        lo, hi = self._sad_ages
+        lo, hi = (0, 0) if sad is None else self._sad_ages
         if self._idx is None and self.n + n_steps > K:
-            # built by the first call that gathers: the flat index of the
-            # (right, left) cells the SAD line of age lo + j and the FAD line
-            # of age K + j read, less the row offset each step adds
-            self._idx = ((K - 1 - lo - (C + 1) * np.arange(hi - lo))[:, None] + (0, 1),
-                         np.arange(C - 2 - K)[:, None] + (C + 1, 0))
-        sad_idx, fad_idx = self._idx or (None, None)
+            # built by the first call that gathers: the flat index, less n C,
+            # of the (right, left) stage cells each delayed line reads: SAD
+            # age a in [lo, hi) at row n - a, ages K - 1 - a and K - a; then
+            # FAD age K + j at rows n + 1 - K and n - K, ages j + 1 and j
+            self._idx = np.concatenate(
+                ((K - 1 - (C + 1) * np.arange(lo, hi))[:, None] + (0, 1),
+                 (np.arange(0 if fad is None else C - 2 - K) - K * C)[:, None] + (C + 1, 0)),
+                axis=None)
+        idx, gathers = self._idx, sad is not None or fad is not None
         sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
         # overflow is deliberate territory here: a diverging run is caught
         # by the isfinite check and surfaced as NonFiniteStateError
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_steps):
                 n = self.n
+                row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
                 n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
-                band = A[(n + 1) % R, 1 : n_adv + 1].view(np.float64)
-                np.matmul(A[n % R, :n_adv].view(np.float64), own, out=band)
-                if n >= K and sad is not None:
-                    # the line of age a < K reads the line one delay older
-                    # at its own birth position n - a, at age K - 1 - a
-                    # (right stage) and K - a (left): two adjacent cells,
-                    # flat index ((n - a) % R) * C + K - 1 - a
-                    x = flat.take(sad_idx + ((n - lo) % R) * C, axis=0, mode="wrap")
+                band = flat[new + 1 : new + n_adv + 1]
+                np.matmul(flat[row : row + n_adv], own, out=band)
+                if n >= K and gathers:
+                    # one gather of both reads of every delayed line: the SAD
+                    # lines, then the FAD lines of ages K .. n_adv - 1
+                    m = hi - lo + (0 if fad is None else n_adv - K)
+                    x = flat.take(idx[: 2 * m] + row, axis=0, mode="wrap")
                     if W < K:  # the left read of age lo is at W + 1, past the band
-                        x[0, 1] = 0
-                    band[lo:hi] += x.reshape(hi - lo, -1).view(np.float64) @ sad
-                if n >= K and fad is not None:
-                    # the line of age a >= K one delay earlier: age a + 1 - K
-                    # (right stage) in row n + 1 - K, a - K (left) in row n - K
-                    m = n_adv - K
-                    x = flat.take(fad_idx[:m] + ((n - K) % R) * C, axis=0, mode="wrap")
-                    band[K:] += x.reshape(m, -1).view(np.float64) @ fad
+                        x[1] = 0
+                    x = x.reshape(m, -1)
+                    if sad is not None:
+                        band[lo:hi] += x[: hi - lo] @ sad
+                    if fad is not None:
+                        band[K:] += x[hi - lo :] @ fad
+                    del x  # not alive while the next step's gather allocates
                 s = self.state.view(np.float64)
                 if n >= K and sys_open is not None:
-                    reads = [s, A[n % R, K - 1 : K + 1].view(np.float64)]
+                    reads = [s, flat[row + K - 1 : row + K + 1]]
                     if sad is not None:
-                        reads.append(A[(n + 1 - K) % R, 1].view(np.float64))
+                        reads.append(flat[((n + 1 - K) % R) * C + 1])
                     s1 = np.concatenate(reads, axis=None) @ sys_open
                 else:
                     s1 = s @ sys_cur
@@ -456,11 +458,9 @@ class HierarchyIntegrator:
                 # retirement: the oldest line reaches age W and stops
                 if n_adv == W:
                     edge = float(np.abs(band[W - 1].view(np.complex128)).max())
-                    if edge > self.truncation_certificate:
-                        self.truncation_certificate = edge
+                    self.truncation_certificate = max(self.truncation_certificate, edge)
 
-                # birth of line n + 1 from the new system state
-                np.matmul(s1, birth, out=A[(n + 1) % R, 0].view(np.float64))
+                np.matmul(s1, birth, out=flat[new])  # line n + 1 is born
                 self.state = s1.view(np.complex128)
                 self.n = n + 1
                 if record is not None:

@@ -68,11 +68,11 @@ def _grid(cavity, steps_per_delay, t_end_fs):
         raise ValueError("t_end_fs must be positive and finite")
     if cavity.tau_fs <= 0:
         raise ValueError("need a positive delay to lock the grid to")
-    h = cavity.tau_fs / K
-    steps = t_end_fs / h
+    # the engine's expression: t_end_fs / h can round to another count
+    steps = t_end_fs * K / cavity.tau_fs
     if not steps < sys.maxsize:    # refuses an infinite count too
         raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
-    return K, h, max(1, math.ceil(steps - 1e-9))
+    return K, cavity.tau_fs / K, max(1, math.ceil(steps - 1e-9))
 
 
 def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):

@@ -1,4 +1,5 @@
-"""Shared helpers: scaled two-cavity configs, and the acceptance report.
+"""Shared helpers: scaled two-cavity configs, the acceptance report, and a
+deterministic hypothesis profile.
 
 The ``record_criterion`` fixture wraps each numbered acceptance check and
 collects a verdict; a one-line PASS/FAIL summary per criterion is printed
@@ -11,11 +12,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from delayheom.constants import CONSTANTS
 from delayheom.qnm import CavityParams
 
 _ACCEPTANCE: dict[int, dict] = {}
+
+# the property tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from delayheom import __version__, cli, engine, qnm
+from delayheom import __version__, cli, engine, oracle, qnm
 from tests.conftest import make_unequal
 
 BASE_CAVITY = {
@@ -323,6 +323,33 @@ def test_invalid_json_reports_cleanly(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_that_is_a_directory_reports_cleanly(tmp_path, capsys):
+    assert cli.main(["simulate", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_reports_cleanly(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out, needle", [("missing_dir/x.csv", "--out directory does not exist"),
+                                         (".", "--out is a directory")])
+def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch, out, needle):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path),
+                     "--out", str(tmp_path / out)]) == 1
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "missing_dir").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -339,6 +366,24 @@ def test_compare_pass_and_fail_codes(tmp_path, capsys):
     cfgfile = write_cfg(tmp_path, initial_state={"pB": 1.0})
     assert cli.main(["compare", "--config", cfgfile]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-3"])
+def test_compare_refuses_a_bad_tolerance(tmp_path, capsys, tolerance):
+    assert cli.main(["compare", "--config", write_cfg(tmp_path),
+                     f"--tolerance={tolerance}"]) == 1
+    assert "--tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_compare_counts_steps_as_the_engine_does(tmp_path, capsys):
+    # t_end / (tau / K) rounds to 33 steps here, t_end * K / tau to 32
+    cfgfile = write_cfg(tmp_path, steps_per_delay=10, t_end_fs=320.00000001)
+    assert cli.main(["compare", "--config", cfgfile]) == 0
+    assert "PASS" in capsys.readouterr().out
+    cfg = cli.load_config(base_config(steps_per_delay=10, t_end_fs=320.00000001))
+    result = cli._run_from(cfg)
+    wf = oracle.run_wavefunction(cfg["cavity"], 10, cfg["t_end_fs"])
+    assert result.n_steps == len(wf.times) - 1 == 32
 
 
 def test_compare_rejects_unsupported_initial_states(tmp_path, capsys):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def toy_eqs(tau_fs: float = 100.0, gb: float = 0.008) -> EquationSet:
 
 #: line w is born from s
 BIRTH_W = Term("w", 1.0, "s", Pattern.BIRTH)
+
+
+def fad_only_toy(cavity=None) -> SimpleNamespace:
+    """The toy band with a FIRST_ARG_DELAYED read and no SECOND_ARG_DELAYED
+    one, shaped as a built model (``cavity`` is ignored)."""
+    eqs = toy_eqs()
+    fad = Term("w", -0.02 + 0.01j, "w", Pattern.FIRST_ARG_DELAYED)
+    return SimpleNamespace(equations=dataclasses.replace(eqs, terms=eqs.terms + (fad,)),
+                           default_init={"s": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +210,8 @@ def test_stale_lines_read_zero_beyond_the_band():
     assert it.band_value("w", 9, 6) != 0j     # age 3 still live
 
 
-@pytest.mark.parametrize("build", [models.build_single_excitation, models.build_two_photon])
+@pytest.mark.parametrize("build", [models.build_single_excitation, models.build_two_photon,
+                                   fad_only_toy])
 def test_no_step_reads_an_unwritten_ring_cell(build):
     # the ring is allocated without zeroing: filling every cell but the
     # first birth with NaN must change nothing, at any band width
@@ -796,6 +807,35 @@ def test_frozen_narrow_band_values():
             it.step()
         got = [it.band_value(var, 300, 300 - age) for age in (20, 50, 80)]
         assert got == pytest.approx(list(want), rel=1e-12, abs=1e-15), kind
+
+
+# band values of :func:`fad_only_toy` at position 3K and ages 5, K, K + 1
+# and W, and the certificate, after 3K steps (K = 10): the delayed reads
+# are FIRST_ARG_DELAYED alone, so the gather holds no SECOND_ARG_DELAYED line
+FROZEN_FAD_ONLY = {
+    11: ((0.22177170136762633 + 0.06336334324789325j, 0.17279027088781898 + 0.049368648825091135j,
+          0.08097991652079464 + 0.06260196557095124j, 0.08097991652079464 + 0.06260196557095124j),
+         0.1809769350891184),
+    20: ((0.22177170136762633 + 0.06336334324789325j, 0.17279027088781898 + 0.049368648825091135j,
+          0.08097991652079464 + 0.06260196557095124j, -0.4272844073920378 + 0.12975258882405297j),
+         0.6027529124102237),
+    25: ((0.22177170136762633 + 0.06336334324789325j, 0.17279027088781898 + 0.049368648825091135j,
+          0.08097991652079464 + 0.06260196557095124j, -0.33164007330352885 - 0.01827471581854031j),
+         0.3858864597725363),
+}
+
+
+@pytest.mark.parametrize("W", sorted(FROZEN_FAD_ONLY))
+def test_frozen_fad_only_band_values(W):
+    K = 10
+    m = fad_only_toy()
+    it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K, band_width=W)
+    for _ in range(3 * K):
+        it.step()
+    want, cert = FROZEN_FAD_ONLY[W]
+    got = [it.band_value("w", 3 * K, 3 * K - age) for age in (5, K, K + 1, W)]
+    assert got == pytest.approx(list(want), rel=1e-12)
+    assert it.truncation_certificate == pytest.approx(cert, rel=1e-12)
 
 
 def test_rerun_is_bit_identical():
