@@ -215,8 +215,10 @@ def write_csv(path, result):
     table = np.column_stack([result.times] + [
         part(values) for values in result.series.values() for part in (np.real, np.imag)
     ])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+        fh.write(",".join(cols) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def _write_meta(path, cfg, result, wall_s):
@@ -244,8 +246,9 @@ def _cmd_simulate(args):
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise _UsageError(f"delayheom simulate: error: --out directory does not exist: {out_dir}")
-    if os.path.isdir(args.out):
-        raise _UsageError(f"delayheom simulate: error: --out is a directory: {args.out}")
+    for path, what in ((args.out, "--out"), (args.out + ".meta.json", "--out sidecar")):
+        if os.path.isdir(path):
+            raise _UsageError(f"delayheom simulate: error: {what} is a directory: {path}")
     cfg = load_config(read_config_file(args.config))
     t0 = time.perf_counter()
     result = _run_from(cfg)

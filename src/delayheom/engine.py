@@ -62,6 +62,15 @@ at that edge is reported as the truncation certificate.  A run of at most
 The step reads and writes only a float view of the ring, one cell per
 row; it gathers all delayed reads of a step with one ``take`` of it.
 
+No step checks its own values.  At least every R - 1 steps, and at the
+end of every call, one check looks at what the steps since the last one
+wrote: their system states, and the row of each step n at the ages it
+wrote, 1 .. min(W, n + 1).  A row is written again only R steps later,
+so the check sees every value a check after each step would see, and
+reports the same: the first step that wrote a non-finite value, or the
+largest age-W magnitude of the rows that retired a line (a max, which
+does not depend on the order).
+
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
 :meth:`HierarchyIntegrator.band_value` applies these masks; the step's
@@ -125,7 +134,13 @@ class EquationSetError(ValueError):
 
 
 class NonFiniteStateError(RuntimeError):
-    """Raised when the integration produces a non-finite value."""
+    """Raised when the integration produces a non-finite value.
+
+    ``step_index`` and ``time_fs`` locate the first step that wrote one.
+    The check runs once per ring cycle (module notes, Storage), so after
+    a raise from a call of many steps the integrator may stand up to
+    R - 1 steps past ``step_index``, with R the rows of its ring.
+    """
 
     def __init__(self, step_index: int, time_fs: float):
         super().__init__(
@@ -279,6 +294,11 @@ def _heun_factor(z: np.ndarray) -> np.ndarray:
     return r
 
 
+#: the most bytes one scan of the ring allocates: small, so that the
+#: checks do not raise a run's peak memory
+_SCAN_BYTES = 16384
+
+
 class HierarchyIntegrator:
     """Synchronised Heun stepper over system + band.
 
@@ -306,6 +326,11 @@ class HierarchyIntegrator:
     module notes (Storage).  ``horizon_steps`` is an optional promise that
     at most that many steps will be taken; it shrinks the ring for short
     runs on fine delay grids and makes further stepping an error.
+
+    The finiteness check and the certificate update run at least every
+    R - 1 steps (R = ``buffer.shape[0]``) and at the end of each call,
+    and report what a check after every step would (module notes,
+    Storage); :meth:`step` is one call per step.
     """
 
     def __init__(
@@ -400,7 +425,9 @@ class HierarchyIntegrator:
 
     def _advance(self, n_steps: int, record: np.ndarray | None = None) -> None:
         """Take ``n_steps`` steps, writing the float view of the system
-        state after step i to ``record[i]`` if given."""
+        state after step i to ``record[i]`` if given.  Every R - 1 steps
+        (R ring rows) and at the end, :meth:`_check` checks the steps since
+        the last check."""
         if self._horizon is not None and self.n + n_steps > self._horizon:
             raise ValueError(
                 f"integrator was allocated for {self._horizon} steps "
@@ -421,50 +448,89 @@ class HierarchyIntegrator:
                 axis=None)
         idx, gathers = self._idx, sad is not None or fad is not None
         sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
+        start, s = self.n, self.state.view(np.float64)
+        if record is None:
+            record = np.empty((n_steps, len(s)))
+        if sys_open is not None:
+            # the system reads of an open line, in the row order of sys_open:
+            # s0, y0 at ages K - 1 and K, then S_l at age K - 1
+            ns, nb = len(s), flat.shape[1]
+            reads = np.empty(len(sys_open))
+            read_s, read_y = reads[:ns], reads[ns : ns + 2 * nb].reshape(2, nb)
+            read_sad = reads[ns + 2 * nb :]
         # overflow is deliberate territory here: a diverging run is caught
-        # by the isfinite check and surfaced as NonFiniteStateError
+        # by _check and surfaced as NonFiniteStateError
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                n = self.n
-                row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
-                n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
-                band = flat[new + 1 : new + n_adv + 1]
-                np.matmul(flat[row : row + n_adv], own, out=band)
-                if n >= K and gathers:
-                    # one gather of both reads of every delayed line: the SAD
-                    # lines, then the FAD lines of ages K .. n_adv - 1
-                    m = hi - lo + (0 if fad is None else n_adv - K)
-                    x = flat.take(idx[: 2 * m] + row, axis=0, mode="wrap")
-                    if W < K:  # the left read of age lo is at W + 1, past the band
-                        x[1] = 0
-                    x = x.reshape(m, -1)
-                    if sad is not None:
-                        band[lo:hi] += x[: hi - lo] @ sad
-                    if fad is not None:
-                        band[K:] += x[hi - lo :] @ fad
-                    del x  # not alive while the next step's gather allocates
-                s = self.state.view(np.float64)
-                if n >= K and sys_open is not None:
-                    reads = [s, flat[row + K - 1 : row + K + 1]]
-                    if sad is not None:
-                        reads.append(flat[((n + 1 - K) % R) * C + 1])
-                    s1 = np.concatenate(reads, axis=None) @ sys_open
-                else:
-                    s1 = s @ sys_cur
+            for n0 in range(start, start + n_steps, R - 1):
+                n1 = min(n0 + R - 1, start + n_steps)
+                for n in range(n0, n1):
+                    row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
+                    n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
+                    band = flat[new + 1 : new + n_adv + 1]
+                    np.matmul(flat[row : row + n_adv], own, out=band)
+                    if n >= K and gathers:
+                        # one gather of both reads of every delayed line: the
+                        # SAD lines, then the FAD lines of ages K .. n_adv - 1
+                        m = hi - lo + (0 if fad is None else n_adv - K)
+                        x = flat.take(idx[: 2 * m] + row, axis=0, mode="wrap")
+                        if W < K:  # the left read of age lo is at W + 1, past the band
+                            x[1] = 0
+                        x = x.reshape(m, -1)
+                        if sad is not None:
+                            band[lo:hi] += x[: hi - lo] @ sad
+                        if fad is not None:
+                            band[K:] += x[hi - lo :] @ fad
+                        del x  # not alive while the next step's gather allocates
+                    s1 = record[n - start]
+                    if n >= K and sys_open is not None:
+                        read_s[...] = s
+                        read_y[...] = flat[row + K - 1 : row + K + 1]
+                        if sad is not None:
+                            read_sad[...] = flat[((n + 1 - K) % R) * C + 1]
+                        np.matmul(reads, sys_open, out=s1)
+                    else:
+                        np.matmul(s, sys_cur, out=s1)
+                    np.matmul(s1, birth, out=flat[new])  # line n + 1 is born
+                    s = s1
+                self._check(n0, n1, record[n0 - start : n1 - start])
 
-                if not (np.isfinite(s1).all() and np.isfinite(band).all()):
+    def _check(self, n0: int, n1: int, states: np.ndarray) -> None:
+        """Check steps n0 .. n1 - 1 (fewer than R), whose system states are
+        ``states``, as a check after each step would (module notes,
+        Storage), and move the integrator to n1."""
+        W = self.band_width
+        R, C = self.buffer.shape[:2]
+        flat, cell = self._flat, self._flat.shape[1]  # floats per (row, age) cell
+        self.n, self.state = n1, states[-1].view(np.complex128).copy()
+
+        def written(p):  # the cells of the step to position p: ages 1 .. min(W, p)
+            return flat[p % R * C + 1 : p % R * C + min(W, p) + 1]
+
+        # full rows are scanned whole, in contiguous blocks of at most
+        # _SCAN_BYTES of flags, then masked to ages 1 .. W
+        block = max(1, _SCAN_BYTES // max(1, C * cell))
+        finite, p = np.isfinite(states).all(), n0 + 1
+        while finite and p <= n1:
+            r = p % R
+            m = 1 if p < W else min(block, n1 + 1 - p, R - r)
+            if m == 1:  # a young row (ages 1 .. p) or a lone full one
+                finite = np.isfinite(written(p)).all()
+            else:
+                finite = np.isfinite(flat[r * C : (r + m) * C]).reshape(m, C, -1)[:, 1 : W + 1].all()
+            p += m
+        if not finite:
+            for n in range(n0, n1):
+                if not (np.isfinite(states[n - n0]).all() and np.isfinite(written(n + 1)).all()):
                     raise NonFiniteStateError(n + 1, (n + 1) * self.h_fs)
-
-                # retirement: the oldest line reaches age W and stops
-                if n_adv == W:
-                    edge = float(np.abs(band[W - 1].view(np.complex128)).max())
-                    self.truncation_certificate = max(self.truncation_certificate, edge)
-
-                np.matmul(s1, birth, out=flat[new])  # line n + 1 is born
-                self.state = s1.view(np.complex128)
-                self.n = n + 1
-                if record is not None:
-                    record[i] = s1
+        # the steps to positions W and on retired their oldest line, at age W
+        block = max(1, _SCAN_BYTES // max(1, 8 * cell))
+        edge, p = 0.0, max(n0 + 1, W)
+        while p <= n1:
+            r = p % R
+            m = min(block, n1 + 1 - p, R - r)
+            edge = max(edge, float(np.abs(self.buffer[r : r + m, W]).max(initial=0.0)))
+            p += m
+        self.truncation_certificate = max(self.truncation_certificate, edge)
 
 
 @dataclass

@@ -350,6 +350,19 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "missing_dir").exists()
 
 
+def test_sidecar_that_is_a_directory_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    (tmp_path / "o.csv.meta.json").mkdir()
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+    assert (f"--out sidecar is a directory: {tmp_path / 'o.csv.meta.json'}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

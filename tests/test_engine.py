@@ -7,6 +7,7 @@ band advance testable against results worked out by hand.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from types import SimpleNamespace
@@ -284,6 +285,9 @@ def test_conjugated_only_current_read():
     it0 = HierarchyIntegrator(bare, {"s": 1.0}, steps_per_delay=20, band_width=21)
     it0.step()
     assert np.array_equal(it0.state, it.state)
+    # and, with no line to retire, the certificate stays 0 past the band width
+    r = engine.run(bare, {"s": 1.0}, steps_per_delay=20, t_end_fs=300.0, band_width=21)
+    assert r.truncation_certificate == 0.0
 
 
 def test_system_driven_only_by_the_returning_line():
@@ -603,6 +607,72 @@ def test_non_finite_states_abort_with_location():
         engine.run(m.equations, m.default_init, steps_per_delay=50, t_end_fs=5000.0)
     assert exc.value.step_index > 0
     assert exc.value.time_fs == pytest.approx(exc.value.step_index * 2.0)
+
+
+def growing_band_toy(own: complex, sad: complex = 0) -> SimpleNamespace:
+    """The toy band growing under its OWN rate (and a SECOND_ARG_DELAYED
+    gain): the system decays and never reads a line, so it stays finite."""
+    eqs = toy_eqs()
+    terms = eqs.terms[:2] + (Term("w", own, "w", Pattern.OWN),
+                             Term("w", sad, "w", Pattern.SECOND_ARG_DELAYED))
+    return SimpleNamespace(equations=dataclasses.replace(eqs, terms=terms),
+                           default_init={"s": 1.0})
+
+
+def divergent_pair():
+    # 2 gamma h / hbar is about 3 at K = 10, past Heun's stability edge
+    return models.build_single_excitation(type(make_scaled(1.0, 0.0))(
+        omega_a_ev=0.0, gamma_a_ev=0.1, omega_b_ev=0.0, gamma_b_ev=0.1,
+        v_ab_ev=0.05, tau_fs=100.0))
+
+
+# (model, K, band width or None, t_end_fs, step of the first non-finite
+# value or None, whether only the band diverges); a ring has
+# R = min(K, steps) + 2 rows, so the full-row case fails after 26 checks
+CHECKED_RUNS = {
+    "system": (divergent_pair, 10, None, 10000.0, 750, False),
+    "band, young row": (lambda: growing_band_toy(1000), 100, 101, 200.0, 55, True),
+    "band, full row": (lambda: growing_band_toy(0.3, 5), 10, 11, 5000.0, 294, True),
+    "band, age W": (lambda: growing_band_toy(1000), 100, 55, 100.0, 55, True),
+    "band, shrunk ring": (lambda: growing_band_toy(1000), 1000, 101, 15.0, 84, True),
+    "finite, shrunk ring": (lambda: growing_band_toy(-0.01), 100, 30, 60.0, None, True),
+    "finite, W < K": (lambda: models.build_two_photon(make_scaled(2.0, 3.7)),
+                      10, 7, 700.0, None, True),
+    "finite, W = K": (lambda: models.build_single_excitation(make_scaled(2.0, 3.7)),
+                      10, 10, 700.0, None, True),
+    "finite, W > K": (lambda: models.build_single_excitation(make_scaled(2.0, 3.7)),
+                      10, 25, 700.0, None, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_RUNS))
+def test_deferred_checks_match_a_check_after_every_step(case):
+    # run checks once per ring cycle, step() after every step: both must
+    # stop at the same step, or end with the same certificate
+    build, K, W, t_end, diverges_at, band_only = CHECKED_RUNS[case]
+    m = build()
+    expect = pytest.raises(NonFiniteStateError) if diverges_at else contextlib.nullcontext()
+    with expect as ran:
+        r = engine.run(m.equations, m.default_init, steps_per_delay=K, t_end_fs=t_end,
+                       band_width=W)
+    n_steps = round(t_end * K / m.equations.tau_fs)
+    it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K,
+                             band_width=W or default_band_width(m.equations, K),
+                             horizon_steps=n_steps)
+    expect = pytest.raises(NonFiniteStateError) if diverges_at else contextlib.nullcontext()
+    with expect as stepped:
+        for _ in range(n_steps):
+            it.step()
+    if diverges_at:
+        assert ran.value.step_index == stepped.value.step_index == diverges_at
+        assert str(ran.value) == str(stepped.value)
+        assert ran.value.time_fs == stepped.value.time_fs
+        if band_only:
+            assert np.isfinite(it.state).all()
+    else:
+        assert (r.n_steps, it.n) == (n_steps, n_steps)
+        assert r.truncation_certificate == it.truncation_certificate > 0
+        assert all(np.array_equal(v[-1], it.state[k]) for k, v in enumerate(r.series.values()))
 
 
 def test_t_end_rounding():
