@@ -58,7 +58,11 @@ diagonal of the ring.  Lines stop advancing at age ``band_width``, so
 axis 1 keeps band_width + 2 cells; the largest magnitude ever discarded
 at that edge is reported as the truncation certificate.  A run of at most
 ``horizon`` steps reaches neither a position nor an age beyond
-``horizon``, so neither axis needs more than ``horizon + 2`` cells.
+``horizon``, so neither axis needs more than ``horizon + 2`` cells.  A
+run that ends within one delay (``horizon`` <= K) reads no row back at
+all, since its delayed reads would start at step K: each step reads only
+the row before it, so the ring keeps min(horizon, 32) + 2 rows, a fixed
+number however long the run, and the checks below set that number.
 The step reads and writes only a float view of the ring, one cell per
 row; it gathers all delayed reads of a step with one ``take`` of it.
 
@@ -298,6 +302,11 @@ def _heun_factor(z: np.ndarray) -> np.ndarray:
 #: checks do not raise a run's peak memory
 _SCAN_BYTES = 16384
 
+#: the positions behind step n that the ring of a run ending within one
+#: delay keeps (Storage): a check cycle of _WINDOW + 1 steps spreads a
+#: check's set-up over enough steps, and the rows do not grow with the run
+_WINDOW = 32
+
 
 class HierarchyIntegrator:
     """Synchronised Heun stepper over system + band.
@@ -324,8 +333,10 @@ class HierarchyIntegrator:
 
     The band lives in ``buffer[row, age, variable]``, the ring of the
     module notes (Storage).  ``horizon_steps`` is an optional promise that
-    at most that many steps will be taken; it shrinks the ring for short
-    runs on fine delay grids and makes further stepping an error.
+    at most that many steps will be taken, and makes further stepping an
+    error.  It shrinks the ring for short runs on fine delay grids: to
+    ``horizon_steps`` + 2 rows and ages, and a run that ends within one
+    delay (``horizon_steps`` <= ``steps_per_delay``) to at most 34 rows.
 
     The finiteness check and the certificate update run at least every
     R - 1 steps (R = ``buffer.shape[0]``) and at the end of each call,
@@ -351,8 +362,8 @@ class HierarchyIntegrator:
         if horizon_steps is not None:
             # a run this short touches a smaller ring (Storage): this is
             # what keeps fine delay grids affordable when the run is short
-            self._horizon = _count("horizon", horizon_steps)
-            rows, ages = min(K, self._horizon), min(W, self._horizon)
+            self._horizon = H = _count("horizon", horizon_steps)
+            rows, ages = min(K if H > K else _WINDOW, H), min(W, H)
         # not zeroed: the step writes every cell before it reads it
         # (``buffer.data`` is the array's memoryview, of the same nbytes)
         self.buffer = np.empty((rows + 2, ages + 2, n_b), dtype=complex)
@@ -390,6 +401,7 @@ class HierarchyIntegrator:
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((s, s + s @ h_l)) if has_sad and hi > lo else None
         self._idx = None  # the gather's flat index, built by _advance
+        self._reads = (None,) * 4  # the system-read vector, built with _idx
         use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
         self._fad = np.concatenate((f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
@@ -398,6 +410,10 @@ class HierarchyIntegrator:
         # step reads and writes; R * C, not -1, which is ambiguous when n_b is 0
         R, C = self.buffer.shape[:2]
         self._flat = self.buffer.view(np.float64).reshape(R * C, 2 * n_b)
+        # rows per scan of _check: whole rows (a flag per float), then the
+        # magnitudes of their age-W cells
+        self._scan_rows = (max(1, _SCAN_BYTES // max(1, 2 * C * n_b)),
+                           max(1, _SCAN_BYTES // max(1, 16 * n_b)))
         self.n = 0
         self.truncation_certificate = 0.0
         np.matmul(self.state.view(np.float64), self._birth, out=self._flat[0])
@@ -405,16 +421,18 @@ class HierarchyIntegrator:
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module
         notes (Storage) mask it.  Positions not computed yet, or evicted
-        from the ring (more than one delay behind step n), are an error."""
+        from the ring (more than R - 2 behind step n: one delay, or 32 in
+        a run that ends within one delay), are an error."""
         v = self.eqs.band_vars.index(var)
         if label < 0 or position < label or position - label > self.band_width:
             return 0j
         if position > self.n:
             raise ValueError(f"position {position} not computed yet (latest {self.n})")
-        if position < self.n - self.K:
+        kept = self.buffer.shape[0] - 2
+        if position < self.n - kept:
             raise ValueError(
                 f"position {position} already evicted (latest {self.n}, "
-                f"ring keeps one delay)"
+                f"ring keeps {kept} positions behind it)"
             )
         return complex(self.buffer[position % self.buffer.shape[0], position - label, v])
 
@@ -437,6 +455,8 @@ class HierarchyIntegrator:
         R, C = self.buffer.shape[:2]
         flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
         lo, hi = (0, 0) if sad is None else self._sad_ages
+        sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
+        start, s = self.n, self.state.view(np.float64)
         if self._idx is None and self.n + n_steps > K:
             # built by the first call that gathers: the flat index, less n C,
             # of the (right, left) stage cells each delayed line reads: SAD
@@ -446,18 +466,17 @@ class HierarchyIntegrator:
                 ((K - 1 - (C + 1) * np.arange(lo, hi))[:, None] + (0, 1),
                  (np.arange(0 if fad is None else C - 2 - K) - K * C)[:, None] + (C + 1, 0)),
                 axis=None)
+            if sys_open is not None:
+                # the system reads of an open line, in the row order of
+                # sys_open: s0, y0 at ages K - 1 and K, then S_l at age K - 1
+                ns, nb = len(s), flat.shape[1]
+                reads = np.empty(len(sys_open))
+                self._reads = (reads, reads[:ns], reads[ns : ns + 2 * nb].reshape(2, nb),
+                               reads[ns + 2 * nb :])
         idx, gathers = self._idx, sad is not None or fad is not None
-        sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
-        start, s = self.n, self.state.view(np.float64)
+        reads, read_s, read_y, read_sad = self._reads
         if record is None:
             record = np.empty((n_steps, len(s)))
-        if sys_open is not None:
-            # the system reads of an open line, in the row order of sys_open:
-            # s0, y0 at ages K - 1 and K, then S_l at age K - 1
-            ns, nb = len(s), flat.shape[1]
-            reads = np.empty(len(sys_open))
-            read_s, read_y = reads[:ns], reads[ns : ns + 2 * nb].reshape(2, nb)
-            read_sad = reads[ns + 2 * nb :]
         # overflow is deliberate territory here: a diverging run is caught
         # by _check and surfaced as NonFiniteStateError
         with np.errstate(over="ignore", invalid="ignore"):
@@ -497,40 +516,46 @@ class HierarchyIntegrator:
     def _check(self, n0: int, n1: int, states: np.ndarray) -> None:
         """Check steps n0 .. n1 - 1 (fewer than R), whose system states are
         ``states``, as a check after each step would (module notes,
-        Storage), and move the integrator to n1."""
+        Storage), and move the integrator to n1.
+
+        A sum is finite only if every term is, so one ``add.reduce`` clears
+        a contiguous scan; only a non-finite sum is looked at value by value.
+        """
         W = self.band_width
         R, C = self.buffer.shape[:2]
-        flat, cell = self._flat, self._flat.shape[1]  # floats per (row, age) cell
-        self.n, self.state = n1, states[-1].view(np.complex128).copy()
-
-        def written(p):  # the cells of the step to position p: ages 1 .. min(W, p)
-            return flat[p % R * C + 1 : p % R * C + min(W, p) + 1]
-
-        # full rows are scanned whole, in contiguous blocks of at most
-        # _SCAN_BYTES of flags, then masked to ages 1 .. W
-        block = max(1, _SCAN_BYTES // max(1, C * cell))
-        finite, p = np.isfinite(states).all(), n0 + 1
+        flat, (block, edge_block) = self._flat, self._scan_rows
+        cell = flat.shape[1]  # floats per (row, age) cell
+        self.n, self.state = n1, states[-1].view(np.complex128)
+        finite, p = _finite(states), n0 + 1
         while finite and p <= n1:
             r = p % R
             m = 1 if p < W else min(block, n1 + 1 - p, R - r)
             if m == 1:  # a young row (ages 1 .. p) or a lone full one
-                finite = np.isfinite(written(p)).all()
-            else:
-                finite = np.isfinite(flat[r * C : (r + m) * C]).reshape(m, C, -1)[:, 1 : W + 1].all()
+                finite = _finite(flat[r * C + 1 : r * C + min(W, p) + 1])
+            else:  # flags of whole rows, then masked to ages 1 .. W: a sum
+                # over the masked, strided view would allocate an iteration buffer
+                finite = np.isfinite(flat[r * C : (r + m) * C]).reshape(m, C, cell)[:, 1 : W + 1].all()
             p += m
         if not finite:
             for n in range(n0, n1):
-                if not (np.isfinite(states[n - n0]).all() and np.isfinite(written(n + 1)).all()):
+                r = (n + 1) % R
+                if not (_finite(states[n - n0]) and _finite(flat[r * C + 1 : r * C + min(W, n + 1) + 1])):
                     raise NonFiniteStateError(n + 1, (n + 1) * self.h_fs)
         # the steps to positions W and on retired their oldest line, at age W
-        block = max(1, _SCAN_BYTES // max(1, 8 * cell))
-        edge, p = 0.0, max(n0 + 1, W)
+        edge, p = self.truncation_certificate, max(n0 + 1, W)
         while p <= n1:
             r = p % R
-            m = min(block, n1 + 1 - p, R - r)
+            m = min(edge_block, n1 + 1 - p, R - r)
             edge = max(edge, float(np.abs(self.buffer[r : r + m, W]).max(initial=0.0)))
             p += m
-        self.truncation_certificate = max(self.truncation_certificate, edge)
+        self.truncation_certificate = edge
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every value of ``x`` is finite.  Call it under ``errstate``:
+    a sum of large finite values may overflow, and is then checked value
+    by value."""
+    return math.isfinite(np.add.reduce(x, axis=None)) or bool(np.isfinite(x).all())
 
 
 @dataclass
@@ -546,6 +571,7 @@ class SimResult:
     truncation_certificate: float
     include_first_arg_delayed: bool
     open_loop: bool    # band_width < steps_per_delay: the returning line is dropped
+    band_bytes: int    # the band ring's size
 
 
 def run(
@@ -587,7 +613,7 @@ def run(
     integ._advance(n_steps, traj.view(np.float64)[1:])
     return SimResult(
         times=np.arange(n_steps + 1) * integ.h_fs,
-        series={name: traj[:, k].copy() for k, name in enumerate(eqs.system_vars)},
+        series={name: traj[:, k] for k, name in enumerate(eqs.system_vars)},
         h_fs=integ.h_fs,
         steps_per_delay=integ.K,
         band_width=integ.band_width,
@@ -595,4 +621,5 @@ def run(
         truncation_certificate=integ.truncation_certificate,
         include_first_arg_delayed=include_first_arg_delayed,
         open_loop=integ.band_width < integ.K,
+        band_bytes=integ.buffer.nbytes,
     )

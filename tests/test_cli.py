@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
         "package_version", "model", "cavity", "steps_per_delay", "h_fs",
         "t_end_fs", "n_steps", "band_width", "eps_band",
         "include_first_arg_delayed", "initial_state",
-        "truncation_certificate", "open_loop", "wall_time_s",
+        "truncation_certificate", "open_loop", "band_bytes", "wall_time_s",
     }
     assert meta["model"] == "single_excitation"
     assert meta["steps_per_delay"] == 50
@@ -143,6 +144,8 @@ def test_simulate_accepts_bundled_preset_names(tmp_path, capsys):
     assert out.exists()
     meta = json.loads((tmp_path / "preset.csv.meta.json").read_text())
     assert meta["steps_per_delay"] == 200
+    # a ring of K + 2 = 202 rows and band_width + 2 = 203 ages of 4 lines
+    assert meta["band_bytes"] == 202 * 203 * 4 * 16 == 2_624_384
 
 
 def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
@@ -160,6 +163,25 @@ def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
     assert meta["truncation_certificate"] < 1e-10
     # the eps width, 534 of K = 16000 steps, drops the returning line
     assert (meta["band_width"], meta["steps_per_delay"], meta["open_loop"]) == (534, 16000, True)
+    # the run ends within one delay, so its ring keeps 34 rows, not 548
+    assert meta["band_bytes"] == 34 * 536 * 4 * 16 == 1_166_336
+
+
+def test_slab_run_within_one_delay_stays_small():
+    # the slab preset ends long before its photon returns, so no step reads
+    # a ring row back and the ring keeps 34 rows, not one per step; the
+    # run's peak was 18.9 MB with a row per step
+    cfg = cli.load_config(cli.read_config_file("slab_21um"))
+    tracemalloc.start()
+    try:
+        r = engine.run(cfg["model"].equations, cfg["init"],
+                       steps_per_delay=cfg["steps_per_delay"], t_end_fs=cfg["t_end_fs"],
+                       band_width=cfg["band_width"], eps_band=cfg["eps_band"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.n_steps < r.steps_per_delay
+    assert peak < 4e6
 
 
 def test_missing_config_lists_presets(tmp_path, capsys):

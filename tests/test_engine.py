@@ -581,7 +581,10 @@ def test_fine_delay_grid_short_run_stays_small():
     def ring_shape(**kw):
         return HierarchyIntegrator(m.equations, m.default_init, **kw).buffer.shape
 
-    assert ring_shape(steps_per_delay=20000, band_width=500, horizon_steps=400) == (402, 402, 4)
+    # a run within one delay reads no row back: its ring keeps a fixed
+    # 34 rows, however long the run
+    assert ring_shape(steps_per_delay=20000, band_width=500, horizon_steps=400) == (34, 402, 4)
+    assert ring_shape(steps_per_delay=20000, band_width=500, horizon_steps=4000) == (34, 502, 4)
     # ages only reach the band width, however long the delay
     assert ring_shape(steps_per_delay=1000, band_width=346) == (1002, 348, 4)
 
@@ -590,6 +593,15 @@ def test_fine_delay_grid_short_run_stays_small():
     assert r.n_steps == 400
     assert np.all(r.series["pB"] == 0.0)      # nothing can arrive yet
     assert r.series["pA"][-1].real < 1.0
+    assert r.band_bytes == 34 * 402 * 4 * 16
+
+    it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=20000,
+                             band_width=500, horizon_steps=400)
+    for _ in range(100):
+        it.step()
+    it.band_value("bB_0A", 68, 40)       # kept: 32 positions behind step 100
+    with pytest.raises(ValueError, match="ring keeps 32 positions behind it"):
+        it.band_value("bB_0A", 67, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +640,8 @@ def divergent_pair():
 
 # (model, K, band width or None, t_end_fs, step of the first non-finite
 # value or None, whether only the band diverges); a ring has
-# R = min(K, steps) + 2 rows, so the full-row case fails after 26 checks
+# R = min(K, steps) + 2 rows, so the full-row case fails after 26 checks,
+# or 34 rows if the run ends within one delay (a check every 33 steps)
 CHECKED_RUNS = {
     "system": (divergent_pair, 10, None, 10000.0, 750, False),
     "band, young row": (lambda: growing_band_toy(1000), 100, 101, 200.0, 55, True),
@@ -636,6 +649,8 @@ CHECKED_RUNS = {
     "band, age W": (lambda: growing_band_toy(1000), 100, 55, 100.0, 55, True),
     "band, shrunk ring": (lambda: growing_band_toy(1000), 1000, 101, 15.0, 84, True),
     "finite, shrunk ring": (lambda: growing_band_toy(-0.01), 100, 30, 60.0, None, True),
+    "band, sub-delay ring": (lambda: growing_band_toy(1000), 1000, 84, 15.0, 84, True),
+    "finite, sub-delay ring": (lambda: growing_band_toy(-0.01), 1000, 40, 20.0, None, True),
     "finite, W < K": (lambda: models.build_two_photon(make_scaled(2.0, 3.7)),
                       10, 7, 700.0, None, True),
     "finite, W = K": (lambda: models.build_single_excitation(make_scaled(2.0, 3.7)),
@@ -673,6 +688,17 @@ def test_deferred_checks_match_a_check_after_every_step(case):
         assert (r.n_steps, it.n) == (n_steps, n_steps)
         assert r.truncation_certificate == it.truncation_certificate > 0
         assert all(np.array_equal(v[-1], it.state[k]) for k, v in enumerate(r.series.values()))
+
+
+def test_finite_check_survives_an_overflowing_sum():
+    # the check clears a scan by its sum; a sum that overflows on finite
+    # values must not be taken for a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert engine._finite(np.array([1e308, 1e308, -1.0]))
+        assert engine._finite(np.empty((0, 4)))
+        for bad in (math.inf, -math.inf, math.nan):
+            assert not engine._finite(np.array([1.0, bad, 2.0]))
+        assert not engine._finite(np.array([math.inf, -math.inf]))
 
 
 def test_t_end_rounding():
