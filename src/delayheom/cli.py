@@ -7,6 +7,7 @@ Exit codes: 0 success (and compare-pass), 1 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -239,6 +240,25 @@ def _write_meta(path, cfg, result, wall_s):
         fh.write("\n")
 
 
+def _write_outputs(out, cfg, result, wall_s):
+    """Write the CSV and its sidecar under temporary names in their
+    directory, then rename both into place: a failed write leaves neither."""
+    paths = (out, out + ".meta.json")
+    temps = [p + ".tmp" for p in paths]
+    path = out
+    try:
+        write_csv(temps[0], result)
+        path = paths[1]
+        _write_meta(temps[1], cfg, result, wall_s)
+        for path, temp in zip(paths, temps):
+            os.replace(temp, path)
+    except OSError as e:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise _UsageError(f"delayheom simulate: error: cannot write {path}: {e}") from e
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_simulate(args):
@@ -253,8 +273,7 @@ def _cmd_simulate(args):
     t0 = time.perf_counter()
     result = _run_from(cfg)
     wall = time.perf_counter() - t0
-    write_csv(args.out, result)
-    _write_meta(args.out + ".meta.json", cfg, result, wall)
+    _write_outputs(args.out, cfg, result, wall)
     print(f"wrote {args.out}: {result.n_steps + 1} rows, "
           f"h = {result.h_fs:g} fs, band_width = {result.band_width}, "
           f"certificate = {result.truncation_certificate:.3e}")

@@ -64,7 +64,9 @@ all, since its delayed reads would start at step K: each step reads only
 the row before it, so the ring keeps min(horizon, 32) + 2 rows, a fixed
 number however long the run, and the checks below set that number.
 The step reads and writes only a float view of the ring, one cell per
-row; it gathers all delayed reads of a step with one ``take`` of it.
+row.  It gathers the three reads of every delayed line (own, right and
+left stage) with one ``take`` of it, and advances each group of lines,
+SECOND_ARG_DELAYED then FIRST_ARG_DELAYED, with one product.
 
 No step checks its own values.  At least every R - 1 steps, and at the
 end of every call, one check looks at what the steps since the last one
@@ -229,12 +231,16 @@ def default_band_width(
     ``gamma_min`` is the slowest own-damping rate over the band variables,
     a variable's rate being minus the real part of the sum of its OWN
     coefficients.  If any band variable is undamped (rate <= 0) its lines
-    never fade, so the whole band is kept.  The result is clamped to
-    ``steps_per_delay + 1``: values deeper into a line than one delay past
-    its birth can never propagate back into the system variables, so
-    keeping more buys exactly nothing (see the module notes; the claim is
-    also regression-tested).
+    never fade, so the whole band is kept.  The result is capped at
+    ``steps_per_delay``: the system reads lines up to age K, which the
+    step writes at W = K too, and deeper values never reach it, so keeping
+    more buys exactly nothing (module notes; also regression-tested).
     """
+    return _default_width(eqs, steps_per_delay, eps_band)[0]
+
+
+def _default_width(eqs: EquationSet, steps_per_delay: int, eps_band: float) -> tuple[int, str]:
+    """:func:`default_band_width`, and what set it: ``"eps"`` or ``"cap"``."""
     k = _count("steps_per_delay", steps_per_delay)
     if not (0 < eps_band < 1):
         raise ValueError("eps_band must be in (0, 1)")
@@ -242,17 +248,11 @@ def default_band_width(
     for t in eqs.terms:
         if t.pattern is own:
             rates[t.target] -= t.coefficient.real
-    slowest = min(rates.values(), default=0.0)
-    cap = k + 1
-    if slowest <= 0:
-        return cap
-    # near the subnormal range the product underflows and the quotient
-    # overflows: both mean a line outlives the delay
-    decay = slowest * eqs.tau_fs
-    steps = math.log(1.0 / eps_band) * k / decay if decay else math.inf
-    if not steps < cap:
-        return cap
-    return max(1, math.ceil(steps))
+    # an undamped line never fades; near the subnormal range the product
+    # underflows and the quotient overflows: each means it outlives the delay
+    decay = min(rates.values(), default=0.0) * eqs.tau_fs
+    steps = math.log(1.0 / eps_band) * k / decay if decay > 0 else math.inf
+    return (max(1, math.ceil(steps)), "eps") if steps < k else (k, "cap")
 
 
 def _count(name: str, value) -> int:
@@ -318,11 +318,12 @@ class HierarchyIntegrator:
     SECOND_ARG_DELAYED and FIRST_ARG_DELAYED sets (:func:`_real_forms`)
     and R(z) = 1 + z + z^2 / 2 (:func:`_heun_factor`), a line advances as
 
-        y1 = y0 R(h L) + S_r (h/2) S + S_l (h/2) S (1 + h L)  (_own, _sad)
-                       + F_r (h/2) F + F_l (h/2) F (1 + h L)  (_fad)
+        y1 = [y0, S_r, S_l] [R(h L); (h/2) S; (h/2) S (1 + h L)]  (_sad)
+        y1 = [y0, F_r, F_l] [R(h L); (h/2) F; (h/2) F (1 + h L)]  (_fad)
 
-    with S_l, S_r and F_l, F_r its reads at the left and right stage
-    (historical, hence final), and the system as
+    with S_l, S_r or F_l, F_r its reads at the left and right stage
+    (historical, hence final): one product for each group of lines.  A
+    line with no delayed read advances as y0 R(h L) (_own); the system as
 
         s1 = s0 R(h C) + d_l (h/2) D (1 + h C) + d_r (h/2) D  (_sys_open)
 
@@ -397,13 +398,13 @@ class HierarchyIntegrator:
         self._sys_cur = sys[: 2 * n_s]
         self._sys_open = sys if delayed else None
         # a delayed read with no nonzero term or no age to act on is None
-        # (module notes, Delay gating); rows: right-stage read, then left
+        # (module notes, Delay gating); rows: own read, right-stage read, left
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
-        self._sad = np.concatenate((s, s + s @ h_l)) if has_sad and hi > lo else None
+        self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
         self._idx = None  # the gather's flat index, built by _advance
         self._reads = (None,) * 4  # the system-read vector, built with _idx
         use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
-        self._fad = np.concatenate((f, f + f @ h_l)) if use_fad and W > K else None
+        self._fad = np.concatenate((self._own, f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
 
         # the ring as floats with (position, age) flattened, the one view the
@@ -458,13 +459,13 @@ class HierarchyIntegrator:
         sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
         start, s = self.n, self.state.view(np.float64)
         if self._idx is None and self.n + n_steps > K:
-            # built by the first call that gathers: the flat index, less n C,
-            # of the (right, left) stage cells each delayed line reads: SAD
-            # age a in [lo, hi) at row n - a, ages K - 1 - a and K - a; then
-            # FAD age K + j at rows n + 1 - K and n - K, ages j + 1 and j
+            # built by the first call that gathers: the flat index, less n C, of
+            # the (own, right, left) cells, as (row, age), each delayed line reads:
+            # SAD age a in [lo, hi) at (n, a), (n - a, K - 1 - a), (n - a, K - a);
+            # then FAD age K + j at (n, K + j), (n + 1 - K, j + 1), (n - K, j)
             self._idx = np.concatenate(
-                ((K - 1 - (C + 1) * np.arange(lo, hi))[:, None] + (0, 1),
-                 (np.arange(0 if fad is None else C - 2 - K) - K * C)[:, None] + (C + 1, 0)),
+                (np.arange(lo, hi)[:, None] * (1, -C - 1, -C - 1) + (0, K - 1, K),
+                 np.arange(0 if fad is None else C - 2 - K)[:, None] + (K, C + 1 - K * C, -K * C)),
                 axis=None)
             if sys_open is not None:
                 # the system reads of an open line, in the row order of
@@ -486,20 +487,25 @@ class HierarchyIntegrator:
                     row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
                     n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
                     band = flat[new + 1 : new + n_adv + 1]
-                    np.matmul(flat[row : row + n_adv], own, out=band)
+                    plain = (0, n_adv),  # the ages of lines with no delayed read
                     if n >= K and gathers:
-                        # one gather of both reads of every delayed line: the
-                        # SAD lines, then the FAD lines of ages K .. n_adv - 1
+                        # one gather of the three reads of every delayed line,
+                        # the SAD lines, then the FAD lines of ages K .. n_adv - 1,
+                        # and one product per group, straight into the new row
                         m = hi - lo + (0 if fad is None else n_adv - K)
-                        x = flat.take(idx[: 2 * m] + row, axis=0, mode="wrap")
+                        x = flat.take(idx[: 3 * m] + row, axis=0, mode="wrap")
                         if W < K:  # the left read of age lo is at W + 1, past the band
-                            x[1] = 0
+                            x[2] = 0
                         x = x.reshape(m, -1)
                         if sad is not None:
-                            band[lo:hi] += x[: hi - lo] @ sad
+                            np.matmul(x[: hi - lo], sad, out=band[lo:hi])
                         if fad is not None:
-                            band[K:] += x[hi - lo :] @ fad
+                            np.matmul(x[hi - lo :], fad, out=band[K:])
                         del x  # not alive while the next step's gather allocates
+                        plain = (0, lo), (hi, n_adv if fad is None else K)
+                    for a, b in plain:
+                        if a < b:
+                            np.matmul(flat[row + a : row + b], own, out=band[a:b])
                     s1 = record[n - start]
                     if n >= K and sys_open is not None:
                         read_s[...] = s
@@ -572,6 +578,7 @@ class SimResult:
     include_first_arg_delayed: bool
     open_loop: bool    # band_width < steps_per_delay: the returning line is dropped
     band_bytes: int    # the band ring's size
+    band_width_source: str    # what set band_width: "eps", "cap" or "user"
 
 
 def run(
@@ -594,8 +601,9 @@ def run(
     if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
         raise ValueError("t_end_fs must be positive and finite")
     steps_per_delay = _count("steps_per_delay", steps_per_delay)
+    source = "user"
     if band_width is None:
-        band_width = default_band_width(eqs, steps_per_delay, eps_band)
+        band_width, source = _default_width(eqs, steps_per_delay, eps_band)
     steps = t_end_fs * steps_per_delay / eqs.tau_fs
     if not steps < sys.maxsize:    # refuses an infinite count too
         raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
@@ -622,4 +630,5 @@ def run(
         include_first_arg_delayed=include_first_arg_delayed,
         open_loop=integ.band_width < integ.K,
         band_bytes=integ.buffer.nbytes,
+        band_width_source=source,
     )

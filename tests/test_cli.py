@@ -86,7 +86,8 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
         "package_version", "model", "cavity", "steps_per_delay", "h_fs",
         "t_end_fs", "n_steps", "band_width", "eps_band",
         "include_first_arg_delayed", "initial_state",
-        "truncation_certificate", "open_loop", "band_bytes", "wall_time_s",
+        "truncation_certificate", "open_loop", "band_bytes", "band_width_source",
+        "wall_time_s",
     }
     assert meta["model"] == "single_excitation"
     assert meta["steps_per_delay"] == 50
@@ -144,8 +145,8 @@ def test_simulate_accepts_bundled_preset_names(tmp_path, capsys):
     assert out.exists()
     meta = json.loads((tmp_path / "preset.csv.meta.json").read_text())
     assert meta["steps_per_delay"] == 200
-    # a ring of K + 2 = 202 rows and band_width + 2 = 203 ages of 4 lines
-    assert meta["band_bytes"] == 202 * 203 * 4 * 16 == 2_624_384
+    # a ring of K + 2 = 202 rows and band_width + 2 = 202 ages of 4 lines
+    assert meta["band_bytes"] == 202 * 202 * 4 * 16 == 2_611_456
 
 
 def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
@@ -313,13 +314,13 @@ def test_band_width_below_one_delay_loads_when_eps_drops_the_line():
 
 def test_subnormal_delay_runs_at_the_capped_width(tmp_path, capsys):
     # ln(1/eps) K / (gamma tau) overflows to inf at tau = 1e-310 fs: the
-    # default width is the cap K + 1, not an OverflowError
+    # default width is the cap K, not an OverflowError
     out = tmp_path / "x.csv"
     cfgfile = write_cfg(tmp_path, cavity=dict(BASE_CAVITY, tau_fs=1e-310),
                         steps_per_delay=10, t_end_fs=1e-309)
     assert cli.main(["simulate", "--config", cfgfile, "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
-    assert (meta["band_width"], meta["n_steps"]) == (11, 100)
+    assert (meta["band_width"], meta["n_steps"]) == (10, 100)
 
 
 def test_config_requires_exactly_one_geometry_block(tmp_path, capsys):
@@ -383,6 +384,21 @@ def test_sidecar_that_is_a_directory_is_refused_before_the_run(tmp_path, capsys,
     assert (f"--out sidecar is a directory: {tmp_path / 'o.csv.meta.json'}"
             in capsys.readouterr().err)
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_a_failed_sidecar_write_leaves_neither_output(tmp_path, capsys, monkeypatch):
+    cfgfile = write_cfg(tmp_path)
+    assert cli.main(["simulate", "--config", cfgfile, "--out", str(tmp_path / "ok.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.csv", "ok.csv.meta.json"]
+
+    def full_disk(path, *args):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "_write_meta", full_disk)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfgfile, "--out", str(out)]) == 1
+    assert f"cannot write {out}.meta.json" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ok.csv", "ok.csv.meta.json"]
 
 
 # ---------------------------------------------------------------------------

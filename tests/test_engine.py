@@ -457,8 +457,8 @@ def test_default_band_width_formula_and_clamp():
     eqs = toy_eqs(gb=0.008)
     # K = 1000 -> h = 0.1, gamma*h = 0.08: ln(1e12)/0.08 = 345.4 -> 346
     assert default_band_width(toy_eqs(gb=0.8), 1000) == 346
-    assert default_band_width(eqs, 20) == 21    # clamped to K + 1
-    assert default_band_width(eqs, np.int64(20)) == 21
+    assert default_band_width(eqs, 20) == 20    # capped at K
+    assert default_band_width(eqs, np.int64(20)) == 20
     with pytest.raises(ValueError, match="steps_per_delay must be an integer"):
         default_band_width(eqs, 10.5)
     assert default_band_width(toy_eqs(gb=50.0), 20) == 1
@@ -471,13 +471,13 @@ def test_default_band_width_formula_and_clamp():
          Term("u", 0.3 + 0j, "u", Pattern.OWN),
          BIRTH_W, Term("u", 1.0, "s", Pattern.BIRTH)), 100.0,
     )
-    assert default_band_width(two, 1000) == 1001
+    assert default_band_width(two, 1000) == 1000
     # a delay near the subnormal range: at 1e-310 fs the quotient overflows,
     # at 1e-322 fs its divisor underflows to 0; either way a line outlives
     # the delay, so the width is the cap
     for tau_fs in (1e-310, 1e-322):
         cav = dataclasses.replace(make_scaled(1.0, 0.0), tau_fs=tau_fs)
-        assert default_band_width(models.build_single_excitation(cav).equations, 10) == 11
+        assert default_band_width(models.build_single_excitation(cav).equations, 10) == 10
     with pytest.raises(ValueError):
         default_band_width(eqs, 20, eps_band=0.0)
     with pytest.raises(ValueError):
@@ -486,17 +486,17 @@ def test_default_band_width_formula_and_clamp():
 
 def test_default_band_keeps_an_undamped_line_whole():
     # cavity A does not leak: its lines never fade, so the default band is
-    # the full K + 1 and the run equals the explicit K + 1 run bit for bit
+    # the full K and the run equals the explicit K + 1 run bit for bit
     cav = type(make_scaled(1.0, 0.0))(
         omega_a_ev=0.0, gamma_a_ev=0.0, omega_b_ev=0.0, gamma_b_ev=0.3,
         v_ab_ev=0.003, tau_fs=100.0,
     )
     m = models.build_single_excitation(cav)
     kw = dict(steps_per_delay=100, t_end_fs=1000.0)
-    assert default_band_width(m.equations, 100) == 101
+    assert default_band_width(m.equations, 100) == 100
     r_def = engine.run(m.equations, m.default_init, **kw)
     r_full = engine.run(m.equations, m.default_init, band_width=101, **kw)
-    assert r_def.band_width == 101
+    assert r_def.band_width == 100
     for k in ("pA", "pB", "cAB"):
         assert np.array_equal(r_def.series[k], r_full.series[k])
 
@@ -510,6 +510,90 @@ def test_band_width_beyond_one_delay_changes_nothing():
     r3 = engine.run(m.equations, m.default_init, band_width=300, **kw)
     for k in ("pA", "pB", "cAB"):
         assert np.array_equal(r1.series[k], r3.series[k])
+
+
+def test_default_band_equals_wider_bands_bit_for_bit():
+    # the default width is capped at K, and K + 1 and 2K add FAD lines
+    # that never reach the system: the series agree bit for bit
+    kw = dict(steps_per_delay=60, t_end_fs=600.0)
+    for rates in ((0.4, 1.7, 3.7, -1.2, 0.33), (1.0, 0.3, 0.0, 2.1, 0.27)):
+        for build in (models.build_single_excitation, models.build_two_photon):
+            m = build(make_unequal(*rates))
+            runs = [engine.run(m.equations, m.default_init, band_width=w, **kw)
+                    for w in (None, 61, 120)]
+            assert runs[0].band_width == 60
+            for r in runs[1:]:
+                for k in m.equations.system_vars:
+                    assert np.array_equal(runs[0].series[k], r.series[k]), (rates, k)
+
+
+def test_band_width_source_is_the_rule_that_set_it():
+    # ln(1e12) K / (gamma tau) = 19.7 at gb = 0.28 and K = 20: the eps
+    # rule sets the width K, so the source cannot be read off the width
+    kw = dict(steps_per_delay=20, t_end_fs=300.0)
+    for gb, width, want in ((0.28, None, (20, "eps")), (0.008, None, (20, "cap")),
+                            (50.0, None, (1, "eps")), (0.28, 20, (20, "user")),
+                            (0.008, 7, (7, "user"))):
+        r = engine.run(toy_eqs(gb=gb), {"s": 1.0}, band_width=width, **kw)
+        assert (r.band_width, r.band_width_source) == want
+
+
+def _apply(terms, pattern, values):
+    """d/dt of each band variable from the terms of ``pattern`` read at
+    ``values`` (a dict of complex reads), term by term."""
+    out = dict.fromkeys(values, 0j)
+    for t in terms:
+        if t.pattern is pattern:
+            x = values[t.var]
+            out[t.target] += t.coefficient * (x.conjugate() if t.conjugate else x)
+    return out
+
+
+@pytest.mark.parametrize("fad", [True, False])
+@pytest.mark.parametrize("dW", [-3, 0, 3])
+def test_one_step_of_the_band_is_the_written_out_heun_step(dW, fad):
+    # y1 = y0 R(h L) + (h/2) S(S_r) + (h/2) S(S_l) (1 + h L), each product
+    # taken apart, on an unequal cavity, for every line; F in place of S at
+    # ages >= K (module notes, Delay gating), where the S reads are masked
+    K, n = 20, 47
+    W = K + dW
+    for build in (models.build_single_excitation, models.build_two_photon):
+        m = build(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33))
+        eqs = m.equations
+        integ = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K, band_width=W,
+                                    include_first_arg_delayed=fad)
+        for _ in range(n):
+            integ.step()
+        h, own = integ.h_fs, Pattern.OWN
+        terms = [t for t in eqs.terms if fad or t.pattern is not Pattern.FIRST_ARG_DELAYED]
+
+        def read(position, label):
+            return {v: integ.band_value(v, position, label) for v in eqs.band_vars}
+
+        def plus(*parts):
+            return {v: sum(p[v] for p in parts) for v in eqs.band_vars}
+
+        def times(c, x):
+            return {v: c * x[v] for v in eqs.band_vars}
+
+        want = {}
+        for a in range(min(W, n + 1)):
+            j = n - a  # line j, at age a, moves from position n to n + 1
+            y0 = read(n, j)
+            ly0 = _apply(terms, own, y0)
+            parts = [y0, times(h, ly0), times(h * h / 2, _apply(terms, own, ly0))]
+            if a < K:
+                pattern, left, right = Pattern.SECOND_ARG_DELAYED, read(j, n - K), read(j, n + 1 - K)
+            else:
+                pattern, left, right = Pattern.FIRST_ARG_DELAYED, read(n - K, j), read(n + 1 - K, j)
+            sl = times(h / 2, _apply(terms, pattern, left))
+            parts += [times(h / 2, _apply(terms, pattern, right)), sl,
+                      times(h, _apply(terms, own, sl))]
+            want[a] = plus(*parts)
+        integ.step()
+        got = np.array([[integ.band_value(v, n + 1, n - a) for v in eqs.band_vars] for a in want])
+        ref = np.array([[want[a][v] for v in eqs.band_vars] for a in want])
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), build.__name__
 
 
 def test_truncation_certificate_reported_and_consistent():
