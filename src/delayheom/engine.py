@@ -64,9 +64,11 @@ all, since its delayed reads would start at step K: each step reads only
 the row before it, so the ring keeps min(horizon, 32) + 2 rows, a fixed
 number however long the run, and the checks below set that number.
 The step reads and writes only a float view of the ring, one cell per
-row.  It gathers the three reads of every delayed line (own, right and
-left stage) with one ``take`` of it, and advances each group of lines,
-SECOND_ARG_DELAYED then FIRST_ARG_DELAYED, with one product.
+row.  One ``take`` of it per step gathers every cell read back into one
+buffer per check window: the system's reads, which the system step reads
+from there as one vector with its state, then the own, right and left
+stage reads of every delayed line; each group of lines,
+SECOND_ARG_DELAYED then FIRST_ARG_DELAYED, advances with one product.
 
 No step checks its own values.  At least every R - 1 steps, and at the
 end of every call, one check looks at what the steps since the last one
@@ -85,7 +87,7 @@ written before; the ring is therefore allocated without zeroing.  The one
 read past the band: when W < K, the youngest line of the SECOND_ARG_DELAYED
 range, age K - 1 - W (fixed at construction, as is whether FAD exists),
 reads its left stage at age W + 1, a cell never written; it is gathered,
-then set to 0.
+then set to 0 in the buffer.
 """
 
 from __future__ import annotations
@@ -339,10 +341,12 @@ class HierarchyIntegrator:
     ``horizon_steps`` + 2 rows and ages, and a run that ends within one
     delay (``horizon_steps`` <= ``steps_per_delay``) to at most 34 rows.
 
-    The finiteness check and the certificate update run at least every
-    R - 1 steps (R = ``buffer.shape[0]``) and at the end of each call,
-    and report what a check after every step would (module notes,
-    Storage); :meth:`step` is one call per step.
+    One ``take`` per step gathers the reads of the delayed lines and of the
+    system, into one buffer per check window.  The finiteness check and
+    the certificate update run at least every R - 1 steps (R =
+    ``buffer.shape[0]``) and at the end of each call, and report what a
+    check after every step would (module notes, Storage); :meth:`step` is
+    one call, and one window, per step.
     """
 
     def __init__(
@@ -365,15 +369,14 @@ class HierarchyIntegrator:
             # what keeps fine delay grids affordable when the run is short
             self._horizon = H = _count("horizon", horizon_steps)
             rows, ages = min(K if H > K else _WINDOW, H), min(W, H)
+        unknown = set(init) - set(eqs.system_vars)
+        if unknown:
+            raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
         # not zeroed: the step writes every cell before it reads it
         # (``buffer.data`` is the array's memoryview, of the same nbytes)
         self.buffer = np.empty((rows + 2, ages + 2, n_b), dtype=complex)
         self.eqs = eqs
         self.h_fs = h = eqs.tau_fs / K
-
-        unknown = set(init) - set(eqs.system_vars)
-        if unknown:
-            raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
         self.state = np.zeros(n_s, dtype=complex)
         for name, value in init.items():
             self.state[eqs.system_vars.index(name)] = complex(value)
@@ -402,7 +405,6 @@ class HierarchyIntegrator:
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
         self._idx = None  # the gather's flat index, built by _advance
-        self._reads = (None,) * 4  # the system-read vector, built with _idx
         use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
         self._fad = np.concatenate((self._own, f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
@@ -417,7 +419,7 @@ class HierarchyIntegrator:
                            max(1, _SCAN_BYTES // max(1, 16 * n_b)))
         self.n = 0
         self.truncation_certificate = 0.0
-        np.matmul(self.state.view(np.float64), self._birth, out=self._flat[0])
+        np.dot(self.state.view(np.float64), self._birth, out=self._flat[0])
 
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module
@@ -458,65 +460,63 @@ class HierarchyIntegrator:
         lo, hi = (0, 0) if sad is None else self._sad_ages
         sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
         start, s = self.n, self.state.view(np.float64)
+        ns, cell = len(s), flat.shape[1]  # floats per system state, per ring cell
+        n_sys = 0 if sys_open is None else (len(sys_open) - ns) // cell
         if self._idx is None and self.n + n_steps > K:
             # built by the first call that gathers: the flat index, less n C, of
-            # the (own, right, left) cells, as (row, age), each delayed line reads:
+            # the cells a step reads back, as (row, age): the n_sys system reads
+            # in sys_open's row order, y0 at (n, K - 1), (n, K), S_l at (n + 1 - K, 1);
             # SAD age a in [lo, hi) at (n, a), (n - a, K - 1 - a), (n - a, K - a);
-            # then FAD age K + j at (n, K + j), (n + 1 - K, j + 1), (n - K, j)
+            # FAD age K + j at (n, K + j), (n + 1 - K, j + 1), (n - K, j)
             self._idx = np.concatenate(
-                (np.arange(lo, hi)[:, None] * (1, -C - 1, -C - 1) + (0, K - 1, K),
+                (np.array((K - 1, K, C + 1 - K * C)[:n_sys], dtype=np.intp),
+                 np.arange(lo, hi)[:, None] * (1, -C - 1, -C - 1) + (0, K - 1, K),
                  np.arange(0 if fad is None else C - 2 - K)[:, None] + (K, C + 1 - K * C, -K * C)),
                 axis=None)
-            if sys_open is not None:
-                # the system reads of an open line, in the row order of
-                # sys_open: s0, y0 at ages K - 1 and K, then S_l at age K - 1
-                ns, nb = len(s), flat.shape[1]
-                reads = np.empty(len(sys_open))
-                self._reads = (reads, reads[:ns], reads[ns : ns + 2 * nb].reshape(2, nb),
-                               reads[ns + 2 * nb :])
-        idx, gathers = self._idx, sad is not None or fad is not None
-        reads, read_s, read_y, read_sad = self._reads
+        idx, k_max = self._idx, 0 if self._idx is None else len(self._idx)
         if record is None:
-            record = np.empty((n_steps, len(s)))
+            record = np.empty((n_steps, ns))
         # overflow is deliberate territory here: a diverging run is caught
         # by _check and surfaced as NonFiniteStateError
         with np.errstate(over="ignore", invalid="ignore"):
             for n0 in range(start, start + n_steps, R - 1):
                 n1 = min(n0 + R - 1, start + n_steps)
+                # the window's buffer [s | system cells | line cells] (Storage)
+                buf, m_views = np.empty(ns + k_max * cell), -1
+                reads = buf[: ns + n_sys * cell]
                 for n in range(n0, n1):
                     row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
                     n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
                     band = flat[new + 1 : new + n_adv + 1]
                     plain = (0, n_adv),  # the ages of lines with no delayed read
-                    if n >= K and gathers:
-                        # one gather of the three reads of every delayed line,
-                        # the SAD lines, then the FAD lines of ages K .. n_adv - 1,
-                        # and one product per group, straight into the new row
+                    if n >= K and k_max:
+                        # one gather for the system, the SAD lines and the FAD lines
+                        # of ages K .. n_adv - 1; one product per group of lines
                         m = hi - lo + (0 if fad is None else n_adv - K)
-                        x = flat.take(idx[: 3 * m] + row, axis=0, mode="wrap")
+                        if m != m_views:  # the views change only as FAD lines join
+                            m_views, x = m, buf[ns : ns + (n_sys + 3 * m) * cell].reshape(-1, cell)
+                            x_sad = x[n_sys : n_sys + 3 * (hi - lo)].reshape(-1, 3 * cell)
+                            x_fad = x[n_sys + 3 * (hi - lo) :].reshape(-1, 3 * cell)
+                        flat.take(idx[: len(x)] + row, axis=0, mode="wrap", out=x)
                         if W < K:  # the left read of age lo is at W + 1, past the band
-                            x[2] = 0
-                        x = x.reshape(m, -1)
+                            x[n_sys + 2] = 0
                         if sad is not None:
-                            np.matmul(x[: hi - lo], sad, out=band[lo:hi])
+                            np.matmul(x_sad, sad, out=band[lo:hi])
                         if fad is not None:
-                            np.matmul(x[hi - lo :], fad, out=band[K:])
-                        del x  # not alive while the next step's gather allocates
+                            np.matmul(x_fad, fad, out=band[K:])
                         plain = (0, lo), (hi, n_adv if fad is None else K)
                     for a, b in plain:
                         if a < b:
                             np.matmul(flat[row + a : row + b], own, out=band[a:b])
                     s1 = record[n - start]
                     if n >= K and sys_open is not None:
-                        read_s[...] = s
-                        read_y[...] = flat[row + K - 1 : row + K + 1]
-                        if sad is not None:
-                            read_sad[...] = flat[((n + 1 - K) % R) * C + 1]
-                        np.matmul(reads, sys_open, out=s1)
+                        reads[:ns] = s
+                        np.dot(reads, sys_open, out=s1)
                     else:
-                        np.matmul(s, sys_cur, out=s1)
-                    np.matmul(s1, birth, out=flat[new])  # line n + 1 is born
+                        np.dot(s, sys_cur, out=s1)
+                    np.dot(s1, birth, out=flat[new])  # line n + 1 is born
                     s = s1
+                buf = reads = x = x_sad = x_fad = None  # none outlives its window (peak memory)
                 self._check(n0, n1, record[n0 - start : n1 - start])
 
     def _check(self, n0: int, n1: int, states: np.ndarray) -> None:

@@ -180,6 +180,13 @@ def test_run_argument_validation():
     assert (r.steps_per_delay, r.band_width) == (20, 7)
 
 
+def test_unknown_initial_state_is_refused_before_the_ring_is_allocated():
+    # this ring would take 64 TB: the name check comes first, and allocates nothing
+    m = models.build_single_excitation(make_scaled(1.0, 0.0))
+    with pytest.raises(ValueError, match=r"unknown variables: \['pX'\]"):
+        HierarchyIntegrator(m.equations, {"pX": 1.0}, steps_per_delay=10**6, band_width=10**6)
+
+
 # ---------------------------------------------------------------------------
 # band storage contracts
 # ---------------------------------------------------------------------------
@@ -538,10 +545,11 @@ def test_band_width_source_is_the_rule_that_set_it():
         assert (r.band_width, r.band_width_source) == want
 
 
-def _apply(terms, pattern, values):
-    """d/dt of each band variable from the terms of ``pattern`` read at
-    ``values`` (a dict of complex reads), term by term."""
-    out = dict.fromkeys(values, 0j)
+def _apply(terms, pattern, values, targets=None):
+    """d/dt of each of ``targets`` (default: the variables of ``values``)
+    from the terms of ``pattern`` read at ``values`` (a dict of complex
+    reads), term by term."""
+    out = dict.fromkeys(values if targets is None else targets, 0j)
     for t in terms:
         if t.pattern is pattern:
             x = values[t.var]
@@ -594,6 +602,69 @@ def test_one_step_of_the_band_is_the_written_out_heun_step(dW, fad):
         got = np.array([[integ.band_value(v, n + 1, n - a) for v in eqs.band_vars] for a in want])
         ref = np.array([[want[a][v] for v in eqs.band_vars] for a in want])
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), build.__name__
+
+
+@pytest.mark.parametrize("fad", [True, False])
+@pytest.mark.parametrize("dW", [0, 3])
+def test_one_step_of_the_system_is_the_written_out_heun_step(dW, fad):
+    # s1 = s0 R(h C) + d_l (h/2) D (1 + h C) + d_r (h/2) D, with d_l the
+    # returning line (age K) and d_r = y0(K - 1) (1 + h L) + h S S_l, S_l
+    # at age 1 of position n + 1 - K: each product taken apart, on an
+    # unequal cavity, every value read by name
+    K, n = 20, 47
+    for build in (models.build_single_excitation, models.build_two_photon):
+        m = build(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33))
+        eqs = m.equations
+        integ = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K, band_width=K + dW,
+                                    include_first_arg_delayed=fad)
+        for _ in range(n):
+            integ.step()
+        h, system = integ.h_fs, eqs.system_vars
+
+        def apply(pattern, x, targets=system):
+            return _apply(eqs.terms, pattern, x, targets)
+
+        def read(position, label):
+            return {v: integ.band_value(v, position, label) for v in eqs.band_vars}
+
+        def comb(*parts):  # a sum of (factor, values) pairs
+            return {v: sum(c * x[v] for c, x in parts) for v in parts[0][1]}
+
+        s0 = dict(zip(system, integ.state))
+        cs0 = apply(Pattern.CURRENT, s0)
+        y0 = read(n, n + 1 - K)  # the line at age K - 1
+        d_r = comb((1, y0), (h, apply(Pattern.OWN, y0, eqs.band_vars)),
+                   (h, apply(Pattern.SECOND_ARG_DELAYED, read(n + 1 - K, n - K), eqs.band_vars)))
+        left = comb((h / 2, apply(Pattern.DIAGONAL, read(n, n - K))))  # d_l (h/2) D
+        want = comb((1, s0), (h, cs0), (h * h / 2, apply(Pattern.CURRENT, cs0)),
+                    (1, left), (h, apply(Pattern.CURRENT, left)),
+                    (h / 2, apply(Pattern.DIAGONAL, d_r)))
+        integ.step()
+        ref = np.array([want[v] for v in system])
+        assert np.abs(integ.state - ref).max() <= 1e-14 * np.abs(ref).max(), build.__name__
+
+
+@pytest.mark.parametrize("kind", ["single_excitation", "two_photon"])
+@pytest.mark.parametrize("width", ["2K", "K-3"])
+def test_split_stepping_equals_one_run_bit_for_bit(width, kind):
+    # run steps in windows of R - 1, step() in windows of one, each with its
+    # own gather buffer: at W = 2K the FAD group grows by one line per step
+    # for a delay, and at W = K - 3 the youngest SAD line's left read is zeroed
+    K = 12
+    W = {"2K": 2 * K, "K-3": K - 3}[width]
+    m = getattr(models, f"build_{kind}")(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33))
+    eqs = m.equations
+    r = engine.run(eqs, m.default_init, steps_per_delay=K, t_end_fs=4 * eqs.tau_fs, band_width=W)
+    it = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K, band_width=W,
+                             horizon_steps=r.n_steps)
+    assert r.n_steps >= 3 * (it.buffer.shape[0] - 1)  # three ring cycles
+    states = [it.state.copy()]
+    for _ in range(r.n_steps):
+        it.step()
+        states.append(it.state.copy())
+    for k, name in enumerate(eqs.system_vars):
+        assert np.array_equal(r.series[name], np.array(states)[:, k]), name
+    assert r.truncation_certificate == it.truncation_certificate
 
 
 def test_truncation_certificate_reported_and_consistent():

@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from delayheom import engine, models
+from delayheom import engine, models, oracle
 from delayheom.constants import CONSTANTS
 from tests.conftest import make_scaled, make_unequal
 
@@ -116,3 +116,30 @@ def test_hierarchy_converges_to_the_reference_at_second_order(kind):
             errors.append(max(float(np.abs(r.series[k][shared] - exact[k]).max())
                               for k in m.equations.system_vars))
         assert 3.5 <= errors[0] / errors[1] <= 4.5, (name, errors)
+
+
+def test_wavefunction_oracle_converges_to_the_reference_at_second_order():
+    # the oracle runs Heun on the hierarchy's grid: an O(h^2) error of its own
+    for name, cav in CAVITIES.items():
+        times = np.linspace(0.0, _T_END_DELAYS * cav.tau_fs, _POINTS)
+        exact = _exact_amplitudes(cav, (1.0, 0.0), times)
+        errors = []
+        for K in (100, 200):
+            w = oracle.run_wavefunction(cav, K, _T_END_DELAYS * cav.tau_fs)
+            shared = slice(None, None, K // 10)
+            assert np.allclose(w.times[shared], times, rtol=0, atol=1e-9)
+            errors.append(max(float(np.abs(amp[shared] - x).max())
+                              for amp, x in zip((w.amp_a, w.amp_b), exact)))
+        assert 3.5 <= errors[0] / errors[1] <= 4.5, (name, errors)
+
+
+@pytest.mark.parametrize("gamma_tau", [0.5, 1.0])
+def test_reference_reaches_the_trapped_population(gamma_tau):
+    # at v = gamma/2 and omega tau = 0 part of the photon is trapped, with
+    # pA = pB -> 1 / (4 (1 + gamma tau / hbar)^2): the closed form and the
+    # series check each other, with no grid in either
+    cav = make_scaled(gamma_tau, 0.0)
+    (a,), (b,) = _exact_amplitudes(cav, (1.0, 0.0), [40 * cav.tau_fs])
+    want = 1.0 / (4.0 * (1.0 + gamma_tau) ** 2)
+    for pop in (abs(a) ** 2, abs(b) ** 2):
+        assert abs(pop - want) <= 1e-10 * want
