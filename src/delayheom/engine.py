@@ -72,22 +72,23 @@ SECOND_ARG_DELAYED then FIRST_ARG_DELAYED, advances with one product.
 
 No step checks its own values.  At least every R - 1 steps, and at the
 end of every call, one check looks at what the steps since the last one
-wrote: their system states, and the row of each step n at the ages it
-wrote, 1 .. min(W, n + 1).  A row is written again only R steps later,
-so the check sees every value a check after each step would see, and
-reports the same: the first step that wrote a non-finite value, or the
-largest age-W magnitude of the rows that retired a line (a max, which
-does not depend on the order).
+wrote: their system states and their ring rows, one sum per run of whole
+rows.  A row is written again only R steps later, so the check sees every
+value a check after each step would see, and reports the same: the first
+step that wrote a non-finite value (to its state, or to its row at the
+ages it wrote, 1 .. min(W, n + 1)), or the largest age-W magnitude of the
+rows that retired a line (a max, which does not depend on the order).
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
-:meth:`HierarchyIntegrator.band_value` applies these masks; the step's
-slices and gates stay inside them, so every cell the step reads was
-written before; the ring is therefore allocated without zeroing.  The one
-read past the band: when W < K, the youngest line of the SECOND_ARG_DELAYED
-range, age K - 1 - W (fixed at construction, as is whether FAD exists),
-reads its left stage at age W + 1, a cell never written; it is gathered,
-then set to 0 in the buffer.
+:meth:`HierarchyIntegrator.band_value` applies these masks.  One rule
+covers the cells no step writes (a young row's ages past its position,
+and age W + 1): such a cell reads 0, set as the first ring cycle reaches
+its row.  The ring is allocated without zeroing; each step of the first
+cycle zeroes the ages of its row that it does not write, and later
+positions of a row write at least the ages earlier ones did.  The step
+reads one such cell: when W < K, the youngest SECOND_ARG_DELAYED line,
+age K - 1 - W, reads its left stage at age W + 1.
 """
 
 from __future__ import annotations
@@ -144,10 +145,11 @@ class EquationSetError(ValueError):
 class NonFiniteStateError(RuntimeError):
     """Raised when the integration produces a non-finite value.
 
-    ``step_index`` and ``time_fs`` locate the first step that wrote one.
-    The check runs once per ring cycle (module notes, Storage), so after
-    a raise from a call of many steps the integrator may stand up to
-    R - 1 steps past ``step_index``, with R the rows of its ring.
+    ``step_index`` and ``time_fs`` locate the first step that wrote one
+    to its state or to a line it advanced.  The check runs once per ring
+    cycle (module notes, Storage), so after a raise from a call of many
+    steps the integrator may stand up to R - 1 steps past ``step_index``,
+    with R the rows of its ring.
     """
 
     def __init__(self, step_index: int, time_fs: float):
@@ -193,8 +195,8 @@ class EquationSet:
             raise EquationSetError("at least one system variable is required")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise EquationSetError("variable names must be unique and non-empty")
-        if not (self.tau_fs > 0):
-            raise EquationSetError("tau_fs must be positive")
+        if not 0 < self.tau_fs <= sys.float_info.max:    # refuses NaN too
+            raise EquationSetError("tau_fs must be positive and finite")
         group = dict.fromkeys(self.system_vars, "system")
         group.update(dict.fromkeys(self.band_vars, "band"))
         own, birth, born = Pattern.OWN, Pattern.BIRTH, []
@@ -300,10 +302,6 @@ def _heun_factor(z: np.ndarray) -> np.ndarray:
     return r
 
 
-#: the most bytes one scan of the ring allocates: small, so that the
-#: checks do not raise a run's peak memory
-_SCAN_BYTES = 16384
-
 #: the positions behind step n that the ring of a run ending within one
 #: delay keeps (Storage): a check cycle of _WINDOW + 1 steps spreads a
 #: check's set-up over enough steps, and the rows do not grow with the run
@@ -367,12 +365,12 @@ class HierarchyIntegrator:
         if horizon_steps is not None:
             # a run this short touches a smaller ring (Storage): this is
             # what keeps fine delay grids affordable when the run is short
-            self._horizon = H = _count("horizon", horizon_steps)
+            self._horizon = H = _count("horizon_steps", horizon_steps)
             rows, ages = min(K if H > K else _WINDOW, H), min(W, H)
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
-        # not zeroed: the step writes every cell before it reads it
+        # not zeroed: the first ring cycle does it (Storage), out of construction
         # (``buffer.data`` is the array's memoryview, of the same nbytes)
         self.buffer = np.empty((rows + 2, ages + 2, n_b), dtype=complex)
         self.eqs = eqs
@@ -413,10 +411,6 @@ class HierarchyIntegrator:
         # step reads and writes; R * C, not -1, which is ambiguous when n_b is 0
         R, C = self.buffer.shape[:2]
         self._flat = self.buffer.view(np.float64).reshape(R * C, 2 * n_b)
-        # rows per scan of _check: whole rows (a flag per float), then the
-        # magnitudes of their age-W cells
-        self._scan_rows = (max(1, _SCAN_BYTES // max(1, 2 * C * n_b)),
-                           max(1, _SCAN_BYTES // max(1, 16 * n_b)))
         self.n = 0
         self.truncation_certificate = 0.0
         np.dot(self.state.view(np.float64), self._birth, out=self._flat[0])
@@ -426,6 +420,8 @@ class HierarchyIntegrator:
         notes (Storage) mask it.  Positions not computed yet, or evicted
         from the ring (more than R - 2 behind step n: one delay, or 32 in
         a run that ends within one delay), are an error."""
+        if var not in self.eqs.band_vars:
+            raise ValueError(f"unknown band variable {var!r}; band_vars are {list(self.eqs.band_vars)}")
         v = self.eqs.band_vars.index(var)
         if label < 0 or position < label or position - label > self.band_width:
             return 0j
@@ -488,6 +484,8 @@ class HierarchyIntegrator:
                     row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
                     n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
                     band = flat[new + 1 : new + n_adv + 1]
+                    if n < R:  # the first ring cycle: ages this step leaves unwritten read 0 (Storage)
+                        flat[new + n_adv + 1 : new + C] = 0
                     plain = (0, n_adv),  # the ages of lines with no delayed read
                     if n >= K and k_max:
                         # one gather for the system, the SAD lines and the FAD lines
@@ -498,8 +496,6 @@ class HierarchyIntegrator:
                             x_sad = x[n_sys : n_sys + 3 * (hi - lo)].reshape(-1, 3 * cell)
                             x_fad = x[n_sys + 3 * (hi - lo) :].reshape(-1, 3 * cell)
                         flat.take(idx[: len(x)] + row, axis=0, mode="wrap", out=x)
-                        if W < K:  # the left read of age lo is at W + 1, past the band
-                            x[n_sys + 2] = 0
                         if sad is not None:
                             np.matmul(x_sad, sad, out=band[lo:hi])
                         if fad is not None:
@@ -524,37 +520,37 @@ class HierarchyIntegrator:
         ``states``, as a check after each step would (module notes,
         Storage), and move the integrator to n1.
 
-        A sum is finite only if every term is, so one ``add.reduce`` clears
-        a contiguous scan; only a non-finite sum is looked at value by value.
+        Every cell of a written row holds a value (Storage) and a sum is
+        finite only if every term is, so one ``add.reduce`` per run of rows
+        clears the window.  A window it does not clear is rescanned step by
+        step at the ages each step wrote, the one place that raises.
         """
         W = self.band_width
         R, C = self.buffer.shape[:2]
-        flat, (block, edge_block) = self._flat, self._scan_rows
-        cell = flat.shape[1]  # floats per (row, age) cell
+        flat = self._flat
         self.n, self.state = n1, states[-1].view(np.complex128)
-        finite, p = _finite(states), n0 + 1
-        while finite and p <= n1:
-            r = p % R
-            m = 1 if p < W else min(block, n1 + 1 - p, R - r)
-            if m == 1:  # a young row (ages 1 .. p) or a lone full one
-                finite = _finite(flat[r * C + 1 : r * C + min(W, p) + 1])
-            else:  # flags of whole rows, then masked to ages 1 .. W: a sum
-                # over the masked, strided view would allocate an iteration buffer
-                finite = np.isfinite(flat[r * C : (r + m) * C]).reshape(m, C, cell)[:, 1 : W + 1].all()
-            p += m
+        finite = _finite(states)
+        for a, b in _rows(n0 + 1, n1 + 1, R):
+            finite = finite and math.isfinite(np.add.reduce(flat[a * C : b * C], axis=None))
         if not finite:
             for n in range(n0, n1):
                 r = (n + 1) % R
                 if not (_finite(states[n - n0]) and _finite(flat[r * C + 1 : r * C + min(W, n + 1) + 1])):
                     raise NonFiniteStateError(n + 1, (n + 1) * self.h_fs)
         # the steps to positions W and on retired their oldest line, at age W
-        edge, p = self.truncation_certificate, max(n0 + 1, W)
-        while p <= n1:
-            r = p % R
-            m = min(edge_block, n1 + 1 - p, R - r)
-            edge = max(edge, float(np.abs(self.buffer[r : r + m, W]).max(initial=0.0)))
-            p += m
+        edge = self.truncation_certificate
+        for a, b in _rows(max(n0 + 1, W), n1 + 1, R):
+            edge = max(edge, float(np.abs(self.buffer[a:b, W]).max(initial=0.0)))
         self.truncation_certificate = edge
+
+
+def _rows(p0: int, p1: int, R: int) -> tuple[tuple[int, int], ...]:
+    """The rows of positions p0 .. p1 - 1 (at most R) in a ring of R rows,
+    as at most two runs ``(a, b)`` of contiguous rows, split at the wrap."""
+    if p1 <= p0:
+        return ()
+    a, b = p0 % R, p0 % R + p1 - p0
+    return ((a, b),) if b <= R else ((a, R), (0, b - R))
 
 
 def _finite(x: np.ndarray) -> bool:

@@ -145,6 +145,10 @@ def test_equation_set_keeps_no_reference_to_caller_lists():
 def test_validate_requires_positive_delay():
     with pytest.raises(EquationSetError):
         EquationSet(("s",), ("w",), (BIRTH_W,), 0.0)
+    # an infinite delay makes h infinite, and the first step non-finite
+    for tau in (math.inf, math.nan):
+        with pytest.raises(EquationSetError, match="tau_fs must be positive and finite"):
+            EquationSet(("s",), ("w",), (BIRTH_W,), tau)
 
 
 def test_run_argument_validation():
@@ -243,12 +247,37 @@ def test_no_step_reads_an_unwritten_ring_cell(build):
         assert np.array_equal(s0, s1) and c0 == c1 and np.array_equal(b0, b1), W
 
 
+@pytest.mark.parametrize("build", [models.build_single_excitation, models.build_two_photon,
+                                   fad_only_toy])
+@pytest.mark.parametrize("K, W, horizon", [(10, 7, None), (10, 10, None), (10, 30, None),
+                                           (100, 40, 50)])
+def test_the_first_ring_cycle_gives_every_cell_a_value(build, K, W, horizon):
+    # a cell no step writes (a young row's ages past its position, age
+    # W + 1) reads 0 once the first ring cycle has reached its row: a ring
+    # filled with NaN at construction holds only finite values after R steps
+    m = build(make_scaled(2.0, 3.7))
+    it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K, band_width=W,
+                             horizon_steps=horizon)
+    birth = it.buffer[0, 0].copy()
+    it.buffer[...] = np.nan
+    it.buffer[0, 0] = birth
+    for _ in range(it.buffer.shape[0]):
+        it.step()
+    assert np.isfinite(it.buffer).all()
+
+
 def test_below_diagonal_reads_zero_by_name():
     eqs = toy_eqs()
     it = HierarchyIntegrator(eqs, {"s": 1.0}, steps_per_delay=10, band_width=11)
     for _ in range(5):
         it.step()
     assert it.band_value("w", 2, 4) == 0j
+
+
+def test_an_unknown_band_variable_is_named():
+    it = HierarchyIntegrator(toy_eqs(), {"s": 1.0}, steps_per_delay=10, band_width=11)
+    with pytest.raises(ValueError, match=r"unknown band variable 'x'; band_vars are \['w'\]"):
+        it.band_value("x", 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +754,9 @@ def test_stepping_past_the_horizon_raises():
         it.step()
     with pytest.raises(ValueError, match="horizon"):
         it.step()
+    with pytest.raises(ValueError, match="horizon_steps must be >= 1"):
+        HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=100, band_width=101,
+                            horizon_steps=0)
 
 
 def test_fine_delay_grid_short_run_stays_small():
@@ -801,6 +833,7 @@ CHECKED_RUNS = {
     "system": (divergent_pair, 10, None, 10000.0, 750, False),
     "band, young row": (lambda: growing_band_toy(1000), 100, 101, 200.0, 55, True),
     "band, full row": (lambda: growing_band_toy(0.3, 5), 10, 11, 5000.0, 294, True),
+    "band, young rows past the ring": (lambda: growing_band_toy(0.3, 5), 10, 35, 5000.0, 294, True),
     "band, age W": (lambda: growing_band_toy(1000), 100, 55, 100.0, 55, True),
     "band, shrunk ring": (lambda: growing_band_toy(1000), 1000, 101, 15.0, 84, True),
     "finite, shrunk ring": (lambda: growing_band_toy(-0.01), 100, 30, 60.0, None, True),
