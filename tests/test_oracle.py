@@ -124,6 +124,17 @@ def test_bath_argument_validation():
     assert b.n_modes == 64 and len(b.times) == 11
 
 
+def test_both_oracles_refuse_a_non_finite_delay():
+    # the grid step h = tau / K must be positive and finite; CavityParams
+    # refuses both values, so the oracles get a namespace with its fields
+    for tau in (math.inf, math.nan):
+        cav = types.SimpleNamespace(**{**dataclasses.asdict(make_scaled(1.0, 0.0)), "tau_fs": tau})
+        with pytest.raises(ValueError, match="need a positive delay to lock the grid to"):
+            oracle.run_wavefunction(cav, 50, 100.0)
+        with pytest.raises(ValueError, match="need a positive delay to lock the grid to"):
+            oracle.run_discretized_bath(cav, 64, 50, 100.0)
+
+
 def test_bath_norm_drift_reports_a_nan_run():
     # a NaN anywhere in the state must not read as a unitary run
     # CavityParams refuses NaN, so the oracle gets a namespace with its fields
@@ -163,9 +174,9 @@ def test_bath_frozen_spot_values():
 
 def _exact_phase_bath(cav, n_modes, steps_per_delay, t_end_fs):
     """The Cayley step with the free phases taken from ``exp`` at every
-    midpoint and the half-step field formed explicitly: the oracle's update
-    before the phase recurrence, kept as the reference for it (default
-    bandwidth, cavity A excited)."""
+    midpoint and the half-step field formed explicitly, one step at a time:
+    the oracle's update without its blocks, kept as the reference for them
+    (default bandwidth, cavity A excited)."""
     hbar = CONSTANTS.hbar_ev_fs
     M, h = n_modes, cav.tau_fs / steps_per_delay
     ga, gb = cav.gamma_a_ev / hbar, cav.gamma_b_ev / hbar
@@ -210,6 +221,23 @@ def test_bath_step_matches_the_exact_phase_step(cav, n_modes, steps_per_delay, t
     b = oracle.run_discretized_bath(cav, n_modes, steps_per_delay, t_end_fs)
     ref = _exact_phase_bath(cav, n_modes, steps_per_delay, t_end_fs)
     assert len(ref) == len(b.times)
+    assert np.abs(b.amp_a - ref[:, 0]).max() <= 1e-12
+    assert np.abs(b.amp_b - ref[:, 1]).max() <= 1e-12
+    assert b.norm_drift < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n_steps",
+    [1, oracle._BLOCK - 1, oracle._BLOCK, oracle._BLOCK + 1, 2 * oracle._BLOCK + 3],
+)
+def test_bath_block_edges_match_the_exact_phase_step(n_steps):
+    # runs that end inside a block of steps, at its end and just past it, on
+    # the detuned unequal cavities with the fewest modes the oracle accepts
+    cav, K = make_unequal(0.4, 1.7, 3.7, -1.2, 0.2), 50
+    t_end_fs = n_steps * cav.tau_fs / K
+    b = oracle.run_discretized_bath(cav, 2, K, t_end_fs)
+    ref = _exact_phase_bath(cav, 2, K, t_end_fs)
+    assert len(ref) == len(b.times) == n_steps + 1
     assert np.abs(b.amp_a - ref[:, 0]).max() <= 1e-12
     assert np.abs(b.amp_b - ref[:, 1]).max() <= 1e-12
     assert b.norm_drift < 1e-10
