@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -75,6 +76,10 @@ _TOP_KEYS = {
     "initial_state": _OBJECT,
 }
 
+#: the bytes one array of a run (band ring, trajectory) may take: fixed, not
+#: a probe of the host, so that a config is refused the same way everywhere
+_ARRAY_BUDGET = 2 * 2**30
+
 
 def _fail(path, why):
     raise ConfigError(f"config error at {path}: {why}")
@@ -132,18 +137,24 @@ def load_config(raw):
             _fail("cavity.v_ab_ev", "must satisfy 2|v_ab_ev| <= sqrt(gamma_a_ev gamma_b_ev): "
                   "a larger coupling is active, and the populations grow without bound")
 
-    K, t_end = raw["steps_per_delay"], float(raw["t_end_fs"])
-    steps = t_end * K / cavity.tau_fs
-    if not steps < sys.maxsize:    # refuses an infinite count too
-        _fail("t_end_fs", f"implies {steps:.3g} steps, more than an array can index")
-
     # looked up at call time, so a wrapped module attribute is the one called
     model = getattr(models, f"build_{raw.get('model', 'single_excitation')}")(cavity)
-    width = raw.get("band_width")
-    eps_band = float(raw.get("eps_band", 1e-12))
-    if width is not None and width < K <= engine.default_band_width(model.equations, K, eps_band):
-        _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
-              "the returning line, which eps_band keeps (open loop)")
+    K, width = raw["steps_per_delay"], raw.get("band_width")
+    t_end, eps_band = float(raw["t_end_fs"]), float(raw.get("eps_band", 1e-12))
+    plan = functools.partial(engine.plan_run, model.equations, steps_per_delay=K,
+                             t_end_fs=t_end, eps_band=eps_band)
+    try:    # the engine's refusals lead with the argument's name, which is the key
+        facts = plan(band_width=width)
+        if facts.open_loop and width is not None and not plan().open_loop:
+            _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
+                  "the returning line, which eps_band keeps (open loop)")
+    except ValueError as e:
+        _fail(*str(e).split(" ", 1))
+    ring = ("steps_per_delay" if width is None else "band_width", "band ring", facts.band_bytes)
+    for key, what, size in (ring, ("t_end_fs", "trajectory", facts.trajectory_bytes)):
+        if size > _ARRAY_BUDGET:
+            _fail(key, f"the {what} needs {size / 2**30:.3g} GiB, "
+                  f"over the {_ARRAY_BUDGET / 2**30:g} GiB budget of one array")
 
     init = {} if "initial_state" in raw else dict(model.default_init)
     for key, value in raw.get("initial_state", {}).items():
@@ -197,15 +208,8 @@ def read_config_file(path):
 
 
 def _run_from(cfg):
-    return engine.run(
-        cfg["model"].equations,
-        cfg["init"],
-        steps_per_delay=cfg["steps_per_delay"],
-        t_end_fs=cfg["t_end_fs"],
-        band_width=cfg["band_width"],
-        eps_band=cfg["eps_band"],
-        include_first_arg_delayed=cfg["include_first_arg_delayed"],
-    )
+    keys = ("steps_per_delay", "t_end_fs", "band_width", "eps_band", "include_first_arg_delayed")
+    return engine.run(cfg["model"].equations, cfg["init"], **{k: cfg[k] for k in keys})
 
 
 # ---------------------------------------------------------------- output
@@ -319,10 +323,8 @@ def _cmd_compare(args):
 
 def _cmd_qnm_info(args):
     try:
-        slab = SlabParams(
-            L_um=args.L, eps_r=args.eps_r, eps_b=args.eps_b,
-            R_um=args.R, mode_index=args.mode_index,
-        )
+        slab = SlabParams(L_um=args.L, eps_r=args.eps_r, eps_b=args.eps_b,
+                          R_um=args.R, mode_index=args.mode_index)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -330,15 +332,12 @@ def _cmd_qnm_info(args):
     cav = derive_cavity_params(slab, args.convention)
     ov = overlaps(slab)
     print(f"z: {q.z.real:.12g} {q.z.imag:+.12g}j")
-    print(f"omega_ev: {q.omega_ev:.12g}")
-    print(f"gamma_ev: {q.gamma_ev:.12g}")
-    print(f"gamma_over_omega: {q.ratio:.12g}")
-    print(f"tau_fs: {cav.tau_fs:.12g}")
-    print(f"v_ab_ev: {cav.v_ab_ev:.12g}")
-    print(f"s_aa: {ov.s_aa:.12g}")
-    print(f"s_ab: {ov.s_ab:.12g}")
-    print(f"s_ratio: {ov.ratio:.12g}")
-    print(f"envelope_bound: {ov.envelope_bound:.12g}")
+    for name, value in (
+        ("omega_ev", q.omega_ev), ("gamma_ev", q.gamma_ev), ("gamma_over_omega", q.ratio),
+        ("tau_fs", cav.tau_fs), ("v_ab_ev", cav.v_ab_ev), ("s_aa", ov.s_aa), ("s_ab", ov.s_ab),
+        ("s_ratio", ov.ratio), ("envelope_bound", ov.envelope_bound),
+    ):
+        print(f"{name}: {value:.12g}")
     return 0
 
 

@@ -50,19 +50,20 @@ is bit-for-bit independent of those terms, as the structure promises.
 Storage
 -------
 One complex array, the ring ``buffer[row, age, variable]``: the band value
-B(i, j) of line j at position i lives at ``buffer[i % R, i - j]``.  Its R
-rows are positions modulo K + 2 (nothing ever reads further back than one
-delay); axis 1 is the age i - j, so a line set at one position is a
-contiguous row, and one line's history at successive positions is a
-diagonal of the ring.  Lines stop advancing at age ``band_width``, so
-axis 1 keeps band_width + 2 cells; the largest magnitude ever discarded
-at that edge is reported as the truncation certificate.  A run of at most
-``horizon`` steps reaches neither a position nor an age beyond
-``horizon``, so neither axis needs more than ``horizon + 2`` cells.  A
-run that ends within one delay (``horizon`` <= K) reads no row back at
-all, since its delayed reads would start at step K: each step reads only
-the row before it, so the ring keeps min(horizon, 32) + 2 rows, a fixed
-number however long the run, and the checks below set that number.
+B(i, j) of line j at position i lives at ``buffer[i % R, i - j]``.  Axis
+1 is the age i - j, so a line set at one position is a contiguous row,
+and one line's history at successive positions is a diagonal of the ring.
+Its shape, set by :func:`_ring_shape` alone, is (R, A) = (K + 2, W + 2)
+(W = band_width): nothing ever reads further back than one delay, and
+lines stop advancing at age W; the largest magnitude ever discarded at
+that edge is reported as the truncation certificate.  A run of at most H
+steps reaches neither a position nor an age beyond H, so it keeps A =
+min(W, H) + 2 and, for H > K, R = min(K, H) + 2.  A run that ends within
+one delay (H <= K) reads no row back at all, since its delayed reads
+would start at step K: each step reads only the row before it, so it
+keeps R = min(32, H) + 2 however long the run, a check cycle (below) of
+33 steps being long enough to spread a check's set-up.
+
 The step reads and writes only a float view of the ring, one cell per
 row.  One ``take`` of it per step gathers every cell read back into one
 buffer per check window: the system's reads, which the system step reads
@@ -111,6 +112,7 @@ __all__ = [
     "HierarchyIntegrator",
     "SimResult",
     "default_band_width",
+    "plan_run",
     "run",
 ]
 
@@ -302,10 +304,16 @@ def _heun_factor(z: np.ndarray) -> np.ndarray:
     return r
 
 
-#: the positions behind step n that the ring of a run ending within one
-#: delay keeps (Storage): a check cycle of _WINDOW + 1 steps spreads a
-#: check's set-up over enough steps, and the rows do not grow with the run
+#: the positions behind step n kept by a run ending within one delay (Storage)
 _WINDOW = 32
+
+
+def _ring_shape(K: int, W: int, horizon: int | None) -> tuple[int, int]:
+    """The ring's (rows, ages), for a run of at most ``horizon`` steps if
+    one is given (module notes, Storage)."""
+    if horizon is None:
+        return K + 2, W + 2
+    return min(K if horizon > K else _WINDOW, horizon) + 2, min(W, horizon) + 2
 
 
 class HierarchyIntegrator:
@@ -335,16 +343,9 @@ class HierarchyIntegrator:
     The band lives in ``buffer[row, age, variable]``, the ring of the
     module notes (Storage).  ``horizon_steps`` is an optional promise that
     at most that many steps will be taken, and makes further stepping an
-    error.  It shrinks the ring for short runs on fine delay grids: to
-    ``horizon_steps`` + 2 rows and ages, and a run that ends within one
-    delay (``horizon_steps`` <= ``steps_per_delay``) to at most 34 rows.
-
-    One ``take`` per step gathers the reads of the delayed lines and of the
-    system, into one buffer per check window.  The finiteness check and
-    the certificate update run at least every R - 1 steps (R =
-    ``buffer.shape[0]``) and at the end of each call, and report what a
-    check after every step would (module notes, Storage); :meth:`step` is
-    one call, and one window, per step.
+    error; the ring of a short run is smaller (Storage).  Gathers, the
+    finiteness check and the certificate follow the module notes (Storage):
+    :meth:`step` is one call, and one check window, per step.
     """
 
     def __init__(
@@ -360,19 +361,13 @@ class HierarchyIntegrator:
         n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
         self.K = K = _count("steps_per_delay", steps_per_delay)
         self.band_width = W = _count("band_width", band_width)
-        rows, ages = K, W
-        self._horizon = None
-        if horizon_steps is not None:
-            # a run this short touches a smaller ring (Storage): this is
-            # what keeps fine delay grids affordable when the run is short
-            self._horizon = H = _count("horizon_steps", horizon_steps)
-            rows, ages = min(K if H > K else _WINDOW, H), min(W, H)
+        self._horizon = None if horizon_steps is None else _count("horizon_steps", horizon_steps)
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
         # not zeroed: the first ring cycle does it (Storage), out of construction
         # (``buffer.data`` is the array's memoryview, of the same nbytes)
-        self.buffer = np.empty((rows + 2, ages + 2, n_b), dtype=complex)
+        self.buffer = np.empty((*_ring_shape(K, W, self._horizon), n_b), dtype=complex)
         self.eqs = eqs
         self.h_fs = h = eqs.tau_fs / K
         self.state = np.zeros(n_s, dtype=complex)
@@ -418,8 +413,7 @@ class HierarchyIntegrator:
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module
         notes (Storage) mask it.  Positions not computed yet, or evicted
-        from the ring (more than R - 2 behind step n: one delay, or 32 in
-        a run that ends within one delay), are an error."""
+        from the ring (more than R - 2 behind step n, Storage), are an error."""
         if var not in self.eqs.band_vars:
             raise ValueError(f"unknown band variable {var!r}; band_vars are {list(self.eqs.band_vars)}")
         v = self.eqs.band_vars.index(var)
@@ -442,9 +436,8 @@ class HierarchyIntegrator:
 
     def _advance(self, n_steps: int, record: np.ndarray | None = None) -> None:
         """Take ``n_steps`` steps, writing the float view of the system
-        state after step i to ``record[i]`` if given.  Every R - 1 steps
-        (R ring rows) and at the end, :meth:`_check` checks the steps since
-        the last check."""
+        state after step i to ``record[i]`` if given, with a :meth:`_check`
+        at least every R - 1 steps (R ring rows) and at the end."""
         if self._horizon is not None and self.n + n_steps > self._horizon:
             raise ValueError(
                 f"integrator was allocated for {self._horizon} steps "
@@ -560,21 +553,52 @@ def _finite(x: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(x, axis=None)) or bool(np.isfinite(x).all())
 
 
-@dataclass
-class SimResult:
-    """Output of :func:`run`: the system trajectories plus the run settings."""
+@dataclass(frozen=True)
+class _RunPlan:
+    """What a run touches, decided before anything is allocated (:func:`plan_run`)."""
+
+    n_steps: int
+    h_fs: float
+    band_width: int
+    band_width_source: str    # what set band_width: "eps", "cap" or "user"
+    open_loop: bool    # band_width < steps_per_delay: the returning line is dropped
+    band_bytes: int    # the band ring's size
+    trajectory_bytes: int    # the recorded system states' size
+
+
+def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
+             band_width: int | None = None, eps_band: float = 1e-12) -> _RunPlan:
+    """What :func:`run` with these arguments touches, by arithmetic alone: it
+    builds and allocates nothing, and raises ``run``'s ``ValueError``, led by
+    the argument's name.  ``h = tau / steps_per_delay`` exactly, a run takes
+    ``ceil(t_end / h)`` steps (the last time may overshoot ``t_end_fs`` by a
+    fraction of a step), and ``band_width`` defaults to :func:`default_band_width`."""
+    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
+        raise ValueError("t_end_fs must be positive and finite")
+    K = _count("steps_per_delay", steps_per_delay)
+    if band_width is None:
+        W, source = _default_width(eqs, K, eps_band)
+    else:
+        W, source = _count("band_width", band_width), "user"
+    steps = t_end_fs * K / eqs.tau_fs
+    if not steps < sys.maxsize:    # refuses an infinite count too
+        raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
+    n_steps = max(1, math.ceil(steps - 1e-9))
+    rows, ages = _ring_shape(K, W, n_steps)
+    cell, state = 16 * len(eqs.band_vars), 16 * len(eqs.system_vars)    # 16 bytes per value
+    return _RunPlan(n_steps, eqs.tau_fs / K, W, source, W < K,
+                    rows * ages * cell, (n_steps + 1) * state)
+
+
+@dataclass(frozen=True)
+class SimResult(_RunPlan):
+    """Output of :func:`run`: its plan, the system trajectories and the run settings."""
 
     times: np.ndarray
     series: dict[str, np.ndarray]
-    h_fs: float
     steps_per_delay: int
-    band_width: int
-    n_steps: int
     truncation_certificate: float
     include_first_arg_delayed: bool
-    open_loop: bool    # band_width < steps_per_delay: the returning line is dropped
-    band_bytes: int    # the band ring's size
-    band_width_source: str    # what set band_width: "eps", "cap" or "user"
 
 
 def run(
@@ -587,44 +611,21 @@ def run(
     eps_band: float = 1e-12,
     include_first_arg_delayed: bool = True,
 ) -> SimResult:
-    """Integrate the hierarchy to ``t_end_fs`` and record the system variables.
-
-    ``h = tau / steps_per_delay`` exactly; the number of steps is
-    ``ceil(t_end / h)`` (so the final time may overshoot ``t_end_fs`` by a
-    fraction of a step).  ``band_width`` defaults to
-    :func:`default_band_width` with the given ``eps_band``.
-    """
-    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be positive and finite")
-    steps_per_delay = _count("steps_per_delay", steps_per_delay)
-    source = "user"
-    if band_width is None:
-        band_width, source = _default_width(eqs, steps_per_delay, eps_band)
-    steps = t_end_fs * steps_per_delay / eqs.tau_fs
-    if not steps < sys.maxsize:    # refuses an infinite count too
-        raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
-    n_steps = max(1, math.ceil(steps - 1e-9))
-    integ = HierarchyIntegrator(
-        eqs,
-        init,
-        steps_per_delay=steps_per_delay,
-        band_width=band_width,
-        include_first_arg_delayed=include_first_arg_delayed,
-        horizon_steps=n_steps,
-    )
-    traj = np.zeros((n_steps + 1, len(eqs.system_vars)), dtype=complex)
+    """Integrate the hierarchy to ``t_end_fs`` and record the system
+    variables, on the grid, band and ring of :func:`plan_run`."""
+    plan = plan_run(eqs, steps_per_delay=steps_per_delay, t_end_fs=t_end_fs,
+                    band_width=band_width, eps_band=eps_band)
+    integ = HierarchyIntegrator(eqs, init, steps_per_delay=steps_per_delay,
+                                band_width=plan.band_width, horizon_steps=plan.n_steps,
+                                include_first_arg_delayed=include_first_arg_delayed)
+    traj = np.zeros((plan.n_steps + 1, len(eqs.system_vars)), dtype=complex)
     traj[0] = integ.state
-    integ._advance(n_steps, traj.view(np.float64)[1:])
+    integ._advance(plan.n_steps, traj.view(np.float64)[1:])
     return SimResult(
-        times=np.arange(n_steps + 1) * integ.h_fs,
+        **vars(plan),
+        times=np.arange(plan.n_steps + 1) * plan.h_fs,
         series={name: traj[:, k] for k, name in enumerate(eqs.system_vars)},
-        h_fs=integ.h_fs,
         steps_per_delay=integ.K,
-        band_width=integ.band_width,
-        n_steps=n_steps,
         truncation_certificate=integ.truncation_certificate,
         include_first_arg_delayed=include_first_arg_delayed,
-        open_loop=integ.band_width < integ.K,
-        band_bytes=integ.buffer.nbytes,
-        band_width_source=source,
     )

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delayheom import __version__, cli, engine, oracle, qnm
+from delayheom import __version__, cli, engine, models, oracle, qnm
 from tests.conftest import make_unequal
 
 BASE_CAVITY = {
@@ -87,7 +87,7 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
         "t_end_fs", "n_steps", "band_width", "eps_band",
         "include_first_arg_delayed", "initial_state",
         "truncation_certificate", "open_loop", "band_bytes", "band_width_source",
-        "wall_time_s",
+        "trajectory_bytes", "wall_time_s",
     }
     assert meta["model"] == "single_excitation"
     assert meta["steps_per_delay"] == 50
@@ -310,6 +310,53 @@ def test_band_width_below_one_delay_loads_when_eps_drops_the_line():
     assert cfg["band_width"] == 50
     with pytest.raises(cli.ConfigError, match="config error at band_width"):
         cli.load_config(base_config(steps_per_delay=100, band_width=99))
+
+
+@pytest.mark.parametrize(
+    "overrides, key, nbytes",
+    [
+        # two delays at K = 16000 with a slow decay: the capped width keeps a
+        # (K + 2) x (K + 2) ring of 4 lines, 16.4 GB
+        ({"steps_per_delay": 16000, "t_end_fs": 200.0}, "steps_per_delay", 16002**2 * 4 * 16),
+        ({"steps_per_delay": 16000, "t_end_fs": 200.0, "band_width": 16000}, "band_width",
+         16002**2 * 4 * 16),
+        # 10^8 delays at K = 10: 10^9 steps of 3 system values, 48 GB
+        ({"steps_per_delay": 10, "t_end_fs": 1e10}, "t_end_fs", (10**9 + 1) * 3 * 16),
+    ],
+)
+def test_memory_budget_refuses_before_anything_is_allocated(
+        tmp_path, capsys, monkeypatch, overrides, key, nbytes):
+    def reached(*args, **kwargs):
+        raise AssertionError("a refused config reached the engine")
+
+    monkeypatch.setattr(engine, "run", reached)
+    monkeypatch.setattr(engine, "HierarchyIntegrator", reached)
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, **overrides),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+    assert f"config error at {key}: the " in capsys.readouterr().err
+    # the refused byte count, computed and never allocated
+    cfg = base_config(**overrides)
+    m = models.build_single_excitation(qnm.CavityParams(**cfg["cavity"]))
+    plan = engine.plan_run(m.equations, steps_per_delay=cfg["steps_per_delay"],
+                           t_end_fs=cfg["t_end_fs"], band_width=cfg.get("band_width"))
+    assert max(plan.band_bytes, plan.trajectory_bytes) == nbytes > cli._ARRAY_BUDGET
+
+
+@pytest.mark.parametrize(
+    "overrides, key, nbytes",
+    [
+        ({}, "steps_per_delay", 52 * 52 * 4 * 16),    # a 52 x 52 ring of 4 lines
+        ({"band_width": 50}, "band_width", 52 * 52 * 4 * 16),
+        # 100 delays at K = 10: 1001 x 3 recorded values, and a 12 x 12 ring
+        ({"steps_per_delay": 10, "t_end_fs": 10000.0}, "t_end_fs", 1001 * 3 * 16),
+    ],
+)
+def test_memory_budget_admits_an_array_of_exactly_its_size(monkeypatch, overrides, key, nbytes):
+    monkeypatch.setattr(cli, "_ARRAY_BUDGET", nbytes)
+    cli.load_config(base_config(**overrides))
+    monkeypatch.setattr(cli, "_ARRAY_BUDGET", nbytes - 1)
+    with pytest.raises(cli.ConfigError, match=f"config error at {key}: the "):
+        cli.load_config(base_config(**overrides))
 
 
 def test_subnormal_delay_runs_at_the_capped_width(tmp_path, capsys):

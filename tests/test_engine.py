@@ -791,6 +791,35 @@ def test_fine_delay_grid_short_run_stays_small():
         it.band_value("bB_0A", 67, 40)
 
 
+@pytest.mark.parametrize(
+    "kind, K, W, H",
+    [
+        ("single_excitation", 100, None, 20),    # a sub-delay ring, H < 32
+        ("single_excitation", 100, None, 50),    # a sub-delay ring, 32 < H <= K
+        ("single_excitation", 100, 60, 40),      # W > H
+        ("single_excitation", 20, 8, 50),        # W < K
+        ("single_excitation", 20, None, 50),     # the default width
+        ("two_photon", 10, 25, 35),              # W > K, the FIRST_ARG_DELAYED lines
+        ("two_photon", 40, None, 30),
+    ],
+)
+def test_plan_matches_what_the_run_allocates(kind, K, W, H):
+    m = getattr(models, f"build_{kind}")(make_scaled(1.0, 0.0))
+    eqs, t_end = m.equations, H * 100.0 / K
+    plan = engine.plan_run(eqs, steps_per_delay=K, t_end_fs=t_end, band_width=W)
+    assert plan.n_steps == H
+    it = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K,
+                             band_width=plan.band_width, horizon_steps=H)
+    assert plan.band_bytes == it.buffer.nbytes
+    r = engine.run(eqs, m.default_init, steps_per_delay=K, t_end_fs=t_end, band_width=W)
+    n_s = len(eqs.system_vars)
+    assert plan.trajectory_bytes == (r.n_steps + 1) * n_s * 16
+    # the series are views of the trajectory the plan counted
+    assert all(v.base.nbytes == plan.trajectory_bytes for v in r.series.values())
+    # and the plan's facts are the result's
+    assert {k: getattr(r, k) for k in vars(plan)} == vars(plan)
+
+
 # ---------------------------------------------------------------------------
 # run plumbing
 # ---------------------------------------------------------------------------

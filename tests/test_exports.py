@@ -15,7 +15,7 @@ PUBLIC = {
     },
     "delayheom.engine": {
         "Pattern", "Term", "EquationSet", "EquationSetError", "NonFiniteStateError",
-        "HierarchyIntegrator", "SimResult", "default_band_width", "run",
+        "HierarchyIntegrator", "SimResult", "default_band_width", "plan_run", "run",
     },
     "delayheom.models": {
         "HierarchyModel", "build_single_excitation", "build_two_photon",
