@@ -46,8 +46,7 @@ _MODELS = ("single_excitation", "two_photon")
 _KINDS = {"float": (float, int), "int": (int,)}
 
 
-# each table maps a key to _check's (JSON types, range check, message) for
-# its value; a dataclass field needs only its types
+# each table maps a key to _check's arguments for its value (a field's: its types)
 def _keys(params):
     return {f.name: (_KINDS[f.type],) for f in dataclasses.fields(params)}
 
@@ -79,6 +78,9 @@ _TOP_KEYS = {
 #: the bytes one array of a run (band ring, trajectory) may take: fixed, not
 #: a probe of the host, so that a config is refused the same way everywhere
 _ARRAY_BUDGET = 2 * 2**30
+
+#: rows of a CSV formatted at once: a write's peak memory is one block's
+_CSV_BLOCK = 1024
 
 
 def _fail(path, why):
@@ -215,15 +217,17 @@ def _run_from(cfg):
 # ---------------------------------------------------------------- output
 
 def write_csv(path, result):
-    # the series keep the model's variable order
+    # the series keep the model's variable order; real and imag are views
     cols = ["time_fs"] + [f"{name}_{part}" for name in result.series for part in ("re", "im")]
-    table = np.column_stack([result.times] + [
+    parts = [result.times] + [
         part(values) for values in result.series.values() for part in (np.real, np.imag)
-    ])
+    ]
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row % tuple(values) for values in table.tolist())
+        for i in range(0, len(result.times), _CSV_BLOCK):
+            table = np.column_stack([part[i : i + _CSV_BLOCK] for part in parts])
+            fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def _write_meta(path, cfg, result, wall_s):
@@ -325,18 +329,20 @@ def _cmd_qnm_info(args):
     try:
         slab = SlabParams(L_um=args.L, eps_r=args.eps_r, eps_b=args.eps_b,
                           R_um=args.R, mode_index=args.mode_index)
+        q = qnm_frequency(slab, args.convention)
+        cav = derive_cavity_params(slab, args.convention)
+        ov = overlaps(slab)
+        fields = (
+            ("omega_ev", q.omega_ev), ("gamma_ev", q.gamma_ev), ("gamma_over_omega", q.ratio),
+            ("tau_fs", cav.tau_fs), ("v_ab_ev", cav.v_ab_ev), ("s_aa", ov.s_aa), ("s_ab", ov.s_ab),
+            ("s_ratio", ov.ratio), ("envelope_bound", ov.envelope_bound),
+        )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-    q = qnm_frequency(slab, args.convention)
-    cav = derive_cavity_params(slab, args.convention)
-    ov = overlaps(slab)
+    except (ZeroDivisionError, OverflowError) as e:    # an extreme geometry
+        raise ConfigError("overlaps must be finite for this geometry") from e
     print(f"z: {q.z.real:.12g} {q.z.imag:+.12g}j")
-    for name, value in (
-        ("omega_ev", q.omega_ev), ("gamma_ev", q.gamma_ev), ("gamma_over_omega", q.ratio),
-        ("tau_fs", cav.tau_fs), ("v_ab_ev", cav.v_ab_ev), ("s_aa", ov.s_aa), ("s_ab", ov.s_ab),
-        ("s_ratio", ov.ratio), ("envelope_bound", ov.envelope_bound),
-    ):
+    for name, value in fields:
         print(f"{name}: {value:.12g}")
     return 0
 

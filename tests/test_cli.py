@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -121,6 +122,32 @@ def test_simulate_roundtrips_full_precision(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     got = np.array([complex(float(row[5]), float(row[6])) for row in rows])
     assert np.array_equal(got, r.series["cAB"])    # %.17g loses nothing
+
+
+def test_csv_write_memory_does_not_grow_with_the_run(tmp_path):
+    # the CSV is formatted a block of rows at a time: writing eleven blocks
+    # peaks where writing one does (the whole table at once peaked at about
+    # ten times as much), and every value round-trips across the block edges
+    rng = np.random.default_rng(7)
+    peaks = []
+    for n in (cli._CSV_BLOCK, 10 * cli._CSV_BLOCK + 3):
+        series = {v: rng.normal(size=n) + 1j * rng.normal(size=n) for v in ("pA", "pB", "cAB")}
+        result = types.SimpleNamespace(times=np.arange(n) * 0.1, series=series)
+        out = tmp_path / f"{n}.csv"
+        tracemalloc.start()
+        try:
+            cli.write_csv(out, result)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        lines = out.read_text().splitlines()
+        assert lines[0] == "time_fs,pA_re,pA_im,pB_re,pB_im,cAB_re,cAB_im"
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(table[:, 0], result.times)
+        for k, values in enumerate(series.values()):
+            assert np.array_equal(table[:, 1 + 2 * k], values.real)
+            assert np.array_equal(table[:, 2 + 2 * k], values.imag)
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -520,6 +547,11 @@ def test_qnm_info_rejects_bad_geometry(capsys):
     assert cli.main(["qnm-info", "--L", "-3.0", "--eps-r", "9.87"]) == 1
     assert capsys.readouterr().err
     for argv, name in ((["--L", "nan", "--eps-r", "9.87"], "L_um"),
-                       (["--L", "21.0", "--eps-r", "inf"], "eps_r")):
+                       (["--L", "21.0", "--eps-r", "inf"], "eps_r"),
+                       (["--L", "1e-320", "--eps-r", "9.87"], "omega_a_ev"),
+                       (["--L", "21", "--eps-r", "9.87", "--R", "1e308"], "tau_fs"),
+                       (["--L", "1e-300", "--eps-r", "9.87"], "overlaps"),
+                       (["--L", "21", "--eps-r", "1e308"], "overlaps"),
+                       (["--L", "1e300", "--eps-r", "9.87"], "overlaps")):
         assert cli.main(["qnm-info", *argv]) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
