@@ -46,7 +46,7 @@ _MODELS = ("single_excitation", "two_photon")
 _KINDS = {"float": (float, int), "int": (int,)}
 
 
-# each table maps a key to _check's arguments for its value (a field's: its types)
+# each table maps a key to _check's arguments for its value; a field needs only its types
 def _keys(params):
     return {f.name: (_KINDS[f.type],) for f in dataclasses.fields(params)}
 

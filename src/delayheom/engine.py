@@ -1,12 +1,11 @@
 """Fixed-step integrator for a delay hierarchy with one auxiliary line per step.
 
 The state is a small vector of "system" variables rho(t) together with a band
-of auxiliary lines B(i, j): line j is created at grid time j (a delta source
-fires once, converting a system value into the line's birth value) and is then
-propagated forward in position i.  Couplings only ever look back exactly one
-delay tau, and the grid is locked to the delay (h = tau / steps_per_delay), so
-every delayed read is an exact index lookup K steps into the past -- no
-interpolation anywhere.
+of auxiliary lines B(i, j): line j is born at grid time j (its BIRTH read,
+below) and is then propagated forward in position i.  Couplings only ever
+look back exactly one delay tau, and the grid is locked to the delay (h =
+tau / steps_per_delay), so every delayed read is an exact index lookup K
+steps into the past -- no interpolation anywhere.
 
 Read patterns
 -------------
@@ -55,21 +54,23 @@ B(i, j) of line j at position i lives at ``buffer[i % R, i - j]``.  Axis
 and one line's history at successive positions is a diagonal of the ring.
 Its shape, set by :func:`_ring_shape` alone, is (R, A) = (K + 2, W + 2)
 (W = band_width): nothing ever reads further back than one delay, and
-lines stop advancing at age W; the largest magnitude ever discarded at
-that edge is reported as the truncation certificate.  A run of at most H
-steps reaches neither a position nor an age beyond H, so it keeps A =
-min(W, H) + 2 and, for H > K, R = min(K, H) + 2.  A run that ends within
-one delay (H <= K) reads no row back at all, since its delayed reads
-would start at step K: each step reads only the row before it, so it
-keeps R = min(32, H) + 2 however long the run, a check cycle (below) of
-33 steps being long enough to spread a check's set-up.
+lines stop advancing at age W.  A run of at most H steps reaches neither
+a position nor an age beyond H, so it keeps A = min(W, H) + 2 and, for
+H > K, R = min(K, H) + 2.  A run that ends within one delay (H <= K)
+reads no row back at all (Delay gating): each step reads only the row
+before it, so it keeps R = min(32, H) + 2 however long the run, a check
+cycle (below) of 33 steps being long enough to spread a check's set-up.
 
 The step reads and writes only a float view of the ring, one cell per
-row.  One ``take`` of it per step gathers every cell read back into one
-buffer per check window: the system's reads, which the system step reads
-from there as one vector with its state, then the own, right and left
-stage reads of every delayed line; each group of lines,
-SECOND_ARG_DELAYED then FIRST_ARG_DELAYED, advances with one product.
+row.  One ``take`` of it per step n gathers every cell read back, as
+(row, age), into one buffer per check window, [s | system cells | line
+cells]: the system's reads in the order of its rows (class notes), y0 at
+(n, K - 1) and (n, K) and S_l at (n + 1 - K, 1), which it reads with its
+state as one vector; then the own, right- and left-stage reads of each
+SECOND_ARG_DELAYED line of age a, (n, a), (n - a, K - 1 - a) and
+(n - a, K - a), and of each FIRST_ARG_DELAYED line of age K + j,
+(n, K + j), (n + 1 - K, j + 1) and (n - K, j).  Each group of lines
+advances with one product.
 
 No step checks its own values.  At least every R - 1 steps, and at the
 end of every call, one check looks at what the steps since the last one
@@ -77,19 +78,20 @@ wrote: their system states and their ring rows, one sum per run of whole
 rows.  A row is written again only R steps later, so the check sees every
 value a check after each step would see, and reports the same: the first
 step that wrote a non-finite value (to its state, or to its row at the
-ages it wrote, 1 .. min(W, n + 1)), or the largest age-W magnitude of the
-rows that retired a line (a max, which does not depend on the order).
+ages it wrote, 1 .. min(W, n + 1)), or the truncation certificate, the
+largest magnitude at age W of the rows that retired a line (a max, which
+does not depend on the order).  After a raise, the integrator may stand
+up to R - 1 steps past the step it names.
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
-:meth:`HierarchyIntegrator.band_value` applies these masks.  One rule
-covers the cells no step writes (a young row's ages past its position,
-and age W + 1): such a cell reads 0, set as the first ring cycle reaches
-its row.  The ring is allocated without zeroing; each step of the first
-cycle zeroes the ages of its row that it does not write, and later
-positions of a row write at least the ages earlier ones did.  The step
-reads one such cell: when W < K, the youngest SECOND_ARG_DELAYED line,
-age K - 1 - W, reads its left stage at age W + 1.
+:meth:`HierarchyIntegrator.band_value` applies these masks.  The ring is
+allocated without zeroing: each step of the first ring cycle zeroes the
+ages of its row that it does not write (past its position, and W + 1),
+and later positions of a row write at least the ages earlier ones did,
+so a cell no step writes reads 0.  The step reads one such cell: when
+W < K, the youngest SECOND_ARG_DELAYED line, age K - 1 - W, reads its
+left stage at age W + 1.
 """
 
 from __future__ import annotations
@@ -145,14 +147,8 @@ class EquationSetError(ValueError):
 
 
 class NonFiniteStateError(RuntimeError):
-    """Raised when the integration produces a non-finite value.
-
-    ``step_index`` and ``time_fs`` locate the first step that wrote one
-    to its state or to a line it advanced.  The check runs once per ring
-    cycle (module notes, Storage), so after a raise from a call of many
-    steps the integrator may stand up to R - 1 steps past ``step_index``,
-    with R the rows of its ring.
-    """
+    """Raised at the first step (``step_index``, ``time_fs``) that wrote a
+    non-finite value; when it is checked is in the module notes (Storage)."""
 
     def __init__(self, step_index: int, time_fs: float):
         super().__init__(
@@ -175,13 +171,8 @@ class Term(NamedTuple):
 
 @dataclass(frozen=True)
 class EquationSet:
-    """A closed linear delay hierarchy.
-
-    ``system_vars`` evolve under CURRENT/DIAGONAL terms; ``band_vars``
-    under OWN/SECOND_ARG_DELAYED/FIRST_ARG_DELAYED terms, each with
-    exactly one BIRTH term.  ``tau_fs`` is the single delay shared by
-    every delayed pattern.
-    """
+    """A closed linear delay hierarchy, checked against ``_GROUPS`` and the
+    read patterns (module notes) when it is built."""
 
     system_vars: tuple[str, ...]
     band_vars: tuple[str, ...]
@@ -232,33 +223,9 @@ class EquationSet:
 def default_band_width(
     eqs: EquationSet, steps_per_delay: int, eps_band: float = 1e-12
 ) -> int:
-    """Number of steps a line is kept, ``ceil(ln(1/eps) / (gamma_min h))``.
-
-    ``gamma_min`` is the slowest own-damping rate over the band variables,
-    a variable's rate being minus the real part of the sum of its OWN
-    coefficients.  If any band variable is undamped (rate <= 0) its lines
-    never fade, so the whole band is kept.  The result is capped at
-    ``steps_per_delay``: the system reads lines up to age K, which the
-    step writes at W = K too, and deeper values never reach it, so keeping
-    more buys exactly nothing (module notes; also regression-tested).
-    """
-    return _default_width(eqs, steps_per_delay, eps_band)[0]
-
-
-def _default_width(eqs: EquationSet, steps_per_delay: int, eps_band: float) -> tuple[int, str]:
-    """:func:`default_band_width`, and what set it: ``"eps"`` or ``"cap"``."""
-    k = _count("steps_per_delay", steps_per_delay)
-    if not (0 < eps_band < 1):
-        raise ValueError("eps_band must be in (0, 1)")
-    own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
-    for t in eqs.terms:
-        if t.pattern is own:
-            rates[t.target] -= t.coefficient.real
-    # an undamped line never fades; near the subnormal range the product
-    # underflows and the quotient overflows: each means it outlives the delay
-    decay = min(rates.values(), default=0.0) * eqs.tau_fs
-    steps = math.log(1.0 / eps_band) * k / decay if decay > 0 else math.inf
-    return (max(1, math.ceil(steps)), "eps") if steps < k else (k, "cap")
+    """The band width :func:`plan_run` gives any run that sets none (it plans the shortest)."""
+    return plan_run(eqs, steps_per_delay=steps_per_delay, t_end_fs=math.ulp(0.0),
+                    eps_band=eps_band).band_width
 
 
 def _count(name: str, value) -> int:
@@ -330,8 +297,8 @@ class HierarchyIntegrator:
         y1 = [y0, F_r, F_l] [R(h L); (h/2) F; (h/2) F (1 + h L)]  (_fad)
 
     with S_l, S_r or F_l, F_r its reads at the left and right stage
-    (historical, hence final): one product for each group of lines.  A
-    line with no delayed read advances as y0 R(h L) (_own); the system as
+    (historical, hence final).  A line with no delayed read advances as
+    y0 R(h L) (_own); the system as
 
         s1 = s0 R(h C) + d_l (h/2) D (1 + h C) + d_r (h/2) D  (_sys_open)
 
@@ -340,12 +307,9 @@ class HierarchyIntegrator:
     (1 + h L)(h/2) D and h S (h/2) D.  Before the line returns the
     system advances by ``_sys_cur``, R(h C) alone.
 
-    The band lives in ``buffer[row, age, variable]``, the ring of the
-    module notes (Storage).  ``horizon_steps`` is an optional promise that
-    at most that many steps will be taken, and makes further stepping an
-    error; the ring of a short run is smaller (Storage).  Gathers, the
-    finiteness check and the certificate follow the module notes (Storage):
-    :meth:`step` is one call, and one check window, per step.
+    ``buffer`` is the ring, gathered and checked as the module notes say
+    (Storage).  ``horizon_steps`` promises at most that many steps, for a
+    smaller ring, and makes further stepping an error.
     """
 
     def __init__(
@@ -366,7 +330,6 @@ class HierarchyIntegrator:
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
         # not zeroed: the first ring cycle does it (Storage), out of construction
-        # (``buffer.data`` is the array's memoryview, of the same nbytes)
         self.buffer = np.empty((*_ring_shape(K, W, self._horizon), n_b), dtype=complex)
         self.eqs = eqs
         self.h_fs = h = eqs.tau_fs / K
@@ -380,21 +343,18 @@ class HierarchyIntegrator:
         d = h / 2 * m[Pattern.DIAGONAL]
         s = h / 2 * m[Pattern.SECOND_ARG_DELAYED]
         f = h / 2 * m[Pattern.FIRST_ARG_DELAYED]
+        # the rows of the class notes; a dropped delayed read is None (Delay gating)
         self._own = _heun_factor(h_l)
-        # system rows: s0, then, once the returning line is read, y0 at
-        # ages K - 1 and K and S_l at age K - 1 (for d_r)
         rows = [_heun_factor(h_c)]
         delayed = Pattern.DIAGONAL in used and K <= W
         has_sad = Pattern.SECOND_ARG_DELAYED in used
         if delayed:
-            rows += [d + h_l @ d, d + d @ h_c]  # (1 + h L)(h/2) D, (h/2) D (1 + h C)
+            rows += [d + h_l @ d, d + d @ h_c]
             if has_sad:
                 rows.append(h_s @ d)
         sys = np.concatenate(rows)
         self._sys_cur = sys[: 2 * n_s]
         self._sys_open = sys if delayed else None
-        # a delayed read with no nonzero term or no age to act on is None
-        # (module notes, Delay gating); rows: own read, right-stage read, left
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
         self._idx = None  # the gather's flat index, built by _advance
@@ -402,8 +362,7 @@ class HierarchyIntegrator:
         self._fad = np.concatenate((self._own, f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
 
-        # the ring as floats with (position, age) flattened, the one view the
-        # step reads and writes; R * C, not -1, which is ambiguous when n_b is 0
+        # Storage's float view, (position, age) flattened; R * C, as -1 is ambiguous if n_b is 0
         R, C = self.buffer.shape[:2]
         self._flat = self.buffer.view(np.float64).reshape(R * C, 2 * n_b)
         self.n = 0
@@ -411,9 +370,8 @@ class HierarchyIntegrator:
         np.dot(self.state.view(np.float64), self._birth, out=self._flat[0])
 
     def band_value(self, var: str, position: int, label: int) -> complex:
-        """Band value B(position, label) of ``var``, zero where the module
-        notes (Storage) mask it.  Positions not computed yet, or evicted
-        from the ring (more than R - 2 behind step n, Storage), are an error."""
+        """Band value B(position, label) of ``var``, zero where the module notes
+        (Storage) mask it; a position not computed yet, or evicted, is an error."""
         if var not in self.eqs.band_vars:
             raise ValueError(f"unknown band variable {var!r}; band_vars are {list(self.eqs.band_vars)}")
         v = self.eqs.band_vars.index(var)
@@ -429,15 +387,12 @@ class HierarchyIntegrator:
             )
         return complex(self.buffer[position % self.buffer.shape[0], position - label, v])
 
-    # -- the step --------------------------------------------------------
-
     def step(self) -> None:
         self._advance(1)
 
     def _advance(self, n_steps: int, record: np.ndarray | None = None) -> None:
         """Take ``n_steps`` steps, writing the float view of the system
-        state after step i to ``record[i]`` if given, with a :meth:`_check`
-        at least every R - 1 steps (R ring rows) and at the end."""
+        state after step i to ``record[i]`` if given (checks: Storage)."""
         if self._horizon is not None and self.n + n_steps > self._horizon:
             raise ValueError(
                 f"integrator was allocated for {self._horizon} steps "
@@ -452,11 +407,7 @@ class HierarchyIntegrator:
         ns, cell = len(s), flat.shape[1]  # floats per system state, per ring cell
         n_sys = 0 if sys_open is None else (len(sys_open) - ns) // cell
         if self._idx is None and self.n + n_steps > K:
-            # built by the first call that gathers: the flat index, less n C, of
-            # the cells a step reads back, as (row, age): the n_sys system reads
-            # in sys_open's row order, y0 at (n, K - 1), (n, K), S_l at (n + 1 - K, 1);
-            # SAD age a in [lo, hi) at (n, a), (n - a, K - 1 - a), (n - a, K - a);
-            # FAD age K + j at (n, K + j), (n + 1 - K, j + 1), (n - K, j)
+            # built by the first call that gathers: its cells (Storage), less n C
             self._idx = np.concatenate(
                 (np.array((K - 1, K, C + 1 - K * C)[:n_sys], dtype=np.intp),
                  np.arange(lo, hi)[:, None] * (1, -C - 1, -C - 1) + (0, K - 1, K),
@@ -465,12 +416,10 @@ class HierarchyIntegrator:
         idx, k_max = self._idx, 0 if self._idx is None else len(self._idx)
         if record is None:
             record = np.empty((n_steps, ns))
-        # overflow is deliberate territory here: a diverging run is caught
-        # by _check and surfaced as NonFiniteStateError
+        # a diverging run overflows, and _check reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for n0 in range(start, start + n_steps, R - 1):
                 n1 = min(n0 + R - 1, start + n_steps)
-                # the window's buffer [s | system cells | line cells] (Storage)
                 buf, m_views = np.empty(ns + k_max * cell), -1
                 reads = buf[: ns + n_sys * cell]
                 for n in range(n0, n1):
@@ -481,8 +430,6 @@ class HierarchyIntegrator:
                         flat[new + n_adv + 1 : new + C] = 0
                     plain = (0, n_adv),  # the ages of lines with no delayed read
                     if n >= K and k_max:
-                        # one gather for the system, the SAD lines and the FAD lines
-                        # of ages K .. n_adv - 1; one product per group of lines
                         m = hi - lo + (0 if fad is None else n_adv - K)
                         if m != m_views:  # the views change only as FAD lines join
                             m_views, x = m, buf[ns : ns + (n_sys + 3 * m) * cell].reshape(-1, cell)
@@ -509,15 +456,9 @@ class HierarchyIntegrator:
                 self._check(n0, n1, record[n0 - start : n1 - start])
 
     def _check(self, n0: int, n1: int, states: np.ndarray) -> None:
-        """Check steps n0 .. n1 - 1 (fewer than R), whose system states are
-        ``states``, as a check after each step would (module notes,
-        Storage), and move the integrator to n1.
-
-        Every cell of a written row holds a value (Storage) and a sum is
-        finite only if every term is, so one ``add.reduce`` per run of rows
-        clears the window.  A window it does not clear is rescanned step by
-        step at the ages each step wrote, the one place that raises.
-        """
+        """Check steps n0 .. n1 - 1, whose system states are ``states``, as
+        the module notes say (Storage), and move the integrator to n1.  A
+        window the sums do not clear is rescanned step by step, to raise."""
         W = self.band_width
         R, C = self.buffer.shape[:2]
         flat = self._flat
@@ -530,7 +471,6 @@ class HierarchyIntegrator:
                 r = (n + 1) % R
                 if not (_finite(states[n - n0]) and _finite(flat[r * C + 1 : r * C + min(W, n + 1) + 1])):
                     raise NonFiniteStateError(n + 1, (n + 1) * self.h_fs)
-        # the steps to positions W and on retired their oldest line, at age W
         edge = self.truncation_certificate
         for a, b in _rows(max(n0 + 1, W), n1 + 1, R):
             edge = max(edge, float(np.abs(self.buffer[a:b, W]).max(initial=0.0)))
@@ -548,8 +488,7 @@ def _rows(p0: int, p1: int, R: int) -> tuple[tuple[int, int], ...]:
 
 def _finite(x: np.ndarray) -> bool:
     """Whether every value of ``x`` is finite.  Call it under ``errstate``:
-    a sum of large finite values may overflow, and is then checked value
-    by value."""
+    a sum of large finite values may overflow."""
     return math.isfinite(np.add.reduce(x, axis=None)) or bool(np.isfinite(x).all())
 
 
@@ -570,16 +509,32 @@ def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
              band_width: int | None = None, eps_band: float = 1e-12) -> _RunPlan:
     """What :func:`run` with these arguments touches, by arithmetic alone: it
     builds and allocates nothing, and raises ``run``'s ``ValueError``, led by
-    the argument's name.  ``h = tau / steps_per_delay`` exactly, a run takes
-    ``ceil(t_end / h)`` steps (the last time may overshoot ``t_end_fs`` by a
-    fraction of a step), and ``band_width`` defaults to :func:`default_band_width`."""
+    the argument's name.  A run takes ``ceil(t_end / h)`` steps (the last
+    time may overshoot ``t_end_fs`` by a fraction of a step).
+
+    With no ``band_width``, a line is kept ``ceil(ln(1/eps) / (gamma_min h))``
+    steps, ``gamma_min`` being the slowest own-damping rate over the band
+    variables, minus the real part of the sum of a variable's OWN
+    coefficients; an undamped variable (rate <= 0) never fades.  The width
+    is capped at ``steps_per_delay``, the oldest age the system reads.
+    """
     if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
         raise ValueError("t_end_fs must be positive and finite")
     K = _count("steps_per_delay", steps_per_delay)
-    if band_width is None:
-        W, source = _default_width(eqs, K, eps_band)
-    else:
+    if band_width is not None:
         W, source = _count("band_width", band_width), "user"
+    elif not 0 < eps_band < 1:
+        raise ValueError("eps_band must be in (0, 1)")
+    else:
+        own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
+        for t in eqs.terms:
+            if t.pattern is own:
+                rates[t.target] -= t.coefficient.real
+        # near the subnormal range the product underflows and the quotient
+        # overflows: each means that a line outlives the delay
+        decay = min(rates.values(), default=0.0) * eqs.tau_fs
+        kept = math.log(1.0 / eps_band) * K / decay if decay > 0 else math.inf
+        W, source = (max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")
     steps = t_end_fs * K / eqs.tau_fs
     if not steps < sys.maxsize:    # refuses an infinite count too
         raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")

@@ -156,6 +156,16 @@ MUTANTS = (
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
             T_ORACLE + "test_bath_frozen_spot_values")),
     # -- the run plan and the memory budget
+    Mutant("own rates summed with the wrong sign", ENGINE,
+           "rates[t.target] -= t.coefficient.real",
+           "rates[t.target] += t.coefficient.real",
+           (T_ENGINE + "test_default_band_width_formula_and_clamp",
+            T_ENGINE + "test_band_width_source_is_the_rule_that_set_it")),
+    Mutant("default width capped at K + 1", ENGINE,
+           'if kept < K else (K, "cap")',
+           'if kept < K else (K + 1, "cap")',
+           (T_ENGINE + "test_default_band_width_formula_and_clamp",
+            T_ENGINE + "test_band_width_source_is_the_rule_that_set_it")),
     Mutant("ring bytes counted with the system width", ENGINE,
            "rows * ages * cell",
            "rows * ages * state",
