@@ -4,8 +4,7 @@ Each entry names a file under ``src/``, one exact source snippet in it, the
 snippet's replacement, and the test node ids that must fail once the
 replacement is made.  Run from the repository root:
 
-    python -m tests.mutants            # every entry, one after another
-    python -m tests.mutants NAME ...   # the named entries only
+    python -m tests.mutants
 
 The runner copies ``src/`` to a temporary directory once, then for each
 entry writes the mutated file into the copy, runs the entry's nodes in a
@@ -240,11 +239,8 @@ def survivors(mutant: Mutant, src: Path) -> tuple[str, ...] | None:
     return tuple(n for n in mutant.nodes if n not in failed)
 
 
-def main(argv: list[str]) -> int:
-    entries = [m for m in MUTANTS + SURVIVORS if not argv or m.name in argv]
-    if unknown := set(argv) - {m.name for m in entries}:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
+    entries = MUTANTS + SURVIVORS
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
@@ -265,4 +261,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
