@@ -217,7 +217,7 @@ def _failed(output: str) -> set[str]:
             for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))}
 
 
-def survivors(mutant: Mutant, src: Path) -> tuple[str, ...] | None:
+def _passing_nodes(mutant: Mutant, src: Path) -> tuple[str, ...] | None:
     """The nodes of ``mutant`` that pass with it applied to the copy ``src``
     of the sources, or None if pytest itself failed to run."""
     path = src / mutant.file
@@ -246,7 +246,7 @@ def main() -> int:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         for m in entries:
-            alive = survivors(m, src)
+            alive = _passing_nodes(m, src)
             known = m in SURVIVORS
             if alive is None:
                 verdict = "ERROR (pytest did not run)"
