@@ -156,11 +156,25 @@ def run_discretized_bath(
     G (lag[j] c) and C_l = G diag(lag[l]) G^H is the mode sum (no delay
     equation).  One lower-triangular map, built once, gives the block's
     amplitudes from psi_0 and the P_j; then the field is updated once, by
-    the same sum, and rotated by lag[B] (``lag_block``).  Only lag[1] and
-    lag[B] come from ``exp``, the rows between from products.
-    ``norm_drift`` is the worst | ||psi||^2 + ||f||^2 - 1 | over all
-    states: ||f||^2 is measured at each block start and advanced by each
-    step's exact increment 2a Im((V f)^H s) + a^2 s^H G G^H s, s = psi + psi'.
+    the same sum, and rotated by lag[B].  Only lag[1] and lag[B] come from
+    ``exp``, the rows between from products.
+
+    The field is stored conjugated, c_bar = conj(c), so that both mode sums
+    are real products over the float view of lag (B x 2M, Re and Im
+    interleaved) and no operand is converted per block.  With G_R, G_L the
+    columns of each direction, P_j sums lag[j] u over the modes, u = G_R
+    c_R + G_L c_L; as conj(G_R) = G_L, u_bar = G_L c_bar_R + G_R c_bar_L
+    needs no conjugated copy of G.  A row of u_bar's float view dotted
+    with lag[j]'s is Re P_j, and one of (i u_bar)'s is Im P_j, so one
+    product of the (4 x 2M) view of (u_bar, i u_bar) gives both, for both
+    cavities.  The update's weights w = conj(-i a s) go into a real
+    (4 x b) matrix of Re w and Im w, whose product with lag's float view
+    gives the complex rows A_i = sum_j Re(w_ji) lag[j] and A'_i = sum_j
+    Im(w_ji) lag[j] of each cavity i; then c_bar_d += sum_i G_d[i] (A_i +
+    i A'_i) and c_bar *= conj(lag[B]).  ``norm_drift`` is the worst
+    | ||psi||^2 + ||f||^2 - 1 | over all states: ||f||^2 = ||c_bar||^2 is
+    measured at each block start and advanced by each step's exact
+    increment 2a Im((V f)^H s) + a^2 s^H G G^H s, s = psi + psi'.
 
     The mode comb makes the dynamics periodic: after ``recurrence_fs =
     2 pi / spacing`` the emitted field returns.  Keep ``t_end_fs`` well
@@ -204,7 +218,7 @@ def run_discretized_bath(
     lag[1:] = np.exp(-1j * detun * h)
     for j in range(2, B):
         lag[j] *= lag[j - 1]
-    lag_block = np.exp(-1j * detun * (B * h))
+    lag_block = np.exp(1j * detun * (B * h))    # conj(lag[B]): c_bar turns the other way
     G3 = G.reshape(2, 2, M)                  # [cavity, direction, mode]
     kernel = (lag @ np.einsum("idm,kdm->ikm", G3, G3.conj()).reshape(4, M).T).reshape(B, 2, 2)
     # psi_{j+1} (maps[j + 1, 0]) and V f of step j (maps[j, 1]) from (psi_0, P_0, ..., P_{B-1})
@@ -217,23 +231,34 @@ def run_discretized_bath(
         maps[j + 1, 0] = keep @ maps[j, 0] + feed @ maps[j, 1]
     block_map = np.stack([maps[1:, 0], maps[:-1, 1]], axis=1).reshape(4 * B, 2 + 2 * B)
 
-    c = np.zeros((2, M), dtype=complex)      # the field in the frame of the block start
+    c_bar = np.zeros((2, M), dtype=complex)    # conj of the field in the frame of the block start
+    u = np.empty((2, 2, M), dtype=complex)     # [cavity, (u_bar, i u_bar), mode]
+    u_flat = u.view(np.float64).reshape(4, 2 * M)
+    lf = lag.view(np.float64)
     amps = np.empty((2, n_steps + 1), dtype=complex)
     amps[:, 0] = complex(init[0]), complex(init[1])
     field_norm = np.empty(n_steps + 1)
     for n0 in range(0, n_steps, B):
         b = min(B, n_steps - n0)
-        P = (G3[:, 0] * c[0] + G3[:, 1] * c[1]) @ lag[:b].T
-        y = block_map[:4 * b, :2 + 2 * b] @ np.concatenate([amps[:, n0], P.T.ravel()])
+        np.multiply(G3[:, 1], c_bar[0], out=u[:, 0])    # conj(G) swaps the directions
+        u[:, 0] += G3[:, 0] * c_bar[1]
+        np.multiply(u[:, 0], 1j, out=u[:, 1])
+        P = (lf[:b] @ u_flat.T).view(complex)    # (b, 2): Re P_j and Im P_j interleaved
+        y = block_map[:4 * b, :2 + 2 * b] @ np.concatenate([amps[:, n0], P.ravel()])
         psi, Vf = y.reshape(b, 2, 2).transpose(1, 0, 2)
         amps[:, n0 + 1:n0 + b + 1] = psi.T
         s = amps[:, n0:n0 + b].T + psi
         grow = 2 * alpha * (Vf.conj() * s).sum(1).imag + alpha**2 * (s.conj() @ GG * s).sum(1).real
-        field_norm[n0:n0 + b + 1] = np.cumsum([np.vdot(c, c).real, *grow])
+        field_norm[n0:n0 + b + 1] = np.cumsum([np.vdot(c_bar, c_bar).real, *grow])
         if n0 + b < n_steps:
-            Q = ((-1j * alpha * s).conj().T @ lag).conj()
-            c += np.einsum("idm,im->dm", G3[:, ::-1], Q)    # conj(G) swaps the directions
-            c *= lag_block
+            w = (-1j * alpha * s).conj()
+            rows = (np.concatenate([w.real.T, w.imag.T]) @ lf[:b]).view(complex)    # A, A'
+            Q_bar = rows[2:]
+            Q_bar *= 1j
+            Q_bar += rows[:2]
+            c_bar += G3[0] * Q_bar[0]
+            c_bar += G3[1] * Q_bar[1]
+            c_bar *= lag_block
     norms = (amps.real**2 + amps.imag**2).sum(0) + field_norm
     return BathResult(times=np.arange(n_steps + 1) * h, amp_a=amps[0], amp_b=amps[1], h_fs=h,
                       n_modes=M, recurrence_fs=2.0 * math.pi / dw,

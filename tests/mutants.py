@@ -115,28 +115,43 @@ MUTANTS = (
             T_ENGINE + "test_deferred_checks_match_a_check_after_every_step[system]")),
     # -- the block-stepped discretized bath
     Mutant("no field rotation at the block end", ORACLE,
-           "c *= lag_block",
-           "c *= 1",
+           "c_bar *= lag_block",
+           "c_bar *= 1",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
             T_ORACLE + "test_bath_tracks_the_delay_equations")),
     Mutant("block-end rotation one step short, lag[B - 1]", ORACLE,
-           "lag_block = np.exp(-1j * detun * (B * h))",
-           "lag_block = lag[B - 1]",
+           "lag_block = np.exp(1j * detun * (B * h))",
+           "lag_block = lag[B - 1].conj()",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
             T_ORACLE + "test_bath_step_matches_the_exact_phase_step[long]")),
-    Mutant("no swap of the two directions in the field update", ORACLE,
-           "G3[:, ::-1], Q)",
-           "G3, Q)",
+    Mutant("no swap of the two directions in u_bar", ORACLE,
+           "np.multiply(G3[:, 1], c_bar[0], out=u[:, 0])",
+           "np.multiply(G3[:, 0], c_bar[0], out=u[:, 0])",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
+    Mutant("the two directions swapped in the field update", ORACLE,
+           "c_bar += G3[0] * Q_bar[0]\n            c_bar += G3[1] * Q_bar[1]",
+           "c_bar += G3[0, ::-1] * Q_bar[0]\n            c_bar += G3[1, ::-1] * Q_bar[1]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+            T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
+    Mutant("the i u_bar rows left equal to u_bar", ORACLE,
+           "np.multiply(u[:, 0], 1j, out=u[:, 1])",
+           "np.multiply(u[:, 0], 1, out=u[:, 1])",
+           (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",
+            T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
+    Mutant("Q_bar combined as A - i A'", ORACLE,
+           "Q_bar *= 1j",
+           "Q_bar *= -1j",
+           (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",
+            T_ORACLE + "test_bath_frozen_spot_values")),
     Mutant("lag kernel one step off", ORACLE,
            "kernel = (lag @ ",
            "kernel = (np.roll(lag, 1, 0) @ ",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[15]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("no in-block field-norm increments", ORACLE,
-           "np.cumsum([np.vdot(c, c).real, *grow])",
-           "np.cumsum([np.vdot(c, c).real, *0 * grow])",
+           "np.cumsum([np.vdot(c_bar, c_bar).real, *grow])",
+           "np.cumsum([np.vdot(c_bar, c_bar).real, *0 * grow])",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("no a^2 term in the field-norm increments", ORACLE,
@@ -145,7 +160,7 @@ MUTANTS = (
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("field norm not measured at the block start", ORACLE,
-           "np.cumsum([np.vdot(c, c).real, *grow])",
+           "np.cumsum([np.vdot(c_bar, c_bar).real, *grow])",
            "np.cumsum([0.0, *grow])",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
@@ -205,8 +220,8 @@ MUTANTS = (
 SURVIVORS = (
     # its drift stays below the 1e-12 the exact-phase tests allow
     Mutant("block-end rotation built by recurrence", ORACLE,
-           "lag_block = np.exp(-1j * detun * (B * h))",
-           "lag_block = lag[B - 1] * np.exp(-1j * detun * h)",
+           "lag_block = np.exp(1j * detun * (B * h))",
+           "lag_block = (lag[B - 1] * np.exp(-1j * detun * h)).conj()",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step",)),
 )
 

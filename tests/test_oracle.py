@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -241,6 +242,35 @@ def test_bath_block_edges_match_the_exact_phase_step(n_steps):
     assert np.abs(b.amp_a - ref[:, 0]).max() <= 1e-12
     assert np.abs(b.amp_b - ref[:, 1]).max() <= 1e-12
     assert b.norm_drift < 1e-10
+
+
+def test_bath_with_an_odd_mode_count_matches_the_exact_phase_step():
+    # the block products read float views that interleave Re and Im of every
+    # mode, and a short last block reads [:b] slices of them: an odd mode
+    # count over two blocks and part of a third
+    cav, K, n_steps = make_unequal(0.4, 1.7, 3.7, -1.2, 0.2), 50, 2 * oracle._BLOCK + 3
+    t_end_fs = n_steps * cav.tau_fs / K
+    b = oracle.run_discretized_bath(cav, 5, K, t_end_fs)
+    ref = _exact_phase_bath(cav, 5, K, t_end_fs)
+    assert len(ref) == len(b.times) == n_steps + 1
+    assert np.abs(b.amp_a - ref[:, 0]).max() <= 1e-12
+    assert np.abs(b.amp_b - ref[:, 1]).max() <= 1e-12
+    assert b.norm_drift < 1e-10
+
+
+def test_bath_peak_memory_at_4096_modes():
+    # the bath runs inside the crosscheck benchmark at M = 4096; its lag
+    # table is 1 MB there, and the whole run must stay below 4 MB so that
+    # it never sets the peak of a compare run
+    cav, K = make_scaled(1.0, 0.0), 100
+    t_end_fs = 3 * oracle._BLOCK * cav.tau_fs / K
+    tracemalloc.start()
+    try:
+        oracle.run_discretized_bath(cav, 4096, K, t_end_fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_bath_recurrence_time_formula():
