@@ -259,9 +259,9 @@ def test_bath_with_an_odd_mode_count_matches_the_exact_phase_step():
 
 
 def test_bath_peak_memory_at_4096_modes():
-    # the bath runs inside the crosscheck benchmark at M = 4096; its lag
-    # table is 1 MB there, and the whole run must stay below 4 MB so that
-    # it never sets the peak of a compare run
+    # the acceptance check runs the bath at M = 4096, where its lag table is
+    # 1 MB; the whole run must stay below 4 MB, under the peak of a
+    # ``compare`` run on the bundled presets (about 4.4 MB)
     cav, K = make_scaled(1.0, 0.0), 100
     t_end_fs = 3 * oracle._BLOCK * cav.tau_fs / K
     tracemalloc.start()
