@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -143,11 +142,11 @@ def load_config(raw):
     model = getattr(models, f"build_{raw.get('model', 'single_excitation')}")(cavity)
     K, width = raw["steps_per_delay"], raw.get("band_width")
     t_end, eps_band = float(raw["t_end_fs"]), float(raw.get("eps_band", 1e-12))
-    plan = functools.partial(engine.plan_run, model.equations, steps_per_delay=K,
-                             t_end_fs=t_end, eps_band=eps_band)
     try:    # the engine's refusals lead with the argument's name, which is the key
-        facts = plan(band_width=width)
-        if facts.open_loop and width is not None and not plan().open_loop:
+        facts = engine.plan_run(model.equations, steps_per_delay=K, t_end_fs=t_end,
+                                band_width=width, eps_band=eps_band)
+        # refused where the eps rule keeps the returning line (so never with no width set)
+        if facts.open_loop and engine.default_band_width(model.equations, K, eps_band) == K:
             _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
                   "the returning line, which eps_band keeps (open loop)")
     except ValueError as e:

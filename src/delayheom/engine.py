@@ -223,9 +223,27 @@ class EquationSet:
 def default_band_width(
     eqs: EquationSet, steps_per_delay: int, eps_band: float = 1e-12
 ) -> int:
-    """The band width :func:`plan_run` gives any run that sets none (it plans the shortest)."""
-    return plan_run(eqs, steps_per_delay=steps_per_delay, t_end_fs=math.ulp(0.0),
-                    eps_band=eps_band).band_width
+    """The band width :func:`plan_run` gives any run that sets none."""
+    return _width_rule(eqs, _count("steps_per_delay", steps_per_delay), eps_band)[0]
+
+
+def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
+    """The default band width and what set it, "eps" or "cap": a line is kept
+    ``ceil(ln(1/eps) / (gamma_min h))`` steps, ``gamma_min`` being the slowest
+    own-damping rate over the band variables, minus the real part of the sum
+    of a variable's OWN coefficients (an undamped variable, rate <= 0, never
+    fades), and never more than ``K``, the oldest age the system reads."""
+    if not 0 < eps_band < 1:
+        raise ValueError("eps_band must be in (0, 1)")
+    own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
+    for t in eqs.terms:
+        if t.pattern is own:
+            rates[t.target] -= t.coefficient.real
+    # near the subnormal range the product underflows and the quotient
+    # overflows: each means that a line outlives the delay
+    decay = min(rates.values(), default=0.0) * eqs.tau_fs
+    kept = math.log(1.0 / eps_band) * K / decay if decay > 0 else math.inf
+    return (max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")
 
 
 def _count(name: str, value) -> int:
@@ -275,11 +293,9 @@ def _heun_factor(z: np.ndarray) -> np.ndarray:
 _WINDOW = 32
 
 
-def _ring_shape(K: int, W: int, horizon: int | None) -> tuple[int, int]:
-    """The ring's (rows, ages), for a run of at most ``horizon`` steps if
-    one is given (module notes, Storage)."""
-    if horizon is None:
-        return K + 2, W + 2
+def _ring_shape(K: int, W: int, horizon: float) -> tuple[int, int]:
+    """The ring's (rows, ages), for a run of at most ``horizon`` steps,
+    ``math.inf`` if unbounded (module notes, Storage)."""
     return min(K if horizon > K else _WINDOW, horizon) + 2, min(W, horizon) + 2
 
 
@@ -325,7 +341,7 @@ class HierarchyIntegrator:
         n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
         self.K = K = _count("steps_per_delay", steps_per_delay)
         self.band_width = W = _count("band_width", band_width)
-        self._horizon = None if horizon_steps is None else _count("horizon_steps", horizon_steps)
+        self._horizon = math.inf if horizon_steps is None else _count("horizon_steps", horizon_steps)
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
@@ -393,7 +409,7 @@ class HierarchyIntegrator:
     def _advance(self, n_steps: int, record: np.ndarray | None = None) -> None:
         """Take ``n_steps`` steps, writing the float view of the system
         state after step i to ``record[i]`` if given (checks: Storage)."""
-        if self._horizon is not None and self.n + n_steps > self._horizon:
+        if self.n + n_steps > self._horizon:
             raise ValueError(
                 f"integrator was allocated for {self._horizon} steps "
                 f"(horizon_steps); construct without a horizon to continue"
@@ -510,31 +526,16 @@ def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
     """What :func:`run` with these arguments touches, by arithmetic alone: it
     builds and allocates nothing, and raises ``run``'s ``ValueError``, led by
     the argument's name.  A run takes ``ceil(t_end / h)`` steps (the last
-    time may overshoot ``t_end_fs`` by a fraction of a step).
-
-    With no ``band_width``, a line is kept ``ceil(ln(1/eps) / (gamma_min h))``
-    steps, ``gamma_min`` being the slowest own-damping rate over the band
-    variables, minus the real part of the sum of a variable's OWN
-    coefficients; an undamped variable (rate <= 0) never fades.  The width
-    is capped at ``steps_per_delay``, the oldest age the system reads.
+    time may overshoot ``t_end_fs`` by a fraction of a step).  With no
+    ``band_width``, the width is :func:`default_band_width`'s.
     """
     if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
         raise ValueError("t_end_fs must be positive and finite")
     K = _count("steps_per_delay", steps_per_delay)
-    if band_width is not None:
-        W, source = _count("band_width", band_width), "user"
-    elif not 0 < eps_band < 1:
-        raise ValueError("eps_band must be in (0, 1)")
+    if band_width is None:
+        W, source = _width_rule(eqs, K, eps_band)
     else:
-        own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
-        for t in eqs.terms:
-            if t.pattern is own:
-                rates[t.target] -= t.coefficient.real
-        # near the subnormal range the product underflows and the quotient
-        # overflows: each means that a line outlives the delay
-        decay = min(rates.values(), default=0.0) * eqs.tau_fs
-        kept = math.log(1.0 / eps_band) * K / decay if decay > 0 else math.inf
-        W, source = (max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")
+        W, source = _count("band_width", band_width), "user"
     steps = t_end_fs * K / eqs.tau_fs
     if not steps < sys.maxsize:    # refuses an infinite count too
         raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")

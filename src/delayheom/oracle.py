@@ -249,7 +249,9 @@ def run_discretized_bath(
         amps[:, n0 + 1:n0 + b + 1] = psi.T
         s = amps[:, n0:n0 + b].T + psi
         grow = 2 * alpha * (Vf.conj() * s).sum(1).imag + alpha**2 * (s.conj() @ GG * s).sum(1).real
-        field_norm[n0:n0 + b + 1] = np.cumsum([np.vdot(c_bar, c_bar).real, *grow])
+        field_norm[n0] = np.vdot(c_bar, c_bar).real
+        field_norm[n0 + 1:n0 + b + 1] = grow
+        np.cumsum(field_norm[n0:n0 + b + 1], out=field_norm[n0:n0 + b + 1])
         if n0 + b < n_steps:
             w = (-1j * alpha * s).conj()
             rows = (np.concatenate([w.real.T, w.imag.T]) @ lf[:b]).view(complex)    # A, A'

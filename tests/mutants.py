@@ -150,8 +150,8 @@ MUTANTS = (
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[15]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("no in-block field-norm increments", ORACLE,
-           "np.cumsum([np.vdot(c_bar, c_bar).real, *grow])",
-           "np.cumsum([np.vdot(c_bar, c_bar).real, *0 * grow])",
+           "field_norm[n0 + 1:n0 + b + 1] = grow",
+           "field_norm[n0 + 1:n0 + b + 1] = 0 * grow",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("no a^2 term in the field-norm increments", ORACLE,
@@ -160,8 +160,8 @@ MUTANTS = (
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("field norm not measured at the block start", ORACLE,
-           "np.cumsum([np.vdot(c_bar, c_bar).real, *grow])",
-           "np.cumsum([0.0, *grow])",
+           "field_norm[n0] = np.vdot(c_bar, c_bar).real",
+           "field_norm[n0] = 0.0",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("every block as long as the first", ORACLE,
@@ -206,13 +206,29 @@ MUTANTS = (
            (T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides0-steps_per_delay-16388096256]",
             T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides2-t_end_fs-48000000048]")),
     Mutant("no eps comparison in the open-loop refusal", CLI,
-           "if facts.open_loop and width is not None and not plan().open_loop:",
-           "if facts.open_loop and width is not None:",
-           (T_CLI + "test_band_width_below_one_delay_loads_when_eps_drops_the_line",)),
+           "if facts.open_loop and engine.default_band_width(model.equations, K, eps_band) == K:",
+           "if facts.open_loop:",
+           (T_CLI + "test_band_width_below_one_delay_loads_when_eps_drops_the_line",
+            T_CLI + "test_load_config_plans_each_config_once[overrides2-False]")),
+    Mutant("the open-loop check reading the plan's width, not the default", CLI,
+           "engine.default_band_width(model.equations, K, eps_band) == K",
+           "facts.band_width == K",
+           (T_CLI + "test_band_width_below_one_delay_loads_when_eps_drops_the_line",
+            T_CLI + "test_load_config_plans_each_config_once[overrides3-True]")),
+    Mutant("the width rule's sources swapped", ENGINE,
+           '(max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")',
+           '(max(1, math.ceil(kept)), "cap") if kept < K else (K, "eps")',
+           (T_ENGINE + "test_band_width_source_is_the_rule_that_set_it",)),
     Mutant("age axis one short in _ring_shape", ENGINE,
-           "return K + 2, W + 2",
-           "return K + 2, W + 1",
-           (T_ENGINE + "test_no_step_reads_an_unwritten_ring_cell[build_single_excitation]",)),
+           "min(W, horizon) + 2",
+           "min(W, horizon) + 1",
+           (T_ENGINE + "test_no_step_reads_an_unwritten_ring_cell[build_single_excitation]",
+            T_ENGINE + "test_fine_delay_grid_short_run_stays_small")),
+    Mutant("an unbounded ring sized for a run within one delay", ENGINE,
+           "self._horizon = math.inf if horizon_steps is None",
+           "self._horizon = _WINDOW if horizon_steps is None",
+           (T_ENGINE + "test_fine_delay_grid_short_run_stays_small",
+            T_ENGINE + "test_horizon_shrinks_storage_without_changing_results")),
 )
 
 #: mutants that pass every test; recorded so that no one takes them for

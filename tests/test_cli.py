@@ -7,6 +7,7 @@ subprocesses -- so the exit-code contract (0 ok, 1 config/usage,
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -337,6 +338,33 @@ def test_band_width_below_one_delay_loads_when_eps_drops_the_line():
     assert cfg["band_width"] == 50
     with pytest.raises(cli.ConfigError, match="config error at band_width"):
         cli.load_config(base_config(steps_per_delay=100, band_width=99))
+
+
+#: the cavity of the test above, whose eps rule keeps 70 < K = 100 steps of a line
+_G = 40 * BASE_CAVITY["gamma_a_ev"]
+_FAST = dict(BASE_CAVITY, gamma_a_ev=_G, gamma_b_ev=_G, v_ab_ev=_G / 2)
+
+
+@pytest.mark.parametrize(
+    "overrides, refused",
+    [
+        ({}, False),    # the default width
+        ({"band_width": 60}, False),    # a user width >= K
+        ({"cavity": _FAST, "steps_per_delay": 100, "band_width": 50}, False),
+        ({"steps_per_delay": 100, "band_width": 99}, True),    # open loop
+    ],
+)
+def test_load_config_plans_each_config_once(monkeypatch, overrides, refused):
+    plan_run, plans = engine.plan_run, []
+
+    def counted(*args, **kwargs):
+        plans.append(kwargs)
+        return plan_run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "plan_run", counted)
+    with pytest.raises(cli.ConfigError) if refused else contextlib.nullcontext():
+        cli.load_config(base_config(**overrides))
+    assert len(plans) == 1
 
 
 @pytest.mark.parametrize(

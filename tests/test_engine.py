@@ -10,10 +10,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayheom import engine, models, oracle
 from delayheom.engine import (
@@ -518,6 +521,32 @@ def test_default_band_width_formula_and_clamp():
         default_band_width(eqs, 20, eps_band=0.0)
     with pytest.raises(ValueError):
         default_band_width(eqs, 20, eps_band=1.5)
+
+
+def _outcome(f, *args, **kwargs):
+    """What ``f`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate=st.one_of(st.sampled_from([0.0, -0.5]), st.floats(-1.0, 60.0)),
+       tau_fs=st.sampled_from([5e-324, 1e-310, 1e-3, 100.0, 1e300]),
+       K=st.one_of(st.integers(-1, 10**6), st.sampled_from([0, 10.5, 20.0, math.inf])),
+       eps_band=st.one_of(st.floats(1e-300, 0.9),
+                          st.sampled_from([0.0, 1.0, 1.5, -1e-12, math.nan])),
+       delays=st.floats(1e-3, 1e3))
+def test_default_band_width_is_the_width_of_every_run_that_sets_none(
+        rate, tau_fs, K, eps_band, delays):
+    # any run length gives the same width, and a bad argument the same refusal
+    eqs = toy_eqs(tau_fs=tau_fs, gb=rate)
+    t_end_fs = min(tau_fs * delays, sys.float_info.max) or tau_fs
+    plan = _outcome(engine.plan_run, eqs, steps_per_delay=K, t_end_fs=t_end_fs,
+                    eps_band=eps_band)
+    width = _outcome(default_band_width, eqs, K, eps_band)
+    assert (plan if isinstance(plan, tuple) else plan.band_width) == width
 
 
 def test_default_band_keeps_an_undamped_line_whole():
