@@ -247,13 +247,16 @@ def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
 
 
 def _count(name: str, value) -> int:
-    """``value`` as an int >= 1; NumPy integers pass, a float does not."""
+    """``value`` as an int in [1, float max]; NumPy integers pass, a float
+    does not, and no later float product of it overflows."""
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}")
     return n
 
 

@@ -50,17 +50,20 @@ class BathResult(WavefunctionResult):
     recurrence_fs: float     # 2 pi / (mode spacing): finite-bath echo time
 
 
-_BLOCK = 16    # steps per block of the bath oracle (see run_discretized_bath)
+_BLOCK = 32    # steps per block of the bath oracle (see run_discretized_bath)
 
 
 def _count(name, value, least=1):
-    """``value`` as an int >= ``least``; NumPy integers pass, a float does not."""
+    """``value`` as an int in [``least``, float max]; NumPy integers pass, a
+    float does not, and no later float product of it overflows."""
     try:
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if n < least:
         raise ValueError(f"{name} must be >= {least}")
+    if n > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}")
     return n
 
 
@@ -150,31 +153,44 @@ def run_discretized_bath(
 
     keep = L^-1 (1 - i a dc - a^2 G G^H), feed = -2 i a L^-1.  It is taken
     ``_BLOCK`` = B steps at a time, with the field held in the frame of the
-    block start n0, c = f exp(-i detun (n0 + 1/2) h).  With the lag table
-    lag[j] = exp(-i detun j h) (B M 16 bytes, 1 MB at M = 4096), step j's
-    V f is P_j - i a sum_{l<j} C_{j-l} (psi_l + psi_{l+1}), where P_j =
-    G (lag[j] c) and C_l = G diag(lag[l]) G^H is the mode sum (no delay
-    equation).  One lower-triangular map, built once, gives the block's
-    amplitudes from psi_0 and the P_j; then the field is updated once, by
-    the same sum, and rotated by lag[B].  Only lag[1] and lag[B] come from
-    ``exp``, the rows between from products.
+    block start n0, c = f exp(-i detun (n0 + 1/2) h).  With lag[j] =
+    exp(-i detun j h), step j's V f is P_j - i a sum_{l<j} C_{j-l} (psi_l +
+    psi_{l+1}), where P_j = G (lag[j] c) and C_l = G diag(lag[l]) G^H is
+    the mode sum (no delay equation).  One lower-triangular map, built
+    once, gives the block's amplitudes from psi_0 and the P_j; then the
+    field is updated once, by the same sum, and rotated by lag[B].
 
-    The field is stored conjugated, c_bar = conj(c), so that both mode sums
-    are real products over the float view of lag (B x 2M, Re and Im
-    interleaved) and no operand is converted per block.  With G_R, G_L the
-    columns of each direction, P_j sums lag[j] u over the modes, u = G_R
-    c_R + G_L c_L; as conj(G_R) = G_L, u_bar = G_L c_bar_R + G_R c_bar_L
-    needs no conjugated copy of G.  A row of u_bar's float view dotted
-    with lag[j]'s is Re P_j, and one of (i u_bar)'s is Im P_j, so one
-    product of the (4 x 2M) view of (u_bar, i u_bar) gives both, for both
-    cavities.  The update's weights w = conj(-i a s) go into a real
-    (4 x b) matrix of Re w and Im w, whose product with lag's float view
-    gives the complex rows A_i = sum_j Re(w_ji) lag[j] and A'_i = sum_j
-    Im(w_ji) lag[j] of each cavity i; then c_bar_d += sum_i G_d[i] (A_i +
-    i A'_i) and c_bar *= conj(lag[B]).  ``norm_drift`` is the worst
-    | ||psi||^2 + ||f||^2 - 1 | over all states: ||f||^2 = ||c_bar||^2 is
-    measured at each block start and advanced by each step's exact
-    increment 2a Im((V f)^H s) + a^2 s^H G G^H s, s = psi + psi'.
+    The comb is symmetric about omega1 (detun[M-1-m] = -detun[m]), so the
+    mirror M-1-m of mode m has the conjugate phases, and the lag table
+    holds only the first H = ceil(M/2) modes: B H 16 bytes, 1 MB at M =
+    4096.  Only lag[1] and lag[B] come from ``exp``, the rows between from
+    products.  Every per-mode array is folded the same way, [half, ...,
+    m < H]: half 0 holds mode m, half 1 its mirror.  For odd M the middle
+    mode m = H-1 is its own mirror, so its half-1 entry is 0.
+
+    The field is stored so that both mode sums are real products over the
+    float view of lag (B x 2H, Re and Im interleaved) and no operand is
+    conjugated or converted per block: half 0 holds c_bar = conj(c), half
+    1 the mirrors' c itself, with their columns of G conjugated.  With G_R,
+    G_L the columns of each direction, P_j sums lag[j] u over the modes, u
+    = G_R c_R + G_L c_L; as conj(G_R) = G_L, u_bar = G_L c_bar_R + G_R
+    c_bar_L needs no conjugated copy of G, and the same expression gives
+    half 1 its u = conj(u_bar).  A row of the float view of u_bar_lo +
+    conj(u_bar_mirror) dotted with lag[j]'s is Re P_j, and one of i (u_bar_lo
+    - conj(u_bar_mirror)) is Im P_j, so one product of their (4 x 2H) view
+    gives both, for both cavities.  The update's weights w = conj(-i a s)
+    go into a real (4 x b) matrix of Re w and Im w, whose product with
+    lag's float view gives the complex rows A_i = sum_j Re(w_ji) lag[j] and
+    A'_i = sum_j Im(w_ji) lag[j] of each cavity i over the H modes; the
+    mirrors' rows are their conjugates.  So c_bar_d += sum_i G_d[i] (A_i +
+    i A'_i) in half 0, c_d += sum_i conj(G_d[i]) (A_i - i A'_i) in half 1,
+    and both halves turn by the same conj(lag[B]).  C_l takes the half
+    table and its conjugate, lag[l] X_0 + conj(lag[l] X_1), X_h = sum over
+    directions of G conj(G) in half h.  ``norm_drift`` is the worst
+    | ||psi||^2 + ||f||^2 - 1 | over all states: ||f||^2 is the stored
+    field's squared norm, measured at each block start and advanced by
+    each step's exact increment 2a Im((V f)^H s) + a^2 s^H G G^H s, s =
+    psi + psi'.
 
     The mode comb makes the dynamics periodic: after ``recurrence_fs =
     2 pi / spacing`` the emitted field returns.  Keep ``t_end_fs`` well
@@ -214,13 +230,18 @@ def run_discretized_bath(
     feed = -2j * alpha * lhs_inv
 
     B = min(_BLOCK, n_steps)
-    lag = np.ones((B, M), dtype=complex)
-    lag[1:] = np.exp(-1j * detun * h)
+    H = M - M // 2    # mode M - 1 - m has the conjugate phases of mode m < H
+    lag = np.ones((B, H), dtype=complex)
+    lag[1:] = np.exp(-1j * detun[:H] * h)
     for j in range(2, B):
         lag[j] *= lag[j - 1]
-    lag_block = np.exp(1j * detun * (B * h))    # conj(lag[B]): c_bar turns the other way
+    lag_block = np.exp(1j * detun[:H] * (B * h))    # conj(lag[B]): both halves turn by it
     G3 = G.reshape(2, 2, M)                  # [cavity, direction, mode]
-    kernel = (lag @ np.einsum("idm,kdm->ikm", G3, G3.conj()).reshape(4, M).T).reshape(B, 2, 2)
+    Gf = np.zeros((2, 2, 2, H), dtype=complex)    # [half, cavity, direction, mode]
+    Gf[0] = G3[..., :H]
+    Gf[1, ..., :M // 2] = G3[..., ::-1][..., :M // 2].conj()    # odd M's middle has no mirror
+    X = np.einsum("hidm,hkdm->hikm", Gf, Gf.conj()).reshape(2, 4, H)
+    kernel = (lag @ X[0].T + (lag @ X[1].T).conj()).reshape(B, 2, 2)
     # psi_{j+1} (maps[j + 1, 0]) and V f of step j (maps[j, 1]) from (psi_0, P_0, ..., P_{B-1})
     maps = np.zeros((B + 1, 2, 2, 2 + 2 * B), dtype=complex)
     maps[0, 0, :, :2] = np.eye(2)
@@ -231,19 +252,23 @@ def run_discretized_bath(
         maps[j + 1, 0] = keep @ maps[j, 0] + feed @ maps[j, 1]
     block_map = np.stack([maps[1:, 0], maps[:-1, 1]], axis=1).reshape(4 * B, 2 + 2 * B)
 
-    c_bar = np.zeros((2, M), dtype=complex)    # conj of the field in the frame of the block start
-    u = np.empty((2, 2, M), dtype=complex)     # [cavity, (u_bar, i u_bar), mode]
-    u_flat = u.view(np.float64).reshape(4, 2 * M)
+    c_bar = np.zeros((2, 2, H), dtype=complex)    # [half, direction, mode]: conj(c), mirrors' c
+    u = np.empty((2, 2, H), dtype=complex)        # [half, cavity, mode]: u_bar; mirrors' u
+    fold = np.empty((2, 2, H), dtype=complex)     # [cavity, (sum, i difference), mode]
+    fold_flat = fold.view(np.float64).reshape(4, 2 * H)
+    Q_bar = np.empty((2, 2, H), dtype=complex)    # [half, cavity, mode]: A + i A', A - i A'
     lf = lag.view(np.float64)
     amps = np.empty((2, n_steps + 1), dtype=complex)
     amps[:, 0] = complex(init[0]), complex(init[1])
     field_norm = np.empty(n_steps + 1)
     for n0 in range(0, n_steps, B):
         b = min(B, n_steps - n0)
-        np.multiply(G3[:, 1], c_bar[0], out=u[:, 0])    # conj(G) swaps the directions
-        u[:, 0] += G3[:, 0] * c_bar[1]
-        np.multiply(u[:, 0], 1j, out=u[:, 1])
-        P = (lf[:b] @ u_flat.T).view(complex)    # (b, 2): Re P_j and Im P_j interleaved
+        np.multiply(Gf[:, :, 1], c_bar[:, None, 0], out=u)    # conj(G) swaps the directions
+        u += Gf[:, :, 0] * c_bar[:, None, 1]
+        np.add(u[0], u[1], out=fold[:, 0])
+        np.subtract(u[0], u[1], out=fold[:, 1])
+        fold[:, 1] *= 1j
+        P = (lf[:b] @ fold_flat.T).view(complex)    # (b, 2): Re P_j and Im P_j interleaved
         y = block_map[:4 * b, :2 + 2 * b] @ np.concatenate([amps[:, n0], P.ravel()])
         psi, Vf = y.reshape(b, 2, 2).transpose(1, 0, 2)
         amps[:, n0 + 1:n0 + b + 1] = psi.T
@@ -255,11 +280,12 @@ def run_discretized_bath(
         if n0 + b < n_steps:
             w = (-1j * alpha * s).conj()
             rows = (np.concatenate([w.real.T, w.imag.T]) @ lf[:b]).view(complex)    # A, A'
-            Q_bar = rows[2:]
-            Q_bar *= 1j
-            Q_bar += rows[:2]
-            c_bar += G3[0] * Q_bar[0]
-            c_bar += G3[1] * Q_bar[1]
+            iA = rows[2:]    # i A', in place
+            iA *= 1j
+            np.add(rows[:2], iA, out=Q_bar[0])
+            np.subtract(rows[:2], iA, out=Q_bar[1])
+            c_bar += Gf[:, 0] * Q_bar[:, 0, None]
+            c_bar += Gf[:, 1] * Q_bar[:, 1, None]
             c_bar *= lag_block
     norms = (amps.real**2 + amps.imag**2).sum(0) + field_norm
     return BathResult(times=np.arange(n_steps + 1) * h, amp_a=amps[0], amp_b=amps[1], h_fs=h,

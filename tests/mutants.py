@@ -117,37 +117,37 @@ MUTANTS = (
     Mutant("no field rotation at the block end", ORACLE,
            "c_bar *= lag_block",
            "c_bar *= 1",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block+1]",
             T_ORACLE + "test_bath_tracks_the_delay_equations")),
     Mutant("block-end rotation one step short, lag[B - 1]", ORACLE,
-           "lag_block = np.exp(1j * detun * (B * h))",
+           "lag_block = np.exp(1j * detun[:H] * (B * h))",
            "lag_block = lag[B - 1].conj()",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block+1]",
             T_ORACLE + "test_bath_step_matches_the_exact_phase_step[long]")),
     Mutant("no swap of the two directions in u_bar", ORACLE,
-           "np.multiply(G3[:, 1], c_bar[0], out=u[:, 0])",
-           "np.multiply(G3[:, 0], c_bar[0], out=u[:, 0])",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+           "np.multiply(Gf[:, :, 1], c_bar[:, None, 0], out=u)",
+           "np.multiply(Gf[:, :, 0], c_bar[:, None, 0], out=u)",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block+1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("the two directions swapped in the field update", ORACLE,
-           "c_bar += G3[0] * Q_bar[0]\n            c_bar += G3[1] * Q_bar[1]",
-           "c_bar += G3[0, ::-1] * Q_bar[0]\n            c_bar += G3[1, ::-1] * Q_bar[1]",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+           "c_bar += Gf[:, 0] * Q_bar[:, 0, None]\n            c_bar += Gf[:, 1] * Q_bar[:, 1, None]",
+           "c_bar += Gf[:, 0, ::-1] * Q_bar[:, 0, None]\n            c_bar += Gf[:, 1, ::-1] * Q_bar[:, 1, None]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block+1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
-    Mutant("the i u_bar rows left equal to u_bar", ORACLE,
-           "np.multiply(u[:, 0], 1j, out=u[:, 1])",
-           "np.multiply(u[:, 0], 1, out=u[:, 1])",
+    Mutant("the i (u_bar - mirror) rows left without the i", ORACLE,
+           "fold[:, 1] *= 1j",
+           "fold[:, 1] *= 1",
            (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("Q_bar combined as A - i A'", ORACLE,
-           "Q_bar *= 1j",
-           "Q_bar *= -1j",
+           "iA *= 1j",
+           "iA *= -1j",
            (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",
             T_ORACLE + "test_bath_frozen_spot_values")),
     Mutant("lag kernel one step off", ORACLE,
            "kernel = (lag @ ",
            "kernel = (np.roll(lag, 1, 0) @ ",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[15]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block-1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("no in-block field-norm increments", ORACLE,
            "field_norm[n0 + 1:n0 + b + 1] = grow",
@@ -162,13 +162,23 @@ MUTANTS = (
     Mutant("field norm not measured at the block start", ORACLE,
            "field_norm[n0] = np.vdot(c_bar, c_bar).real",
            "field_norm[n0] = 0.0",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block+1]",
             T_ORACLE + "test_bath_norm_is_conserved_to_roundoff")),
     Mutant("every block as long as the first", ORACLE,
            "b = min(B, n_steps - n0)",
            "b = B",
-           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[17]",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[block+1]",
             T_ORACLE + "test_bath_frozen_spot_values")),
+    Mutant("the mirrored half taken without its conjugate", ORACLE,
+           "np.add(u[0], u[1], out=fold[:, 0])\n        np.subtract(u[0], u[1], out=fold[:, 1])",
+           "np.add(u[0], u[1].conj(), out=fold[:, 0])\n"
+           "        np.subtract(u[0], u[1].conj(), out=fold[:, 1])",
+           (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step[two-blocks+3]",
+            T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step")),
+    Mutant("the odd-M middle mode counted on both sides", ORACLE,
+           "Gf[1, ..., :M // 2] = G3[..., ::-1][..., :M // 2].conj()",
+           "Gf[1] = G3[..., ::-1][..., :H].conj()",
+           (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",)),
     # -- the run plan and the memory budget
     Mutant("own rates summed with the wrong sign", ENGINE,
            "rates[t.target] -= t.coefficient.real",
@@ -236,9 +246,15 @@ MUTANTS = (
 SURVIVORS = (
     # its drift stays below the 1e-12 the exact-phase tests allow
     Mutant("block-end rotation built by recurrence", ORACLE,
-           "lag_block = np.exp(1j * detun * (B * h))",
-           "lag_block = (lag[B - 1] * np.exp(-1j * detun * h)).conj()",
+           "lag_block = np.exp(1j * detun[:H] * (B * h))",
+           "lag_block = (lag[B - 1] * np.exp(-1j * detun[:H] * h)).conj()",
            (T_ORACLE + "test_bath_block_edges_match_the_exact_phase_step",)),
+    # equivalent: conj(G) of a mode swaps its two running directions, which
+    # share one frequency, so the cavities see the same bath
+    Mutant("the mirrors' columns of G left unconjugated", ORACLE,
+           "G3[..., ::-1][..., :M // 2].conj()",
+           "G3[..., ::-1][..., :M // 2]",
+           (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",)),
 )
 
 

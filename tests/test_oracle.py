@@ -125,6 +125,18 @@ def test_bath_argument_validation():
     assert b.n_modes == 64 and len(b.times) == 11
 
 
+
+def test_counts_past_float_range_are_refused_by_name():
+    # the grid multiplies the counts by floats: an integer no float holds is a
+    # refusal that names it, not an OverflowError
+    cav, huge = make_scaled(1.0, 0.0), 10**400
+    with pytest.raises(ValueError, match="^steps_per_delay must be at most"):
+        oracle.run_wavefunction(cav, huge, 100.0)
+    with pytest.raises(ValueError, match="^steps_per_delay must be at most"):
+        oracle.run_discretized_bath(cav, 64, huge, 100.0)
+    with pytest.raises(ValueError, match="^n_modes must be at most"):
+        oracle.run_discretized_bath(cav, huge, 50, 100.0)
+
 def test_both_oracles_refuse_a_non_finite_delay():
     # the grid step h = tau / K must be positive and finite; CavityParams
     # refuses both values, so the oracles get a namespace with its fields
@@ -230,6 +242,7 @@ def test_bath_step_matches_the_exact_phase_step(cav, n_modes, steps_per_delay, t
 @pytest.mark.parametrize(
     "n_steps",
     [1, oracle._BLOCK - 1, oracle._BLOCK, oracle._BLOCK + 1, 2 * oracle._BLOCK + 3],
+    ids=["1", "block-1", "block", "block+1", "two-blocks+3"],
 )
 def test_bath_block_edges_match_the_exact_phase_step(n_steps):
     # runs that end inside a block of steps, at its end and just past it, on
@@ -246,8 +259,9 @@ def test_bath_block_edges_match_the_exact_phase_step(n_steps):
 
 def test_bath_with_an_odd_mode_count_matches_the_exact_phase_step():
     # the block products read float views that interleave Re and Im of every
-    # mode, and a short last block reads [:b] slices of them: an odd mode
-    # count over two blocks and part of a third
+    # mode, and a short last block reads [:b] slices of them; with an odd mode
+    # count the middle mode has no mirror in the folded table: two blocks and
+    # part of a third
     cav, K, n_steps = make_unequal(0.4, 1.7, 3.7, -1.2, 0.2), 50, 2 * oracle._BLOCK + 3
     t_end_fs = n_steps * cav.tau_fs / K
     b = oracle.run_discretized_bath(cav, 5, K, t_end_fs)
