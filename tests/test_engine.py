@@ -187,13 +187,12 @@ def test_run_argument_validation():
     assert (r.steps_per_delay, r.band_width) == (20, 7)
 
 
-
 def test_counts_past_float_range_are_refused_by_name():
     # the width rule and the step count multiply the count by floats, so an
     # integer no float holds is a refusal that names it, not an OverflowError
     eqs, huge = toy_eqs(), 10**400
-    for kw in (dict(steps_per_delay=huge), dict(steps_per_delay=20, band_width=huge)):
-        name = next(k for k, v in kw.items() if v is huge)
+    for name, kw in (("steps_per_delay", dict(steps_per_delay=huge)),
+                     ("band_width", dict(steps_per_delay=20, band_width=huge))):
         with pytest.raises(ValueError, match=f"^{name} must be at most"):
             engine.plan_run(eqs, t_end_fs=10.0, **kw)
         with pytest.raises(ValueError, match=f"^{name} must be at most"):
@@ -204,6 +203,7 @@ def test_counts_past_float_range_are_refused_by_name():
         HierarchyIntegrator(eqs, {"s": 1.0}, steps_per_delay=20, band_width=5, horizon_steps=huge)
     # the largest count a float holds still plans: the width is the cap
     assert default_band_width(eqs, int(sys.float_info.max)) == int(sys.float_info.max)
+
 
 def test_unknown_initial_state_is_refused_before_the_ring_is_allocated():
     # this ring would take 64 TB: the name check comes first, and allocates nothing

@@ -125,7 +125,6 @@ def test_bath_argument_validation():
     assert b.n_modes == 64 and len(b.times) == 11
 
 
-
 def test_counts_past_float_range_are_refused_by_name():
     # the grid multiplies the counts by floats: an integer no float holds is a
     # refusal that names it, not an OverflowError
@@ -136,6 +135,7 @@ def test_counts_past_float_range_are_refused_by_name():
         oracle.run_discretized_bath(cav, 64, huge, 100.0)
     with pytest.raises(ValueError, match="^n_modes must be at most"):
         oracle.run_discretized_bath(cav, huge, 50, 100.0)
+
 
 def test_both_oracles_refuse_a_non_finite_delay():
     # the grid step h = tau / K must be positive and finite; CavityParams
