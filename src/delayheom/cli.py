@@ -65,11 +65,9 @@ _TOP_KEYS = {
     "slab": _OBJECT,
     "cavity": _OBJECT,
     "steps_per_delay": ((int,), lambda k: k >= 10, "must be an integer >= 10"),
-    "t_end_fs": ((float, int), lambda t: t > 0, "must be a positive finite number"),
-    # null asks for the default width
-    "band_width": ((int, type(None)), lambda w: w is None or w >= 1,
-                   "must be an integer >= 1"),
-    "eps_band": ((float, int), lambda e: 0 < e < 1, "must be a number in (0, 1)"),
+    "t_end_fs": ((float, int),),    # plan_run refuses it, and the next two, out of range
+    "band_width": ((int, type(None)),),    # null asks for the default width
+    "eps_band": ((float, int),),
     "include_first_arg_delayed": ((bool,), None, "must be a boolean"),
     "initial_state": _OBJECT,
 }
@@ -338,8 +336,6 @@ def _cmd_qnm_info(args):
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    except (ZeroDivisionError, OverflowError) as e:    # an extreme geometry
-        raise ConfigError("overlaps must be finite for this geometry") from e
     print(f"z: {q.z.real:.12g} {q.z.imag:+.12g}j")
     for name, value in fields:
         print(f"{name}: {value:.12g}")

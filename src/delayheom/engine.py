@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -188,7 +189,7 @@ class EquationSet:
             raise EquationSetError("at least one system variable is required")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise EquationSetError("variable names must be unique and non-empty")
-        if not 0 < self.tau_fs <= sys.float_info.max:    # refuses NaN too
+        if not 0 < _number(self.tau_fs) <= sys.float_info.max:    # refuses NaN too
             raise EquationSetError("tau_fs must be positive and finite")
         group = dict.fromkeys(self.system_vars, "system")
         group.update(dict.fromkeys(self.band_vars, "band"))
@@ -233,8 +234,8 @@ def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
     own-damping rate over the band variables, minus the real part of the sum
     of a variable's OWN coefficients (an undamped variable, rate <= 0, never
     fades), and never more than ``K``, the oldest age the system reads."""
-    if not 0 < eps_band < 1:
-        raise ValueError("eps_band must be in (0, 1)")
+    if not 0 < _number(eps_band) < 1:    # refuses NaN too
+        raise ValueError("eps_band must be a number in (0, 1)")
     own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
     for t in eqs.terms:
         if t.pattern is own:
@@ -246,15 +247,20 @@ def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
     return (max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")
 
 
+def _number(value, kinds=(float, int, numbers.Real)):    # built-ins first: an ABC checks slowly
+    """``value`` if it is one of ``kinds``, else NaN: a bool is not one."""
+    return value if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
+
+
 def _count(name: str, value) -> int:
     """``value`` as an int in [1, float max]; NumPy integers pass, a float
-    does not, and no later float product of it overflows."""
+    or a bool does not, and no later float product of it overflows."""
     try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        n = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:    # a float, a string, None
+        n = 0
     if n < 1:
-        raise ValueError(f"{name} must be >= 1")
+        raise ValueError(f"{name} must be an integer >= 1")
     if n > sys.float_info.max:
         raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}")
     return n
@@ -348,13 +354,16 @@ class HierarchyIntegrator:
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
+        self.state = np.zeros(n_s, dtype=complex)
+        for name, value in init.items():
+            z = _number(value, (complex, float, int, numbers.Complex))
+            if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too
+                raise ValueError(f"init[{name!r}] must be a finite number, got {value!r}")
+            self.state[eqs.system_vars.index(name)] = complex(value)
         # not zeroed: the first ring cycle does it (Storage), out of construction
         self.buffer = np.empty((*_ring_shape(K, W, self._horizon), n_b), dtype=complex)
         self.eqs = eqs
         self.h_fs = h = eqs.tau_fs / K
-        self.state = np.zeros(n_s, dtype=complex)
-        for name, value in init.items():
-            self.state[eqs.system_vars.index(name)] = complex(value)
 
         m, used = _real_forms(eqs)
         h_c, h_l = h * m[Pattern.CURRENT], h * m[Pattern.OWN]
@@ -371,9 +380,9 @@ class HierarchyIntegrator:
             rows += [d + h_l @ d, d + d @ h_c]
             if has_sad:
                 rows.append(h_s @ d)
-        sys = np.concatenate(rows)
-        self._sys_cur = sys[: 2 * n_s]
-        self._sys_open = sys if delayed else None
+        system = np.concatenate(rows)
+        self._sys_cur = system[: 2 * n_s]
+        self._sys_open = system if delayed else None
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
         self._idx = None  # the gather's flat index, built by _advance
@@ -532,12 +541,11 @@ def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
     time may overshoot ``t_end_fs`` by a fraction of a step).  With no
     ``band_width``, the width is :func:`default_band_width`'s.
     """
-    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be positive and finite")
+    if not 0 < _number(t_end_fs) <= sys.float_info.max:    # refuses NaN too
+        raise ValueError("t_end_fs must be a positive finite number")
     K = _count("steps_per_delay", steps_per_delay)
-    if band_width is None:
-        W, source = _width_rule(eqs, K, eps_band)
-    else:
+    W, source = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not a width is given
+    if band_width is not None:
         W, source = _count("band_width", band_width), "user"
     steps = t_end_fs * K / eqs.tau_fs
     if not steps < sys.maxsize:    # refuses an infinite count too

@@ -19,6 +19,7 @@ the hierarchy, so amplitudes are directly comparable.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -53,25 +54,33 @@ class BathResult(WavefunctionResult):
 _BLOCK = 32    # steps per block of the bath oracle (see run_discretized_bath)
 
 
-def _count(name, value, least=1):
-    """``value`` as an int in [``least``, float max]; NumPy integers pass, a
-    float does not, and no later float product of it overflows."""
+def _number(value, kinds=(float, int, numbers.Real)):    # built-ins first: an ABC checks slowly
+    """``value`` if it is one of ``kinds``, else NaN: a bool is not one."""
+    return value if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
+
+
+def _count(name, value, least=1, most=sys.float_info.max):
+    """``value`` as an int in [``least``, ``most``]; NumPy integers pass, a
+    float or a bool does not, and no later float product of it overflows."""
     try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        n = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:    # a float, a string, None
+        n = 0
     if n < least:
-        raise ValueError(f"{name} must be >= {least}")
-    if n > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}")
+        raise ValueError(f"{name} must be an integer >= {least}")
+    if n > most:
+        raise ValueError(f"{name} must be at most {most:.6g}")
     return n
 
 
-def _grid(cavity, steps_per_delay, t_end_fs):
-    """``(K, h, n_steps)`` of the grid locked to the delay, ``h = tau / K``."""
+def _grid(cavity, steps_per_delay, t_end_fs, init):
+    """``(K, h, n_steps)`` of the grid locked to the delay, ``h = tau / K``; ``init`` is checked."""
     K = _count("steps_per_delay", steps_per_delay)
-    if not 0 < t_end_fs <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be positive and finite")
+    if not 0 < _number(t_end_fs) <= sys.float_info.max:    # refuses NaN too
+        raise ValueError("t_end_fs must be a positive finite number")
+    for i, z in enumerate(_number(v, (complex, float, int, numbers.Complex)) for v in init):
+        if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too
+            raise ValueError(f"init[{i}] must be a finite number, got {init[i]!r}")
     if not 0 < cavity.tau_fs <= sys.float_info.max:    # refuses inf and NaN too
         raise ValueError(f"need a positive delay to lock the grid to, got {cavity.tau_fs!r}")
     # the engine's expression: t_end_fs / h can round to another count
@@ -93,7 +102,7 @@ def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):
     solvers share a continuum limit but no code or state layout.
     """
     hbar = CONSTANTS.hbar_ev_fs
-    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs)
+    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs, init)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     v = cavity.v_ab_ev / hbar
@@ -198,15 +207,16 @@ def run_discretized_bath(
     ``n_modes >= 26 gamma t_end``).
     """
     hbar = CONSTANTS.hbar_ev_fs
-    M = _count("n_modes", n_modes, least=2)
-    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs)
+    # the lag table, _BLOCK x ceil(M/2) complex values, is the largest per-mode array
+    M = _count("n_modes", n_modes, least=2, most=2 * (sys.maxsize // (16 * _BLOCK)))
+    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs, init)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     if half_bandwidth_fs is None:
         half_bandwidth_fs = 80.0 * max(ga, gb)
+    if not 0 < _number(half_bandwidth_fs) <= sys.float_info.max:
+        raise ValueError(f"half_bandwidth_fs must be positive and finite, got {half_bandwidth_fs!r}")
     delta = float(half_bandwidth_fs)
-    if not 0 < delta <= sys.float_info.max:
-        raise ValueError(f"half_bandwidth_fs must be positive and finite, got {delta!r}")
 
     omega1 = cavity.omega_a_ev / hbar          # rotating-frame reference
     det_b = (cavity.omega_b_ev - cavity.omega_a_ev) / hbar

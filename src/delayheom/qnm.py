@@ -20,8 +20,10 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 
 from .constants import CONSTANTS
 
@@ -37,6 +39,17 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("cyclic", "angular")
+
+
+def _finite(values) -> None:
+    """Refuse the first of ``values`` (name: value) that is not a finite number, by name."""
+    for name, value in values.items():
+        try:    # math refuses a string, and an integer past float range
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,9 +79,7 @@ class SlabParams:
     mode_index: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("L_um", "eps_r", "eps_b", "R_um"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _finite({name: getattr(self, name) for name in ("L_um", "eps_r", "eps_b", "R_um")})
         if self.L_um <= 0:
             raise ValueError("L_um must be positive")
         if self.eps_b < 1.0:
@@ -77,8 +88,8 @@ class SlabParams:
             raise ValueError("eps_r must exceed eps_b")
         if self.R_um < 0:
             raise ValueError("R_um must be >= 0")
-        if not isinstance(self.mode_index, int) or self.mode_index < 1:
-            raise ValueError("mode_index must be a positive integer")
+        if type(self.mode_index) is not int or not 1 <= self.mode_index <= sys.float_info.max:
+            raise ValueError(f"mode_index must be an integer in [1, {sys.float_info.max:.6g}]")
 
     @property
     def n_r(self) -> float:
@@ -198,18 +209,20 @@ def overlaps(slab: SlabParams) -> Overlaps:
         s_ab = s_aa * Re{ (omega~ / 2 omega1) e^{-i omega1 R / c} }
                     * e^{-gamma1 R / c}.
 
-    All internal frequencies are angular (1/fs).
+    All internal frequencies are angular (1/fs).  A non-finite result is refused.
     """
-    q = qnm_frequency(slab)
     c = CONSTANTS.c_um_fs
-    om_t = q.z * c / slab.L_um  # complex angular eigenfrequency, 1/fs
-    omega1 = om_t.real
-    gamma1 = -om_t.imag
-    m1 = regularized_factor(slab, om_t)
-    s_aa = (2.0 * c / gamma1) * abs(m1) ** 2
-    damp = math.exp(-gamma1 * slab.R_um / c)
-    osc = ((om_t / (2.0 * omega1)) * cmath.exp(-1j * omega1 * slab.R_um / c)).real
-    return Overlaps(s_aa=s_aa, s_ab=s_aa * osc * damp, envelope_bound=damp)
+    with contextlib.suppress(ArithmeticError, ValueError):    # how extreme geometries fail
+        om_t = qnm_frequency(slab).z * c / slab.L_um  # complex angular eigenfrequency, 1/fs
+        omega1, gamma1 = om_t.real, -om_t.imag
+        m1 = regularized_factor(slab, om_t)
+        s_aa = (2.0 * c / gamma1) * abs(m1) ** 2
+        damp = math.exp(-gamma1 * slab.R_um / c)
+        osc = ((om_t / (2.0 * omega1)) * cmath.exp(-1j * omega1 * slab.R_um / c)).real
+        ov = Overlaps(s_aa=s_aa, s_ab=s_aa * osc * damp, envelope_bound=damp)
+        if all(map(math.isfinite, (s_aa, ov.s_ab, damp, ov.ratio))):
+            return ov
+    raise ValueError("overlaps must be finite for this geometry")
 
 
 @dataclass(frozen=True)
@@ -229,9 +242,7 @@ class CavityParams:
     tau_fs: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        _finite(vars(self))
         if self.gamma_a_ev < 0 or self.gamma_b_ev < 0:
             raise ValueError("decay rates must be nonnegative")
         if self.tau_fs < 0:

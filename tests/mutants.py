@@ -6,7 +6,9 @@ replacement is made.  Run from the repository root:
 
     python -m tests.mutants
 
-The runner copies ``src/`` to a temporary directory once, then for each
+The runner first collects every node the entries name in one ``pytest
+--collect-only`` run, and stops with the ids it does not find.  It then
+copies ``src/`` to a temporary directory once, and for each
 entry writes the mutated file into the copy, runs the entry's nodes in a
 fresh pytest subprocess with the copy first on ``PYTHONPATH``, and puts the
 file back.  It reports every entry one of whose nodes still passes (a
@@ -14,8 +16,10 @@ survivor) and exits 1 if there is one.  ``SURVIVORS`` are mutants known
 to pass every test: they are run and reported, never asserted.
 
 ``tests/test_mutants.py`` checks that every snippet occurs exactly once in
-the current source, so a change that moves mutated code must update its
-entry here.  Pytest does not collect this file (its name is not
+the current source, and that each node names an existing test function, so
+a change that moves mutated code must update its entry here.  Parametrize
+ids are checked only by the runner's collection, which is too slow for
+tier-1.  Pytest does not collect this file (its name is not
 ``test_*``).
 """
 
@@ -41,7 +45,10 @@ class Mutant(NamedTuple):
 
 
 ENGINE, ORACLE, CLI = "delayheom/engine.py", "delayheom/oracle.py", "delayheom/cli.py"
+QNM = "delayheom/qnm.py"
 T_ENGINE, T_ORACLE, T_CLI = "tests/test_engine.py::", "tests/test_oracle.py::", "tests/test_cli.py::"
+#: the property that every entry point refuses a bad argument by name
+REFUSALS = "tests/test_refusals.py::test_every_entry_point_refuses_a_bad_argument_by_name"
 
 MUTANTS = (
     # -- the Heun step of the band and the system
@@ -239,6 +246,36 @@ MUTANTS = (
            "self._horizon = _WINDOW if horizon_steps is None",
            (T_ENGINE + "test_fine_delay_grid_short_run_stays_small",
             T_ENGINE + "test_horizon_shrinks_storage_without_changing_results")),
+    Mutant("passivity slack 1e-6 for 1e-12", CLI,
+           "cavity.gamma_a_ev * cavity.gamma_b_ev * (1 + 1e-12)",
+           "cavity.gamma_a_ev * cavity.gamma_b_ev * (1 + 1e-6)",
+           (T_CLI + "test_passivity_refuses_a_coupling_just_past_the_bound",)),
+    # -- one refusal per argument rule, in the library
+    Mutant("plan_run skips the width rule when a width is given", ENGINE,
+           "    W, source = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not "
+           "a width is given\n    if band_width is not None:\n",
+           "    if band_width is None:\n        W, source = _width_rule(eqs, K, eps_band)\n"
+           "    else:\n",
+           (REFUSALS,)),
+    Mutant("the engine's count accepts a bool", ENGINE,
+           "n = 0 if isinstance(value, bool) else operator.index(value)",
+           "n = operator.index(value)",
+           (REFUSALS,)),
+    Mutant("no refusal of a non-finite initial value in the engine", ENGINE,
+           "            if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too\n"
+           "                raise ValueError(f\"init[{name!r}] must be a finite number, got {value!r}\")\n",
+           "",
+           (REFUSALS,)),
+    Mutant("no refusal of a non-finite initial value in the oracles", ORACLE,
+           "        if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too\n"
+           "            raise ValueError(f\"init[{i}] must be a finite number, got {init[i]!r}\")\n",
+           "        pass\n",
+           (REFUSALS,)),
+    Mutant("overlaps returns what it cannot vouch for", QNM,
+           "        if all(map(math.isfinite, (s_aa, ov.s_ab, damp, ov.ratio))):\n"
+           "            return ov\n",
+           "        return ov\n",
+           (REFUSALS,)),
 )
 
 #: mutants that pass every test; recorded so that no one takes them for
@@ -286,8 +323,27 @@ def _passing_nodes(mutant: Mutant, src: Path) -> tuple[str, ...] | None:
     return tuple(n for n in mutant.nodes if n not in failed)
 
 
+def _missing_nodes(entries: tuple[Mutant, ...]) -> list[str]:
+    """The nodes the entries name that one ``pytest --collect-only`` run
+    over their test functions does not collect (all of them if a function
+    is gone, since pytest then lists none)."""
+    nodes = {n for m in entries for n in m.nodes}
+    functions = sorted({n.split("[", 1)[0] for n in nodes})
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *functions], cwd=ROOT, capture_output=True, text=True)
+    collected = set(done.stdout.splitlines())
+    # a node with no parametrize id runs every case of its function
+    collected |= {n.split("[", 1)[0] for n in collected}
+    return sorted(nodes - collected)
+
+
 def main() -> int:
     entries = MUTANTS + SURVIVORS
+    missing = _missing_nodes(entries)
+    if missing:
+        print("test nodes not collected:", *missing, sep="\n  ")
+        return 1
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"

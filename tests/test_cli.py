@@ -323,6 +323,20 @@ def test_config_error_messages(overrides, message):
     assert str(exc.value) == message
 
 
+def test_passivity_refuses_a_coupling_just_past_the_bound():
+    # 4 v^2 = gamma_a gamma_b (1 + 1e-9): past the bound by more than its 1e-12 slack
+    g_b = 0.5 * BASE_CAVITY["gamma_b_ev"]
+    v = math.sqrt(BASE_CAVITY["gamma_a_ev"] * g_b * (1 + 1e-9)) / 2
+    with pytest.raises(cli.ConfigError, match="^config error at cavity.v_ab_ev: "):
+        cli.load_config(base_config(cavity=dict(BASE_CAVITY, gamma_b_ev=g_b, v_ab_ev=v)))
+    # the slab preset's derived coupling sits on the bound, and loads as a cavity block
+    raw = cli.read_config_file("slab_21um")
+    cavity = dataclasses.asdict(cli.load_config(raw)["cavity"])
+    assert 4 * cavity["v_ab_ev"] ** 2 == cavity["gamma_a_ev"] * cavity["gamma_b_ev"]
+    del raw["slab"]
+    cli.load_config(dict(raw, cavity=cavity))
+
+
 def test_null_band_width_is_the_default():
     cfg = cli.load_config(base_config(band_width=None))
     assert cfg == cli.load_config(base_config()) and cfg["band_width"] is None

@@ -801,7 +801,7 @@ def test_stepping_past_the_horizon_raises():
         it.step()
     with pytest.raises(ValueError, match="horizon"):
         it.step()
-    with pytest.raises(ValueError, match="horizon_steps must be >= 1"):
+    with pytest.raises(ValueError, match="horizon_steps must be an integer >= 1"):
         HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=100, band_width=101,
                             horizon_steps=0)
 

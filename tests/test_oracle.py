@@ -137,6 +137,14 @@ def test_counts_past_float_range_are_refused_by_name():
         oracle.run_discretized_bath(cav, huge, 50, 100.0)
 
 
+def test_bath_refuses_a_mode_count_no_array_can_index():
+    # refused from the lag table's byte count, before anything is allocated:
+    # only counts that NumPy could never allocate are tried
+    for n_modes in (10**20, 2**62):
+        with pytest.raises(ValueError, match="^n_modes must be at most"):
+            oracle.run_discretized_bath(make_scaled(1.0, 0.0), n_modes, 50, 100.0)
+
+
 def test_both_oracles_refuse_a_non_finite_delay():
     # the grid step h = tau / K must be positive and finite; CavityParams
     # refuses both values, so the oracles get a namespace with its fields
