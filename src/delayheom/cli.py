@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import engine, models, oracle
+from ._args import finite
 from .engine import NonFiniteStateError
 from .qnm import CavityParams, SlabParams, derive_cavity_params, overlaps, qnm_frequency
 
@@ -90,7 +91,7 @@ def _check(path, value, kinds, ok=None, why=None):
     if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
         _fail(path, why or f"expected {kinds[0].__name__}")
     # JSON as Python reads it admits NaN, Infinity and integers past float range
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and not finite(value):
         _fail(path, "must be finite")
     if ok is not None and not ok(value):
         _fail(path, why)
@@ -300,7 +301,7 @@ def _amplitude_init(cfg):
 
 
 def _cmd_compare(args):
-    if not 0 <= args.tolerance <= sys.float_info.max:    # refuses NaN too
+    if not (finite(args.tolerance) and args.tolerance >= 0):
         raise _UsageError(f"delayheom compare: error: --tolerance must be a finite number >= 0, "
                           f"got {args.tolerance}")
     cfg = load_config(read_config_file(args.config))

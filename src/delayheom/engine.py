@@ -98,13 +98,12 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-import operator
-import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
+
+from ._args import count, finite, grid_steps, initial_value
 
 __all__ = [
     "Pattern",
@@ -189,7 +188,7 @@ class EquationSet:
             raise EquationSetError("at least one system variable is required")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise EquationSetError("variable names must be unique and non-empty")
-        if not 0 < _number(self.tau_fs) <= sys.float_info.max:    # refuses NaN too
+        if not (finite(self.tau_fs) and self.tau_fs > 0):
             raise EquationSetError("tau_fs must be positive and finite")
         group = dict.fromkeys(self.system_vars, "system")
         group.update(dict.fromkeys(self.band_vars, "band"))
@@ -225,7 +224,7 @@ def default_band_width(
     eqs: EquationSet, steps_per_delay: int, eps_band: float = 1e-12
 ) -> int:
     """The band width :func:`plan_run` gives any run that sets none."""
-    return _width_rule(eqs, _count("steps_per_delay", steps_per_delay), eps_band)[0]
+    return _width_rule(eqs, count("steps_per_delay", steps_per_delay), eps_band)[0]
 
 
 def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
@@ -234,7 +233,7 @@ def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
     own-damping rate over the band variables, minus the real part of the sum
     of a variable's OWN coefficients (an undamped variable, rate <= 0, never
     fades), and never more than ``K``, the oldest age the system reads."""
-    if not 0 < _number(eps_band) < 1:    # refuses NaN too
+    if not (finite(eps_band) and 0 < eps_band < 1):
         raise ValueError("eps_band must be a number in (0, 1)")
     own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
     for t in eqs.terms:
@@ -243,27 +242,8 @@ def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
     # near the subnormal range the product underflows and the quotient
     # overflows: each means that a line outlives the delay
     decay = min(rates.values(), default=0.0) * eqs.tau_fs
-    kept = math.log(1.0 / eps_band) * K / decay if decay > 0 else math.inf
+    kept = math.log(1.0 / float(eps_band)) * K / decay if decay > 0 else math.inf
     return (max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")
-
-
-def _number(value, kinds=(float, int, numbers.Real)):    # built-ins first: an ABC checks slowly
-    """``value`` if it is one of ``kinds``, else NaN: a bool is not one."""
-    return value if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int in [1, float max]; NumPy integers pass, a float
-    or a bool does not, and no later float product of it overflows."""
-    try:
-        n = 0 if isinstance(value, bool) else operator.index(value)
-    except TypeError:    # a float, a string, None
-        n = 0
-    if n < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
-    if n > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}")
-    return n
 
 
 def _real_forms(eqs: EquationSet) -> tuple[dict[Pattern, np.ndarray], set[Pattern]]:
@@ -348,18 +328,15 @@ class HierarchyIntegrator:
         horizon_steps: int | None = None,
     ):
         n_s, n_b = len(eqs.system_vars), len(eqs.band_vars)
-        self.K = K = _count("steps_per_delay", steps_per_delay)
-        self.band_width = W = _count("band_width", band_width)
-        self._horizon = math.inf if horizon_steps is None else _count("horizon_steps", horizon_steps)
+        self.K = K = count("steps_per_delay", steps_per_delay)
+        self.band_width = W = count("band_width", band_width)
+        self._horizon = math.inf if horizon_steps is None else count("horizon_steps", horizon_steps)
         unknown = set(init) - set(eqs.system_vars)
         if unknown:
             raise ValueError(f"initial state names unknown variables: {sorted(unknown)}")
         self.state = np.zeros(n_s, dtype=complex)
         for name, value in init.items():
-            z = _number(value, (complex, float, int, numbers.Complex))
-            if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too
-                raise ValueError(f"init[{name!r}] must be a finite number, got {value!r}")
-            self.state[eqs.system_vars.index(name)] = complex(value)
+            self.state[eqs.system_vars.index(name)] = initial_value(f"init[{name!r}]", value)
         # not zeroed: the first ring cycle does it (Storage), out of construction
         self.buffer = np.empty((*_ring_shape(K, W, self._horizon), n_b), dtype=complex)
         self.eqs = eqs
@@ -541,16 +518,11 @@ def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
     time may overshoot ``t_end_fs`` by a fraction of a step).  With no
     ``band_width``, the width is :func:`default_band_width`'s.
     """
-    if not 0 < _number(t_end_fs) <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be a positive finite number")
-    K = _count("steps_per_delay", steps_per_delay)
+    K = count("steps_per_delay", steps_per_delay)
+    n_steps = grid_steps(t_end_fs, K, eqs.tau_fs)
     W, source = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not a width is given
     if band_width is not None:
-        W, source = _count("band_width", band_width), "user"
-    steps = t_end_fs * K / eqs.tau_fs
-    if not steps < sys.maxsize:    # refuses an infinite count too
-        raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
-    n_steps = max(1, math.ceil(steps - 1e-9))
+        W, source = count("band_width", band_width), "user"
     rows, ages = _ring_shape(K, W, n_steps)
     cell, state = 16 * len(eqs.band_vars), 16 * len(eqs.system_vars)    # 16 bytes per value
     return _RunPlan(n_steps, eqs.tau_fs / K, W, source, W < K,

@@ -19,13 +19,12 @@ the hierarchy, so amplitudes are directly comparable.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import count, finite, grid_steps, initial_value
 from .constants import CONSTANTS
 
 __all__ = [
@@ -54,40 +53,14 @@ class BathResult(WavefunctionResult):
 _BLOCK = 32    # steps per block of the bath oracle (see run_discretized_bath)
 
 
-def _number(value, kinds=(float, int, numbers.Real)):    # built-ins first: an ABC checks slowly
-    """``value`` if it is one of ``kinds``, else NaN: a bool is not one."""
-    return value if isinstance(value, kinds) and not isinstance(value, bool) else math.nan
-
-
-def _count(name, value, least=1, most=sys.float_info.max):
-    """``value`` as an int in [``least``, ``most``]; NumPy integers pass, a
-    float or a bool does not, and no later float product of it overflows."""
-    try:
-        n = 0 if isinstance(value, bool) else operator.index(value)
-    except TypeError:    # a float, a string, None
-        n = 0
-    if n < least:
-        raise ValueError(f"{name} must be an integer >= {least}")
-    if n > most:
-        raise ValueError(f"{name} must be at most {most:.6g}")
-    return n
-
-
 def _grid(cavity, steps_per_delay, t_end_fs, init):
-    """``(K, h, n_steps)`` of the grid locked to the delay, ``h = tau / K``; ``init`` is checked."""
-    K = _count("steps_per_delay", steps_per_delay)
-    if not 0 < _number(t_end_fs) <= sys.float_info.max:    # refuses NaN too
-        raise ValueError("t_end_fs must be a positive finite number")
-    for i, z in enumerate(_number(v, (complex, float, int, numbers.Complex)) for v in init):
-        if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too
-            raise ValueError(f"init[{i}] must be a finite number, got {init[i]!r}")
-    if not 0 < cavity.tau_fs <= sys.float_info.max:    # refuses inf and NaN too
+    """``(K, h, n_steps)`` of the grid locked to the delay, ``h = tau / K``,
+    then ``init`` as complex values."""
+    K = count("steps_per_delay", steps_per_delay)
+    if not (finite(cavity.tau_fs) and cavity.tau_fs > 0):
         raise ValueError(f"need a positive delay to lock the grid to, got {cavity.tau_fs!r}")
-    # the engine's expression: t_end_fs / h can round to another count
-    steps = t_end_fs * K / cavity.tau_fs
-    if not steps < sys.maxsize:    # refuses an infinite count too
-        raise ValueError(f"t_end_fs implies {steps:.3g} steps, more than an array can index")
-    return K, cavity.tau_fs / K, max(1, math.ceil(steps - 1e-9))
+    return (K, cavity.tau_fs / K, grid_steps(t_end_fs, K, cavity.tau_fs),
+            [initial_value(f"init[{i}]", v) for i, v in enumerate(init)])
 
 
 def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):
@@ -102,7 +75,7 @@ def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):
     solvers share a continuum limit but no code or state layout.
     """
     hbar = CONSTANTS.hbar_ev_fs
-    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs, init)
+    K, h, n_steps, init = _grid(cavity, steps_per_delay, t_end_fs, init)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     v = cavity.v_ab_ev / hbar
@@ -110,7 +83,7 @@ def run_wavefunction(cavity, steps_per_delay, t_end_fs, init=(1.0 + 0j, 0.0j)):
     cb = complex(-2.0 * v * np.exp(1j * cavity.omega_a_ev * cavity.tau_fs / hbar))
 
     # Python lists of complex: indexing an array would make a NumPy scalar per read
-    na, nb = [complex(init[0])], [complex(init[1])]
+    na, nb = [init[0]], [init[1]]
     for n in range(n_steps):
         gate = n >= K
         fa_l = -ga * na[n] + (ca * nb[n - K] if gate else 0.0)
@@ -208,13 +181,13 @@ def run_discretized_bath(
     """
     hbar = CONSTANTS.hbar_ev_fs
     # the lag table, _BLOCK x ceil(M/2) complex values, is the largest per-mode array
-    M = _count("n_modes", n_modes, least=2, most=2 * (sys.maxsize // (16 * _BLOCK)))
-    K, h, n_steps = _grid(cavity, steps_per_delay, t_end_fs, init)
+    M = count("n_modes", n_modes, least=2, most=2 * (sys.maxsize // (16 * _BLOCK)))
+    K, h, n_steps, init = _grid(cavity, steps_per_delay, t_end_fs, init)
     ga = cavity.gamma_a_ev / hbar
     gb = cavity.gamma_b_ev / hbar
     if half_bandwidth_fs is None:
         half_bandwidth_fs = 80.0 * max(ga, gb)
-    if not 0 < _number(half_bandwidth_fs) <= sys.float_info.max:
+    if not (finite(half_bandwidth_fs) and half_bandwidth_fs > 0):
         raise ValueError(f"half_bandwidth_fs must be positive and finite, got {half_bandwidth_fs!r}")
     delta = float(half_bandwidth_fs)
 
@@ -269,7 +242,7 @@ def run_discretized_bath(
     Q_bar = np.empty((2, 2, H), dtype=complex)    # [half, cavity, mode]: A + i A', A - i A'
     lf = lag.view(np.float64)
     amps = np.empty((2, n_steps + 1), dtype=complex)
-    amps[:, 0] = complex(init[0]), complex(init[1])
+    amps[:, 0] = init[0], init[1]
     field_norm = np.empty(n_steps + 1)
     for n0 in range(0, n_steps, B):
         b = min(B, n_steps - n0)

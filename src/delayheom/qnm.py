@@ -22,9 +22,9 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-import sys
 from dataclasses import dataclass
 
+from ._args import count, finite
 from .constants import CONSTANTS
 
 __all__ = [
@@ -44,11 +44,7 @@ _CONVENTIONS = ("cyclic", "angular")
 def _finite(values) -> None:
     """Refuse the first of ``values`` (name: value) that is not a finite number, by name."""
     for name, value in values.items():
-        try:    # math refuses a string, and an integer past float range
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
+        if not finite(value):
             raise ValueError(f"{name} must be finite")
 
 
@@ -84,12 +80,12 @@ class SlabParams:
             raise ValueError("L_um must be positive")
         if self.eps_b < 1.0:
             raise ValueError("eps_b must be >= 1")
-        if self.eps_r <= self.eps_b:
+        # compared as indices: an eps_r one rounding above eps_b can share its index
+        if self.n_r <= self.n_b:
             raise ValueError("eps_r must exceed eps_b")
         if self.R_um < 0:
             raise ValueError("R_um must be >= 0")
-        if type(self.mode_index) is not int or not 1 <= self.mode_index <= sys.float_info.max:
-            raise ValueError(f"mode_index must be an integer in [1, {sys.float_info.max:.6g}]")
+        object.__setattr__(self, "mode_index", count("mode_index", self.mode_index))
 
     @property
     def n_r(self) -> float:

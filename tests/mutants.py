@@ -45,8 +45,9 @@ class Mutant(NamedTuple):
 
 
 ENGINE, ORACLE, CLI = "delayheom/engine.py", "delayheom/oracle.py", "delayheom/cli.py"
-QNM = "delayheom/qnm.py"
+QNM, MODELS, ARGS = "delayheom/qnm.py", "delayheom/models.py", "delayheom/_args.py"
 T_ENGINE, T_ORACLE, T_CLI = "tests/test_engine.py::", "tests/test_oracle.py::", "tests/test_cli.py::"
+T_QNM, T_MODELS = "tests/test_qnm.py::", "tests/test_models.py::"
 #: the property that every entry point refuses a bad argument by name
 REFUSALS = "tests/test_refusals.py::test_every_entry_point_refuses_a_bad_argument_by_name"
 
@@ -257,25 +258,42 @@ MUTANTS = (
            "    if band_width is None:\n        W, source = _width_rule(eqs, K, eps_band)\n"
            "    else:\n",
            (REFUSALS,)),
-    Mutant("the engine's count accepts a bool", ENGINE,
+    Mutant("the count accepts a bool", ARGS,
            "n = 0 if isinstance(value, bool) else operator.index(value)",
            "n = operator.index(value)",
            (REFUSALS,)),
-    Mutant("no refusal of a non-finite initial value in the engine", ENGINE,
-           "            if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too\n"
-           "                raise ValueError(f\"init[{name!r}] must be a finite number, got {value!r}\")\n",
-           "",
+    Mutant("a bool is a finite number", ARGS,
+           "if isinstance(value, bool) or not isinstance(value, kinds):",
+           "if not isinstance(value, kinds):",
            (REFUSALS,)),
-    Mutant("no refusal of a non-finite initial value in the oracles", ORACLE,
-           "        if not abs(z.real) <= sys.float_info.max >= abs(z.imag):    # refuses NaN too\n"
-           "            raise ValueError(f\"init[{i}] must be a finite number, got {init[i]!r}\")\n",
-           "        pass\n",
+    Mutant("no refusal of a non-finite initial value", ARGS,
+           "    if not finite(value, (complex, float, int, numbers.Complex)):\n"
+           "        raise ValueError(f\"{name} must be a finite number, got {value!r}\")\n",
+           "",
            (REFUSALS,)),
     Mutant("overlaps returns what it cannot vouch for", QNM,
            "        if all(map(math.isfinite, (s_aa, ov.s_ab, damp, ov.ratio))):\n"
            "            return ov\n",
            "        return ov\n",
            (REFUSALS,)),
+    Mutant("eps_r compared with eps_b as a permittivity, not an index", QNM,
+           "if self.n_r <= self.n_b:",
+           "if self.eps_r <= self.eps_b:",
+           (T_QNM + "test_an_eps_r_with_the_background_index_is_refused",
+            T_CLI + "test_an_eps_r_with_the_background_index_is_refused_by_name")),
+    # -- the physics layers
+    Mutant("overlaps' envelope exp(-gamma1 R / 2c)", QNM,
+           "damp = math.exp(-gamma1 * slab.R_um / c)",
+           "damp = math.exp(-gamma1 * slab.R_um / (2.0 * c))",
+           (T_QNM + "test_overlaps_frozen_values",)),
+    Mutant("the FAD coefficient of bB_0A with ebc", MODELS,
+           'Term("bB_0A", -2.0 * v * eac, "bB_0A", fad)',
+           'Term("bB_0A", -2.0 * v * ebc, "bB_0A", fad)',
+           (T_MODELS + "test_swapping_the_cavities_swaps_the_lines",)),
+    Mutant("no FAD term on bA_0A", MODELS,
+           'Term("bA_0A", -2.0 * v * ebc, "bA_0B", fad)',
+           'Term("bA_0A", 0.0, "bA_0B", fad)',
+           (T_MODELS + "test_swapping_the_cavities_swaps_the_lines",)),
 )
 
 #: mutants that pass every test; recorded so that no one takes them for

@@ -581,8 +581,8 @@ def test_qnm_info_matches_the_library(capsys):
     assert float(out["gamma_ev"]) == pytest.approx(q.gamma_ev, rel=1e-11)
     assert float(out["tau_fs"]) == pytest.approx(cav.tau_fs, rel=1e-11)
     assert float(out["v_ab_ev"]) == pytest.approx(cav.v_ab_ev, rel=1e-11)
-    assert float(out["s_ratio"]) == pytest.approx(ov.ratio, rel=1e-11)
-    assert float(out["envelope_bound"]) == pytest.approx(ov.envelope_bound, rel=1e-11)
+    assert float(out["s_ratio"]) == pytest.approx(ov.ratio, rel=1e-11, abs=0)
+    assert float(out["envelope_bound"]) == pytest.approx(ov.envelope_bound, rel=1e-11, abs=0)
 
 
 def test_qnm_info_rejects_bad_geometry(capsys):
@@ -597,3 +597,12 @@ def test_qnm_info_rejects_bad_geometry(capsys):
                        (["--L", "1e300", "--eps-r", "9.87"], "overlaps")):
         assert cli.main(["qnm-info", *argv]) == 1
         assert f"{name} must be finite" in capsys.readouterr().err
+
+
+def test_an_eps_r_with_the_background_index_is_refused_by_name(capsys):
+    # one rounding above eps_b, with eps_b's index: the linewidth would be log(0)
+    eps_r = math.nextafter(1.0, 2.0)
+    with pytest.raises(cli.ConfigError, match=r"^config error at slab: eps_r must exceed eps_b$"):
+        cli.load_config(base_config(cavity=_DROP, slab=dict(SLAB, eps_r=eps_r)))
+    assert cli.main(["qnm-info", "--L", "21", "--eps-r", repr(eps_r), "--R", "1"]) == 1
+    assert capsys.readouterr().err.strip() == "eps_r must exceed eps_b"

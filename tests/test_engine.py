@@ -205,6 +205,12 @@ def test_counts_past_float_range_are_refused_by_name():
     assert default_band_width(eqs, int(sys.float_info.max)) == int(sys.float_info.max)
 
 
+def test_a_float32_eps_band_is_taken_as_its_float64_value():
+    # 1 / eps in float32 overflows for a subnormal eps, and warns
+    eqs, eps = toy_eqs(gb=5.0), np.float32(1e-40)
+    assert default_band_width(eqs, 100, eps) == default_band_width(eqs, 100, float(eps)) == 19
+
+
 def test_unknown_initial_state_is_refused_before_the_ring_is_allocated():
     # this ring would take 64 TB: the name check comes first, and allocates nothing
     m = models.build_single_excitation(make_scaled(1.0, 0.0))

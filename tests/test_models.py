@@ -9,6 +9,7 @@ factorization they must reproduce.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from delayheom import engine, models, oracle
 from delayheom.constants import CONSTANTS
 from delayheom.engine import Pattern
-from tests.conftest import make_scaled
+from tests.conftest import make_scaled, make_unequal
 
 
 def pattern_census(eqs):
@@ -93,6 +94,34 @@ def test_single_excitation_matches_factorized_amplitudes():
     r = engine.run(m.equations, m.default_init, steps_per_delay=100, t_end_fs=1000.0)
     for k in ("pA", "pB", "cAB"):
         assert np.abs(r.series[k] - want[k]).max() < 5e-5
+
+
+def test_swapping_the_cavities_swaps_the_lines():
+    # Swapping the cavities' (omega, gamma) and starting from pB maps pA <-> pB,
+    # cAB <-> conj(cAB), bB_0A <-> bA_0B and bB_0B <-> bA_0A.  No system
+    # value reads a line past one delay, so this is the check on the FAD
+    # coefficients, which act only there (it cannot see an error made the
+    # same way on both partners).
+    cav = make_unequal(0.9, 0.4, 2.3, -1.1, 0.3)
+    swapped = dataclasses.replace(cav, omega_a_ev=cav.omega_b_ev, gamma_a_ev=cav.gamma_b_ev,
+                                  omega_b_ev=cav.omega_a_ev, gamma_b_ev=cav.gamma_a_ev)
+    K, W, n = 20, 40, 200
+    runs = []
+    for c, init in ((cav, {"pA": 1.0}), (swapped, {"pB": 1.0})):
+        integ = engine.HierarchyIntegrator(models.build_single_excitation(c).equations, init,
+                                           steps_per_delay=K, band_width=W)
+        for _ in range(n):
+            integ.step()
+        runs.append(integ)
+    a, b = runs
+    np.testing.assert_allclose(b.state, a.state[[1, 0, 2]].conj(), rtol=0, atol=1e-12)
+    for x, y in (("bB_0A", "bA_0B"), ("bB_0B", "bA_0A")):
+        for age in range(W + 1):
+            for one, other in ((x, y), (y, x)):
+                got, want = b.band_value(other, n, n - age), a.band_value(one, n, n - age)
+                assert abs(got - want) <= 1e-12, (one, age)
+    # the lines past one delay carry weight, so the check sees the FAD terms
+    assert abs(a.band_value("bB_0A", n, n - W)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delayheom import oracle
+from delayheom import _args, oracle
 from delayheom.constants import CONSTANTS
 from tests.conftest import make_decoupled, make_scaled, make_unequal
 
@@ -326,15 +326,21 @@ def test_dde_with_no_coupling_is_exactly_frozen():
     assert np.all(w.amp_b == init[1])
 
 
-def test_oracle_imports_nothing_from_the_solver():
-    # the oracles are independent checks only while they share no code
-    # with the integrator, the models or the CLI
-    source = Path(oracle.__file__).read_text()
+def _imports(module):
+    """The modules and names the source of ``module`` imports, a relative module led by its dots."""
     names = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             names += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names += [node.module or ""] + [a.name for a in node.names]
-    parts = {part for name in names for part in name.split(".")}
+            names += ["." * node.level + (node.module or "")] + [a.name for a in node.names]
+    return names
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # the oracles are independent checks only while they share no code with
+    # the integrator, the models or the CLI; the argument rules they share
+    # with the integrator import nothing from the package
+    parts = {part for name in _imports(oracle) for part in name.split(".")}
     assert not parts & {"engine", "models", "cli"}
+    assert [n for n in _imports(_args) if n.startswith((".", "delayheom"))] == []

@@ -129,6 +129,13 @@ def test_slab_validation(kwargs) -> None:
         SlabParams(**kwargs)
 
 
+def test_an_eps_r_with_the_background_index_is_refused() -> None:
+    # eps_r exceeds eps_b by one rounding, but both have the index 1: the slab
+    # would reflect nothing, and its linewidth would be log(0)
+    with pytest.raises(ValueError, match="^eps_r must exceed eps_b$"):
+        SlabParams(L_um=21.0, eps_r=math.nextafter(1.0, 2.0), R_um=1.0)
+
+
 # ---------------------------------------------------------------------------
 # mode profile
 # ---------------------------------------------------------------------------
@@ -232,8 +239,8 @@ def test_si_series_seam_continuous() -> None:
 def test_overlaps_frozen_values() -> None:
     o = overlaps(SLAB_21UM)
     assert o.s_aa == pytest.approx(S_AA_FROZEN, rel=1e-10)
-    assert o.ratio == pytest.approx(SLAB21_RATIO_FROZEN, rel=1e-6)
-    assert o.envelope_bound == pytest.approx(SLAB21_ENVELOPE_FROZEN, rel=1e-10)
+    assert o.ratio == pytest.approx(SLAB21_RATIO_FROZEN, rel=1e-6, abs=0)
+    assert o.envelope_bound == pytest.approx(SLAB21_ENVELOPE_FROZEN, rel=1e-10, abs=0)
     assert abs(o.ratio) < o.envelope_bound
 
 

@@ -1,11 +1,12 @@
-"""Every public entry point refuses a bad argument by name.
+"""Every public entry point refuses a bad argument by name, and takes a NumPy scalar.
 
-Each argument rule is stated once, in the library module that owns it, and
-``cli.load_config`` maps a refusal led by a name to ``config error at
-<name>``.  The property below is what lets the CLI leave those ranges to the
-library: it swaps one argument of each entry point, or one initial value,
-for a value from a pool of bad ones and asserts a ``ValueError`` whose
-message leads with that argument's name.
+Each argument rule is stated once, in the library, and ``cli.load_config``
+maps a refusal led by a name to ``config error at <name>``.  The property
+below is what lets the CLI leave those ranges to the library: it swaps one
+argument of each entry point, or one initial value, for a value from a pool
+of bad ones and asserts a ``ValueError`` whose message leads with that
+argument's name.  A NumPy scalar is judged as the float64 value it holds,
+so each argument also takes one, with no warning from a cast.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,11 +52,12 @@ _ENTRIES = (
      ("mode_index",), ("L_um", "eps_r", "eps_b", "R_um")),
 )
 
-#: integers past float range, NaN, +-inf, strings, bools, and floats, which
-#: are bad only where a count is due
+#: integers past float range, NaN, +-inf (also as NumPy scalars), strings,
+#: bools, and floats, which are bad only where a count is due
 _POOL = st.one_of(
     st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([math.nan, math.inf, -math.inf,
+                     np.float32("nan"), np.float32("inf"), np.float64("-inf")]),
     st.text(), st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
 )
@@ -67,17 +70,19 @@ _GEOMETRY = st.fixed_dictionaries({
 })
 
 
-def _swaps(args, counts, numbers, bad):
-    """``(name, args with one of them swapped for bad)`` for every swap where ``bad`` is bad."""
-    count_only = isinstance(bad, float) and math.isfinite(bad)
-    for name in counts + (() if count_only else numbers):
-        yield name, {**args, name: bad}
-    init = args.get("init")
-    if init is not None and not count_only:
-        for key in init if isinstance(init, dict) else range(len(init)):
+def _slots(args, counts, numbers):
+    """``(kind, name, value, swap)`` for each count, number and initial value
+    of ``args``: ``swap(v)`` is ``args`` with that one value swapped for ``v``."""
+    for kind, names in (("count", counts), ("number", numbers)):
+        for name in names:
+            yield kind, name, args[name], lambda v, name=name: {**args, name: v}
+    init = args.get("init", ())
+    for key in init if isinstance(init, dict) else range(len(init)):
+        def swap(v, key=key):
             values = dict(init) if isinstance(init, dict) else list(init)
-            values[key] = bad
-            yield "init", {**args, "init": values if isinstance(init, dict) else tuple(values)}
+            values[key] = v
+            return {**args, "init": values if isinstance(init, dict) else tuple(values)}
+        yield "init", "init", init[key], swap
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,17 +98,55 @@ def _swaps(args, counts, numbers, bad):
 @example(bad=math.inf, geometry=_SLAB)
 @example(bad=-math.inf, geometry=_SLAB)
 @example(bad=20.0, geometry=_SLAB)
+@example(bad=np.float32("nan"), geometry=_SLAB)
+@example(bad=np.float32("inf"), geometry=_SLAB)
+@example(bad=np.float64("-inf"), geometry=_SLAB)
 def test_every_entry_point_refuses_a_bad_argument_by_name(bad, geometry):
+    count_only = isinstance(bad, float) and math.isfinite(bad)
     for f, args, counts, numbers in _ENTRIES:
-        for name, kwargs in _swaps(args, counts, numbers, bad):
+        for kind, name, _, swap in _slots(args, counts, numbers):
+            if count_only and kind != "count":
+                continue
             with pytest.raises(ValueError) as exc:
-                f(**kwargs)
+                f(**swap(bad))
             assert str(exc.value).startswith(name), (f.__name__, name, bad, str(exc.value))
     # overlaps has no number of its own to swap: every geometry gives finite
-    # values or a refusal by name
+    # values or a refusal by name (an eps_r one rounding above 1 has index 1)
     try:
         ov = qnm.overlaps(qnm.SlabParams(**geometry))
     except ValueError as e:
-        assert str(e) == "overlaps must be finite for this geometry"
+        assert str(e) in ("eps_r must exceed eps_b", "overlaps must be finite for this geometry")
     else:
         assert all(map(math.isfinite, (ov.s_aa, ov.s_ab, ov.envelope_bound, ov.ratio)))
+
+
+#: the NumPy scalar types that fit a count, a real number and an initial value
+_NUMPY = {"count": (np.int64,), "number": (np.float64, np.float32, np.int64),
+          "init": (np.complex64,)}
+
+
+def _plain(result):
+    """``result`` as values that compare with ``==``; an integrator takes one step first."""
+    if isinstance(result, engine.HierarchyIntegrator):
+        result.step()
+        return result.K, result.band_width, result.h_fs, result.state.tolist()
+    if dataclasses.is_dataclass(result):
+        result = vars(result)
+    if isinstance(result, dict):
+        return {k: _plain(v) for k, v in result.items()}
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("entry", _ENTRIES, ids=lambda entry: entry[0].__name__)
+def test_every_entry_point_takes_numpy_scalars(entry):
+    # the suite turns a RuntimeWarning into an error: a bound cast to the
+    # argument's dtype overflows there
+    f, args, counts, numbers = entry
+    want = _plain(f(**args))
+    for kind, name, value, swap in _slots(args, counts, numbers):
+        for t in _NUMPY[kind]:
+            if t is np.int64 and value != int(value):    # no integer holds it
+                continue
+            got = _plain(f(**swap(t(value))))
+            if t(value) == value:
+                assert got == want, (f.__name__, name, t)
