@@ -72,6 +72,17 @@ SECOND_ARG_DELAYED line of age a, (n, a), (n - a, K - 1 - a) and
 (n, K + j), (n + 1 - K, j + 1) and (n - K, j).  Each group of lines
 advances with one product.
 
+From step max(K, W, R) on the band is full, and every step makes the
+same calls: the index add, the ``take``, one product per group of lines,
+the system product and the birth product.  Only the steps before it, and
+the first step of each check window, whose buffer is new, work out which
+calls those are: the ages that advance, the first cycle's zeroing, the
+gather's length and views, the lines with no delayed read, and the
+system's rows.  Every product is the ``ndarray.dot`` method, which calls
+the same BLAS routine as ``np.matmul`` and ``np.dot``, bit for bit, but
+skips ``matmul``'s ufunc dispatch (about 1 us a call at K = 100-200) and
+``np.dot``'s Python-level dispatcher (about 0.2 us).
+
 No step checks its own values.  At least every R - 1 steps, and at the
 end of every call, one check looks at what the steps since the last one
 wrote: their system states and their ring rows, one sum per run of whole
@@ -190,6 +201,8 @@ class EquationSet:
             raise EquationSetError("variable names must be unique and non-empty")
         if not (finite(self.tau_fs) and self.tau_fs > 0):
             raise EquationSetError("tau_fs must be positive and finite")
+        # a NumPy scalar would carry its precision into every product with h
+        object.__setattr__(self, "tau_fs", float(self.tau_fs))
         group = dict.fromkeys(self.system_vars, "system")
         group.update(dict.fromkeys(self.band_vars, "band"))
         own, birth, born = Pattern.OWN, Pattern.BIRTH, []
@@ -372,7 +385,7 @@ class HierarchyIntegrator:
         self._flat = self.buffer.view(np.float64).reshape(R * C, 2 * n_b)
         self.n = 0
         self.truncation_certificate = 0.0
-        np.dot(self.state.view(np.float64), self._birth, out=self._flat[0])
+        self.state.view(np.float64).dot(self._birth, out=self._flat[0])
 
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module notes
@@ -419,45 +432,49 @@ class HierarchyIntegrator:
                  np.arange(0 if fad is None else C - 2 - K)[:, None] + (K, C + 1 - K * C, -K * C)),
                 axis=None)
         idx, k_max = self._idx, 0 if self._idx is None else len(self._idx)
+        full = max(K, W, R)  # the band is full: every later step makes the same calls
         if record is None:
             record = np.empty((n_steps, ns))
         # a diverging run overflows, and _check reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for n0 in range(start, start + n_steps, R - 1):
                 n1 = min(n0 + R - 1, start + n_steps)
-                buf, m_views = np.empty(ns + k_max * cell), -1
-                reads = buf[: ns + n_sys * cell]
+                buf = np.empty(ns + k_max * cell)
+                head = buf[:ns]
                 for n in range(n0, n1):
                     row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
-                    n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
-                    band = flat[new + 1 : new + n_adv + 1]
-                    if n < R:  # the first ring cycle: ages this step leaves unwritten read 0 (Storage)
-                        flat[new + n_adv + 1 : new + C] = 0
-                    plain = (0, n_adv),  # the ages of lines with no delayed read
-                    if n >= K and k_max:
-                        m = hi - lo + (0 if fad is None else n_adv - K)
-                        if m != m_views:  # the views change only as FAD lines join
-                            m_views, x = m, buf[ns : ns + (n_sys + 3 * m) * cell].reshape(-1, cell)
-                            x_sad = x[n_sys : n_sys + 3 * (hi - lo)].reshape(-1, 3 * cell)
-                            x_fad = x[n_sys + 3 * (hi - lo) :].reshape(-1, 3 * cell)
-                        flat.take(idx[: len(x)] + row, axis=0, mode="wrap", out=x)
-                        if sad is not None:
-                            np.matmul(x_sad, sad, out=band[lo:hi])
-                        if fad is not None:
-                            np.matmul(x_fad, fad, out=band[K:])
-                        plain = (0, lo), (hi, n_adv if fad is None else K)
+                    if n < full or n == n0:  # the step's calls, on this window's buffer
+                        n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
+                        if n < R:  # the first ring cycle: ages this step leaves unwritten read 0 (Storage)
+                            flat[new + n_adv + 1 : new + C] = 0
+                        # the groups of lines with a delayed read, as (reads, product, row
+                        # offsets of their ages), and the ages of the lines with none
+                        ix, groups, plain = None, [], [(0, n_adv)]
+                        if n >= K and k_max:
+                            m = hi - lo + (0 if fad is None else n_adv - K)
+                            x = buf[ns : ns + (n_sys + 3 * m) * cell].reshape(-1, cell)
+                            ix, split = idx[: len(x)], n_sys + 3 * (hi - lo)
+                            groups = [(x[n_sys:split].reshape(-1, 3 * cell), sad, lo + 1, hi + 1),
+                                      (x[split:].reshape(-1, 3 * cell), fad, K + 1, n_adv + 1)]
+                            groups = [g for g in groups if g[1] is not None]
+                            plain = [(0, lo), (hi, n_adv if fad is None else K)]
+                        plain = [(a, b) for a, b in plain if a < b]
+                        if n >= K and sys_open is not None:
+                            reads, system = buf[: ns + n_sys * cell], sys_open
+                        else:
+                            reads, system = head, sys_cur
+                    if ix is not None:
+                        flat.take(ix + row, axis=0, mode="wrap", out=x)
+                    for x_g, product, a, b in groups:
+                        x_g.dot(product, out=flat[new + a : new + b])
                     for a, b in plain:
-                        if a < b:
-                            np.matmul(flat[row + a : row + b], own, out=band[a:b])
+                        flat[row + a : row + b].dot(own, out=flat[new + a + 1 : new + b + 1])
                     s1 = record[n - start]
-                    if n >= K and sys_open is not None:
-                        reads[:ns] = s
-                        np.dot(reads, sys_open, out=s1)
-                    else:
-                        np.dot(s, sys_cur, out=s1)
-                    np.dot(s1, birth, out=flat[new])  # line n + 1 is born
+                    head[...] = s
+                    reads.dot(system, out=s1)
+                    s1.dot(birth, out=flat[new])  # line n + 1 is born
                     s = s1
-                buf = reads = x = x_sad = x_fad = None  # none outlives its window (peak memory)
+                buf = head = reads = x = ix = groups = x_g = None  # none outlives its window (peak memory)
                 self._check(n0, n1, record[n0 - start : n1 - start])
 
     def _check(self, n0: int, n1: int, states: np.ndarray) -> None:

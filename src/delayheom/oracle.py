@@ -234,6 +234,7 @@ def run_discretized_bath(
         maps[j, 1] -= 1j * alpha * np.einsum("lik,lkx->ix", kernel[j:0:-1], s)
         maps[j + 1, 0] = keep @ maps[j, 0] + feed @ maps[j, 1]
     block_map = np.stack([maps[1:, 0], maps[:-1, 1]], axis=1).reshape(4 * B, 2 + 2 * B)
+    del X, kernel, maps, G, G3, right, env, keep, feed, lhs_inv    # set-up only: not the loop's peak
 
     c_bar = np.zeros((2, 2, H), dtype=complex)    # [half, direction, mode]: conj(c), mirrors' c
     u = np.empty((2, 2, H), dtype=complex)        # [half, cavity, mode]: u_bar; mirrors' u

@@ -239,6 +239,8 @@ class CavityParams:
 
     def __post_init__(self) -> None:
         _finite(vars(self))
+        for name, value in vars(self).items():    # a NumPy scalar would carry its precision into the run
+            object.__setattr__(self, name, float(value))
         if self.gamma_a_ev < 0 or self.gamma_b_ev < 0:
             raise ValueError("decay rates must be nonnegative")
         if self.tau_fs < 0:

@@ -68,11 +68,6 @@ MUTANTS = (
            "",
            (T_ENGINE + "test_one_step_of_the_system_is_the_written_out_heun_step[0-True]",
             T_ENGINE + "test_frozen_spot_values[single_excitation]")),
-    Mutant("no view rebuild after FAD lines join", ENGINE,
-           "if m != m_views:",
-           "if m_views == -1:",
-           (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-single_excitation]",
-            T_ENGINE + "test_band_width_beyond_one_delay_changes_nothing")),
     Mutant("no (1 + hL) factor on the S left read", ENGINE,
            "s + s @ h_l",
            "s",
@@ -88,6 +83,20 @@ MUTANTS = (
            "s + h_l @ s",
            (T_ENGINE + "test_one_step_of_the_band_is_the_written_out_heun_step[0-True]",
             T_ENGINE + "test_unequal_cavities_track_the_delay_equations[rates0-single_excitation]")),
+    # -- the bookkeeping of the steps that fill the band
+    Mutant("no bookkeeping while FAD lines join", ENGINE,
+           "full = max(K, W, R)",
+           "full = max(K, R)",
+           (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-single_excitation]",
+            T_ENGINE + "test_frozen_band_internals")),
+    # at W = K the last step that fills the band differs from a full-band
+    # step only in zeroing age W + 1, which no step reads, and in a run from
+    # step 0 it starts a check window: only wider bands can catch this one
+    Mutant("full-band bookkeeping one step early", ENGINE,
+           "full = max(K, W, R)",
+           "full = max(K, W, R) - 1",
+           (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-two_photon]",
+            T_ENGINE + "test_frozen_unequal_spot_values[rates0-single_excitation]")),
     # -- the first ring cycle, the check windows and the certificate
     Mutant("no first-cycle zeroing", ENGINE,
            "flat[new + n_adv + 1 : new + C] = 0",

@@ -727,13 +727,14 @@ def test_one_step_of_the_system_is_the_written_out_heun_step(dW, fad):
 
 
 @pytest.mark.parametrize("kind", ["single_excitation", "two_photon"])
-@pytest.mark.parametrize("width", ["2K", "K-3"])
+@pytest.mark.parametrize("width", ["2K", "K", "K-3"])
 def test_split_stepping_equals_one_run_bit_for_bit(width, kind):
     # run steps in windows of R - 1, step() in windows of one, each with its
     # own gather buffer: at W = 2K the FAD group grows by one line per step
-    # for a delay, and at W = K - 3 the youngest SAD line's left read is zeroed
+    # for a delay, and at W = K - 3 the youngest SAD line's left read is
+    # zeroed; each width's band fills at a different offset into a window
     K = 12
-    W = {"2K": 2 * K, "K-3": K - 3}[width]
+    W = {"2K": 2 * K, "K": K, "K-3": K - 3}[width]
     m = getattr(models, f"build_{kind}")(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33))
     eqs = m.equations
     r = engine.run(eqs, m.default_init, steps_per_delay=K, t_end_fs=4 * eqs.tau_fs, band_width=W)

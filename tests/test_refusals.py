@@ -53,12 +53,13 @@ _ENTRIES = (
 )
 
 #: integers past float range, NaN, +-inf (also as NumPy scalars), strings,
-#: bools, and floats, which are bad only where a count is due
+#: bools, and floats, which are bad only where a count is due; the strings are
+#: number-like, and an explicit alphabet spares hypothesis its unicode tables
 _POOL = st.one_of(
     st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)),
     st.sampled_from([math.nan, math.inf, -math.inf,
                      np.float32("nan"), np.float32("inf"), np.float64("-inf")]),
-    st.text(), st.booleans(),
+    st.text(alphabet="0123456789+-.eEnaif "), st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
@@ -126,7 +127,15 @@ _NUMPY = {"count": (np.int64,), "number": (np.float64, np.float32, np.int64),
 
 
 def _plain(result):
-    """``result`` as values that compare with ``==``; an integrator takes one step first."""
+    """``result`` as values that compare with ``==``: an integrator takes one
+    step first, a cavity or an equation set is run, and any step ``h_fs``
+    must be a Python float."""
+    if isinstance(result, qnm.CavityParams):
+        result = models.build_single_excitation(result).equations
+    if isinstance(result, engine.EquationSet):
+        result = engine.run(result, {"pA": 1.0}, **_RUN)
+    if hasattr(result, "h_fs"):
+        assert type(result.h_fs) is float, type(result.h_fs)
     if isinstance(result, engine.HierarchyIntegrator):
         result.step()
         return result.K, result.band_width, result.h_fs, result.state.tolist()
@@ -140,7 +149,8 @@ def _plain(result):
 @pytest.mark.parametrize("entry", _ENTRIES, ids=lambda entry: entry[0].__name__)
 def test_every_entry_point_takes_numpy_scalars(entry):
     # the suite turns a RuntimeWarning into an error: a bound cast to the
-    # argument's dtype overflows there
+    # argument's dtype overflows there; and a scalar runs as the Python
+    # number it holds, bit for bit, where float32 arithmetic would not
     f, args, counts, numbers = entry
     want = _plain(f(**args))
     for kind, name, value, swap in _slots(args, counts, numbers):
@@ -148,5 +158,6 @@ def test_every_entry_point_takes_numpy_scalars(entry):
             if t is np.int64 and value != int(value):    # no integer holds it
                 continue
             got = _plain(f(**swap(t(value))))
-            if t(value) == value:
+            assert got == _plain(f(**swap(t(value).item()))), (f.__name__, name, t)
+            if t(value).item() == value:    # NumPy compares a float32 with a float in float32
                 assert got == want, (f.__name__, name, t)
