@@ -38,6 +38,13 @@ def count(name, value, least=1, most=sys.float_info.max) -> int:
     return n
 
 
+def real(name, value) -> float:
+    """``value`` as a Python float, if it is a finite real number."""
+    if not finite(value):
+        raise ValueError(f"{name} must be finite")
+    return float(value)
+
+
 def initial_value(name, value) -> complex:
     """``value`` as a complex, if it is a finite number."""
     if not finite(value, (complex, float, int, numbers.Complex)):

@@ -32,7 +32,8 @@ causal region, judged at the step start n (in units of h, K = tau/h):
 
 * every delayed read (DIAGONAL, SECOND_ARG_DELAYED, FIRST_ARG_DELAYED)
   participates from n >= K on (before that the read would cross the start
-  of the history, where lines do not exist yet);
+  of the history, where lines do not exist yet: until n = K the system
+  reads the returning line from zero cells of the gather buffer, Storage);
 * SECOND_ARG_DELAYED acts on ages [max(0, K - 1 - W), min(W, K)) (W =
   band_width): lines younger than the delay whose read lies in the band;
 * FIRST_ARG_DELAYED acts on ages >= K, so it exists only for W > K.
@@ -63,11 +64,11 @@ cycle (below) of 33 steps being long enough to spread a check's set-up.
 
 The step reads and writes only a float view of the ring, one cell per
 row.  One ``take`` of it per step n gathers every cell read back, as
-(row, age), into one buffer per check window, [s | system cells | line
-cells]: the system's reads in the order of its rows (class notes), y0 at
-(n, K - 1) and (n, K) and S_l at (n + 1 - K, 1), which it reads with its
-state as one vector; then the own, right- and left-stage reads of each
-SECOND_ARG_DELAYED line of age a, (n, a), (n - a, K - 1 - a) and
+(row, age), into one zeroed buffer per check window, [s | system cells |
+line cells]: the system's reads in the order of its rows (class notes),
+y0 at (n, K - 1) and (n, K) and S_l at (n + 1 - K, 1), which it reads
+with its state as one vector; then the own, right- and left-stage reads
+of each SECOND_ARG_DELAYED line of age a, (n, a), (n - a, K - 1 - a) and
 (n - a, K - a), and of each FIRST_ARG_DELAYED line of age K + j,
 (n, K + j), (n + 1 - K, j + 1) and (n - K, j).  Each group of lines
 advances with one product.
@@ -77,11 +78,11 @@ same calls: the index add, the ``take``, one product per group of lines,
 the system product and the birth product.  Only the steps before it, and
 the first step of each check window, whose buffer is new, work out which
 calls those are: the ages that advance, the first cycle's zeroing, the
-gather's length and views, the lines with no delayed read, and the
-system's rows.  Every product is the ``ndarray.dot`` method, which calls
-the same BLAS routine as ``np.matmul`` and ``np.dot``, bit for bit, but
-skips ``matmul``'s ufunc dispatch (about 1 us a call at K = 100-200) and
-``np.dot``'s Python-level dispatcher (about 0.2 us).
+gather's length and views, and the lines with no delayed read.  Every
+product is the ``ndarray.dot`` method, which calls the same BLAS routine
+as ``np.matmul`` and ``np.dot``, bit for bit, but skips ``matmul``'s
+ufunc dispatch (about 1 us a call at K = 100-200) and ``np.dot``'s
+Python-level dispatcher (about 0.2 us).
 
 No step checks its own values.  At least every R - 1 steps, and at the
 end of every call, one check looks at what the steps since the last one
@@ -107,6 +108,7 @@ left stage at age W + 1.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -182,8 +184,8 @@ class Term(NamedTuple):
 
 @dataclass(frozen=True)
 class EquationSet:
-    """A closed linear delay hierarchy, checked against ``_GROUPS`` and the
-    read patterns (module notes) when it is built."""
+    """A closed linear delay hierarchy of finite coefficients, checked against
+    ``_GROUPS`` and the read patterns (module notes) when it is built."""
 
     system_vars: tuple[str, ...]
     band_vars: tuple[str, ...]
@@ -192,7 +194,7 @@ class EquationSet:
 
     def __post_init__(self) -> None:
         # the set is frozen: keep no reference to a caller's mutable sequence
-        for name in ("system_vars", "band_vars", "terms"):
+        for name in ("system_vars", "band_vars"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         names = list(self.system_vars) + list(self.band_vars)
         if not self.system_vars:
@@ -205,8 +207,11 @@ class EquationSet:
         object.__setattr__(self, "tau_fs", float(self.tau_fs))
         group = dict.fromkeys(self.system_vars, "system")
         group.update(dict.fromkeys(self.band_vars, "band"))
-        own, birth, born = Pattern.OWN, Pattern.BIRTH, []
-        for t in self.terms:
+        own, birth, born, terms = Pattern.OWN, Pattern.BIRTH, [], list(self.terms)
+        for i, t in enumerate(terms):
+            # a Python number is kept as given; any other is judged, then kept as a complex
+            if not (type(c := t.coefficient) in (float, complex) and cmath.isfinite(c)):
+                terms[i] = t = t._replace(coefficient=initial_value(f"terms[{i}].coefficient", c))
             p = t.pattern
             if t.target not in group:
                 raise EquationSetError(f"term targets unknown variable {t.target!r}")
@@ -226,6 +231,7 @@ class EquationSet:
                 )
             if p is birth:
                 born.append(t.target)
+        object.__setattr__(self, "terms", tuple(terms))
         if sorted(born) != sorted(self.band_vars):
             raise EquationSetError(
                 "every band variable needs exactly one BIRTH term "
@@ -318,12 +324,12 @@ class HierarchyIntegrator:
     (historical, hence final).  A line with no delayed read advances as
     y0 R(h L) (_own); the system as
 
-        s1 = s0 R(h C) + d_l (h/2) D (1 + h C) + d_r (h/2) D  (_sys_open)
+        s1 = s0 R(h C) + d_l (h/2) D (1 + h C) + d_r (h/2) D  (_system)
 
     with d_l the returning line, y0 at age K, and d_r the one predicted
     value, y0 (1 + h L) + S_l h S at age K - 1: its rows are
-    (1 + h L)(h/2) D and h S (h/2) D.  Before the line returns the
-    system advances by ``_sys_cur``, R(h C) alone.
+    (1 + h L)(h/2) D and h S (h/2) D.  Before the line returns its
+    reads are zero cells of the gather buffer, so s1 = s0 R(h C).
 
     ``buffer`` is the ring, gathered and checked as the module notes say
     (Storage).  ``horizon_steps`` promises at most that many steps, for a
@@ -364,15 +370,12 @@ class HierarchyIntegrator:
         # the rows of the class notes; a dropped delayed read is None (Delay gating)
         self._own = _heun_factor(h_l)
         rows = [_heun_factor(h_c)]
-        delayed = Pattern.DIAGONAL in used and K <= W
         has_sad = Pattern.SECOND_ARG_DELAYED in used
-        if delayed:
+        if Pattern.DIAGONAL in used and K <= W:  # the line returns
             rows += [d + h_l @ d, d + d @ h_c]
             if has_sad:
                 rows.append(h_s @ d)
-        system = np.concatenate(rows)
-        self._sys_cur = system[: 2 * n_s]
-        self._sys_open = system if delayed else None
+        self._system, self._n_sys = np.concatenate(rows), len(rows) - 1  # and the band cells it reads
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
         self._idx = None  # the gather's flat index, built by _advance
@@ -420,10 +423,9 @@ class HierarchyIntegrator:
         R, C = self.buffer.shape[:2]
         flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
         lo, hi = (0, 0) if sad is None else self._sad_ages
-        sys_cur, sys_open, birth = self._sys_cur, self._sys_open, self._birth
+        system, n_sys, birth = self._system, self._n_sys, self._birth
         start, s = self.n, self.state.view(np.float64)
         ns, cell = len(s), flat.shape[1]  # floats per system state, per ring cell
-        n_sys = 0 if sys_open is None else (len(sys_open) - ns) // cell
         if self._idx is None and self.n + n_steps > K:
             # built by the first call that gathers: its cells (Storage), less n C
             self._idx = np.concatenate(
@@ -439,8 +441,8 @@ class HierarchyIntegrator:
         with np.errstate(over="ignore", invalid="ignore"):
             for n0 in range(start, start + n_steps, R - 1):
                 n1 = min(n0 + R - 1, start + n_steps)
-                buf = np.empty(ns + k_max * cell)
-                head = buf[:ns]
+                buf = np.zeros(ns + max(k_max, n_sys) * cell)  # the system's cells read 0.0 until n = K
+                head, reads = buf[:ns], buf[: ns + n_sys * cell]
                 for n in range(n0, n1):
                     row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
                     if n < full or n == n0:  # the step's calls, on this window's buffer
@@ -459,10 +461,6 @@ class HierarchyIntegrator:
                             groups = [g for g in groups if g[1] is not None]
                             plain = [(0, lo), (hi, n_adv if fad is None else K)]
                         plain = [(a, b) for a, b in plain if a < b]
-                        if n >= K and sys_open is not None:
-                            reads, system = buf[: ns + n_sys * cell], sys_open
-                        else:
-                            reads, system = head, sys_cur
                     if ix is not None:
                         flat.take(ix + row, axis=0, mode="wrap", out=x)
                     for x_g, product, a, b in groups:

@@ -24,7 +24,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 
-from ._args import count, finite
+from ._args import count, real
 from .constants import CONSTANTS
 
 __all__ = [
@@ -41,11 +41,12 @@ __all__ = [
 _CONVENTIONS = ("cyclic", "angular")
 
 
-def _finite(values) -> None:
-    """Refuse the first of ``values`` (name: value) that is not a finite number, by name."""
-    for name, value in values.items():
-        if not finite(value):
-            raise ValueError(f"{name} must be finite")
+def _store_floats(params, names) -> None:
+    """Judge the fields ``names`` of the frozen ``params`` in turn, refusing the first
+    bad one by name, and keep each as a Python float: a NumPy scalar would carry its
+    precision into every later product."""
+    for name in names:
+        object.__setattr__(params, name, real(name, getattr(params, name)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class SlabParams:
     mode_index: int = 1
 
     def __post_init__(self) -> None:
-        _finite({name: getattr(self, name) for name in ("L_um", "eps_r", "eps_b", "R_um")})
+        _store_floats(self, ("L_um", "eps_r", "eps_b", "R_um"))
         if self.L_um <= 0:
             raise ValueError("L_um must be positive")
         if self.eps_b < 1.0:
@@ -238,9 +239,7 @@ class CavityParams:
     tau_fs: float
 
     def __post_init__(self) -> None:
-        _finite(vars(self))
-        for name, value in vars(self).items():    # a NumPy scalar would carry its precision into the run
-            object.__setattr__(self, name, float(value))
+        _store_floats(self, tuple(vars(self)))
         if self.gamma_a_ev < 0 or self.gamma_b_ev < 0:
             raise ValueError("decay rates must be nonnegative")
         if self.tau_fs < 0:

@@ -48,6 +48,7 @@ ENGINE, ORACLE, CLI = "delayheom/engine.py", "delayheom/oracle.py", "delayheom/c
 QNM, MODELS, ARGS = "delayheom/qnm.py", "delayheom/models.py", "delayheom/_args.py"
 T_ENGINE, T_ORACLE, T_CLI = "tests/test_engine.py::", "tests/test_oracle.py::", "tests/test_cli.py::"
 T_QNM, T_MODELS = "tests/test_qnm.py::", "tests/test_models.py::"
+T_ACCEPTANCE = "tests/test_acceptance.py::"
 #: the property that every entry point refuses a bad argument by name
 REFUSALS = "tests/test_refusals.py::test_every_entry_point_refuses_a_bad_argument_by_name"
 
@@ -97,6 +98,11 @@ MUTANTS = (
            "full = max(K, W, R) - 1",
            (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-two_photon]",
             T_ENGINE + "test_frozen_unequal_spot_values[rates0-single_excitation]")),
+    Mutant("the window buffer filled with ones, not zeros", ENGINE,
+           "buf = np.zeros(ns + max(k_max, n_sys) * cell)",
+           "buf = np.ones(ns + max(k_max, n_sys) * cell)",
+           (T_ACCEPTANCE + "test_criterion_4_hierarchy_tracks_delay_equations",
+            T_ENGINE + "test_frozen_spot_values[single_excitation]")),
     # -- the first ring cycle, the check windows and the certificate
     Mutant("no first-cycle zeroing", ENGINE,
            "flat[new + n_adv + 1 : new + C] = 0",
@@ -280,6 +286,14 @@ MUTANTS = (
            "        raise ValueError(f\"{name} must be a finite number, got {value!r}\")\n",
            "",
            (REFUSALS,)),
+    Mutant("no refusal of a bad term coefficient", ENGINE,
+           "type(c := t.coefficient) in (float, complex) and cmath.isfinite(c)",
+           "True",
+           (REFUSALS, "tests/test_refusals.py::test_every_entry_point_takes_numpy_scalars[EquationSet]")),
+    Mutant("a slab keeps its fields as given once judged", QNM,
+           '_store_floats(self, ("L_um", "eps_r", "eps_b", "R_um"))',
+           '[real(name, getattr(self, name)) for name in ("L_um", "eps_r", "eps_b", "R_um")]',
+           ("tests/test_refusals.py::test_every_entry_point_takes_numpy_scalars[SlabParams]",)),
     Mutant("overlaps returns what it cannot vouch for", QNM,
            "        if all(map(math.isfinite, (s_aa, ov.s_ab, damp, ov.ratio))):\n"
            "            return ov\n",

@@ -455,19 +455,19 @@ def test_populations_exactly_real():
 @pytest.mark.parametrize("gamma_tau, omega_tau", [(1.0, 0.0), (2.0, 3.7)])
 @pytest.mark.parametrize("K", [10, 100])
 def test_population_imaginary_parts_have_exact_zero_coefficients(gamma_tau, omega_tau, K):
-    # in the real matrices that advance the system (R(h C) alone, and with
-    # the rows of the returning line), only Im pA itself writes Im pA, and
-    # likewise for pB: a conjugate term pair c z + conj(c z) folds into
-    # coefficients whose imaginary part is exactly 0.0, so a value that
-    # starts at 0.0 stays 0.0
+    # in the real matrix that advances the system (R(h C), then the rows of
+    # the returning line), only Im pA itself writes Im pA, and likewise for
+    # pB: a conjugate term pair c z + conj(c z) folds into coefficients
+    # whose imaginary part is exactly 0.0, so a value that starts at 0.0
+    # stays 0.0
     m = models.build_single_excitation(make_scaled(gamma_tau, omega_tau))
     it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K,
                              band_width=K + 1)
+    assert len(it._system) > 2 * len(m.equations.system_vars)    # the returning line's rows too
     for name in ("pA", "pB"):
         col = 2 * m.equations.system_vars.index(name) + 1
-        for mat in (it._sys_cur, it._sys_open):
-            others = np.delete(mat[:, col], col)
-            assert np.all(others == 0.0), name
+        others = np.delete(it._system[:, col], col)
+        assert np.all(others == 0.0), name
 
 
 def _random_coefficients(rng, n):

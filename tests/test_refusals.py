@@ -27,6 +27,14 @@ _EQS = models.build_single_excitation(_CAV).equations
 _PAIR = (1.0 + 0j, 0j)
 _RUN = dict(steps_per_delay=20, t_end_fs=50.0, band_width=5, eps_band=1e-12)
 _SLAB = dict(L_um=21.0, eps_r=9.87, R_um=1.0)
+#: one damped line, whose OWN coefficient sets the default width: taken in
+#: float32, this coefficient once gave 14103 at K = 100000, for 14104
+_LINE = engine.EquationSet(
+    ("s",), ("b",),
+    (engine.Term("s", -0.01, "s", engine.Pattern.CURRENT),
+     engine.Term("b", 1.0, "s", engine.Pattern.BIRTH),
+     engine.Term("b", -1.9592299461364746, "b", engine.Pattern.OWN)),
+    tau_fs=100.0)
 
 #: each entry point with valid arguments, the counts among them and the
 #: other numbers; an ``init`` among them is swapped one value at a time
@@ -40,7 +48,7 @@ _ENTRIES = (
     (engine.HierarchyIntegrator,
      dict(eqs=_EQS, init={"pA": 1.0}, steps_per_delay=20, band_width=5, horizon_steps=10),
      ("steps_per_delay", "band_width", "horizon_steps"), ()),
-    (engine.EquationSet, vars(_EQS), (), ("tau_fs",)),
+    (engine.EquationSet, vars(_LINE), (), ("tau_fs",)),
     (oracle.run_wavefunction, dict(cavity=_CAV, steps_per_delay=10, t_end_fs=50.0, init=_PAIR),
      ("steps_per_delay",), ("t_end_fs",)),
     (oracle.run_discretized_bath,
@@ -72,11 +80,19 @@ _GEOMETRY = st.fixed_dictionaries({
 
 
 def _slots(args, counts, numbers):
-    """``(kind, name, value, swap)`` for each count, number and initial value
-    of ``args``: ``swap(v)`` is ``args`` with that one value swapped for ``v``."""
+    """``(kind, name, value, swap)`` for each count, number, OWN coefficient
+    and initial value of ``args``: ``swap(v)`` is ``args`` with that one
+    value swapped for ``v``."""
     for kind, names in (("count", counts), ("number", numbers)):
         for name in names:
             yield kind, name, args[name], lambda v, name=name: {**args, name: v}
+    for i, t in enumerate(args.get("terms", ())):
+        if t.pattern is engine.Pattern.OWN:
+            def swap(v, i=i, t=t):
+                terms = list(args["terms"])
+                terms[i] = t._replace(coefficient=v)
+                return {**args, "terms": tuple(terms)}
+            yield "coefficient", f"terms[{i}].coefficient", t.coefficient, swap
     init = args.get("init", ())
     for key in init if isinstance(init, dict) else range(len(init)):
         def swap(v, key=key):
@@ -121,19 +137,24 @@ def test_every_entry_point_refuses_a_bad_argument_by_name(bad, geometry):
         assert all(map(math.isfinite, (ov.s_aa, ov.s_ab, ov.envelope_bound, ov.ratio)))
 
 
-#: the NumPy scalar types that fit a count, a real number and an initial value
+#: the NumPy scalar types that fit a count, a real number, a coefficient and
+#: an initial value
 _NUMPY = {"count": (np.int64,), "number": (np.float64, np.float32, np.int64),
-          "init": (np.complex64,)}
+          "coefficient": (np.float64, np.float32, np.complex64), "init": (np.complex64,)}
 
 
 def _plain(result):
     """``result`` as values that compare with ``==``: an integrator takes one
-    step first, a cavity or an equation set is run, and any step ``h_fs``
-    must be a Python float."""
+    step first, a slab gives its fields and the cavity it derives, a cavity
+    or an equation set is run and gives its default width at K = 100000,
+    and any step ``h_fs`` must be a Python float."""
+    if isinstance(result, qnm.SlabParams):
+        return vars(result), vars(qnm.derive_cavity_params(result))
     if isinstance(result, qnm.CavityParams):
         result = models.build_single_excitation(result).equations
     if isinstance(result, engine.EquationSet):
-        result = engine.run(result, {"pA": 1.0}, **_RUN)
+        run = engine.run(result, {result.system_vars[0]: 1.0}, **_RUN)
+        return engine.default_band_width(result, 100_000), _plain(run)
     if hasattr(result, "h_fs"):
         assert type(result.h_fs) is float, type(result.h_fs)
     if isinstance(result, engine.HierarchyIntegrator):
