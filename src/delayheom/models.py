@@ -5,7 +5,7 @@ carries three system elements (two populations and a coherence) and four
 stored line elements; the four other line elements of the block are the
 complex conjugates of these at the transposed time pair, so they are
 never integrated.  The doubly-excited-against-vacuum block carries
-three system elements and six stored line elements, with no conjugate
+three system elements and four stored line elements, with no conjugate
 partners (its right-hand side is the vacuum, so the block closes on
 itself like an amplitude equation).
 
@@ -46,10 +46,10 @@ SINGLE_EXCITATION_VARS = {
     "band": ("bB_0A", "bA_0B", "bB_0B", "bA_0A"),
 }
 
-#: census of the two-photon block: 3 system + 6 stored
+#: census of the two-photon block: 3 system + 4 stored
 TWO_PHOTON_VARS = {
     "system": ("g20", "g02", "g11"),
-    "band": ("bB01_10", "bA01_01", "bB01_01", "bA01_10", "bA12_10", "bB12_01"),
+    "band": ("bB01_10", "bA01_01", "bA12_10", "bB12_01"),
 }
 
 
@@ -136,21 +136,18 @@ def build_single_excitation(cavity: CavityParams) -> HierarchyModel:
 def build_two_photon(cavity: CavityParams) -> HierarchyModel:
     """Two photons against the vacuum: g20, g02 and the shared g11.
 
-    Stored line elements (emitting mode and its rung, then the element):
+    Stored line elements (emitting mode and its rung, then the element);
+    each holds a product of the amplitudes a, b at its position t and at
+    its label t1:
 
-    ==========  =========================  ==========
-    name        feeds                       born from
-    ==========  =========================  ==========
-    bB01_10     g20                         g11
-    bA01_01     g02                         g11
-    bB01_01     g11                         (silent)
-    bA01_10     g11                         (silent)
-    bA12_10     g11                         g20
-    bB12_01     g11                         g02
-    ==========  =========================  ==========
-
-    The silent lines still need a birth rule structurally; they get a
-    zero-coefficient BIRTH term, which changes nothing.
+    ==========  =====  =========  =====================
+    name        feeds  born from  holds
+    ==========  =====  =========  =====================
+    bB01_10     g20    g11        sqrt(2) a(t) b(t1)
+    bA01_01     g02    g11        sqrt(2) b(t) a(t1)
+    bA12_10     g11    g20        a(t) a(t1)
+    bB12_01     g11    g02        b(t) b(t1)
+    ==========  =====  =========  =====================
     """
     ga, gb, v, ea, eb = _rates(cavity)
     cur, diag, birth = Pattern.CURRENT, Pattern.DIAGONAL, Pattern.BIRTH
@@ -164,26 +161,18 @@ def build_two_photon(cavity: CavityParams) -> HierarchyModel:
         Term("g11", -(ga + gb), "g11", cur),
         Term("g11", -SQRT8 * v * eb, "bB12_01", diag),
         Term("g11", -SQRT8 * v * ea, "bA12_10", diag),
-        Term("g11", -2.0 * v * eb, "bB01_01", diag),
-        Term("g11", -2.0 * v * ea, "bA01_10", diag),
         Term("bB01_10", 1.0, "g11", birth),
         Term("bB01_10", -ga, "bB01_10", own),
         Term("bB01_10", -SQRT8 * v * eb, "bB12_01", sad),
-        Term("bB01_10", -2.0 * v * eb, "bB01_01", sad),
         Term("bA01_01", 1.0, "g11", birth),
         Term("bA01_01", -gb, "bA01_01", own),
         Term("bA01_01", -SQRT8 * v * ea, "bA12_10", sad),
-        Term("bA01_01", -2.0 * v * ea, "bA01_10", sad),
-        Term("bB01_01", 0.0, "g11", birth),
-        Term("bB01_01", -gb, "bB01_01", own),
-        Term("bB01_01", -2.0 * v * ea, "bA01_01", sad),
-        Term("bA01_10", 0.0, "g11", birth),
-        Term("bA01_10", -ga, "bA01_10", own),
-        Term("bA01_10", -2.0 * v * eb, "bB01_10", sad),
         Term("bA12_10", 1.0, "g20", birth),
         Term("bA12_10", -ga, "bA12_10", own),
+        Term("bA12_10", -math.sqrt(2.0) * v * eb, "bB01_10", sad),
         Term("bB12_01", 1.0, "g02", birth),
         Term("bB12_01", -gb, "bB12_01", own),
+        Term("bB12_01", -math.sqrt(2.0) * v * ea, "bA01_01", sad),
     )
     return _model("two_photon", TWO_PHOTON_VARS, terms, cavity, "g20")
 

@@ -1160,9 +1160,9 @@ def test_frozen_band_internals():
 FROZEN_NARROW_BAND = {
     ("single_excitation", "bA_0A"): (0.00014852160629392545, 0.008711014141583685,
                                      0.005233067837677396),
-    ("two_photon", "bA01_10"): (-0.00012124791808367382 + 0.00015531573324526767j,
-                                -0.007566095973397861 + 0.009691991107850524j,
-                                -0.004527473496610495 + 0.005799587135090446j),
+    ("two_photon", "bA12_10"): (-7.654063453337484e-05 + 1.0982480820268903e-04j,
+                                -5.3332889771898345e-03 + 6.85327263556079e-03j,
+                                -3.1708977440671037e-03 + 4.100927391304695e-03j),
 }
 
 

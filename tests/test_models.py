@@ -96,32 +96,46 @@ def test_single_excitation_matches_factorized_amplitudes():
         assert np.abs(r.series[k] - want[k]).max() < 5e-5
 
 
-def test_swapping_the_cavities_swaps_the_lines():
-    # Swapping the cavities' (omega, gamma) and starting from pB maps pA <-> pB,
-    # cAB <-> conj(cAB), bB_0A <-> bA_0B and bB_0B <-> bA_0A.  No system
-    # value reads a line past one delay, so this is the check on the FAD
-    # coefficients, which act only there (it cannot see an error made the
-    # same way on both partners).
+#: per model: the start, the swapped run's start, whether the swap conjugates
+#: the system, and the line pairs it exchanges
+SWAPS = {
+    "single_excitation": ("pA", "pB", True, (("bB_0A", "bA_0B"), ("bB_0B", "bA_0A"))),
+    "two_photon": ("g20", "g02", False, (("bB01_10", "bA01_01"), ("bB12_01", "bA12_10"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWAPS))
+def test_swapping_the_cavities_swaps_the_lines(kind):
+    # Swapping the cavities' (omega, gamma) and starting from the mirrored
+    # state maps pA <-> pB, cAB <-> conj(cAB), bB_0A <-> bA_0B and
+    # bB_0B <-> bA_0A, or g20 <-> g02, g11 <-> g11, bB01_10 <-> bA01_01 and
+    # bB12_01 <-> bA12_10.  No system value reads a line past one delay, so
+    # this is the check on the FAD coefficients, which act only there (it
+    # cannot see an error made the same way on both partners); the
+    # two-photon block has none, and its lines past one delay only decay.
+    first, mirrored, conj, pairs = SWAPS[kind]
+    build = getattr(models, f"build_{kind}")
     cav = make_unequal(0.9, 0.4, 2.3, -1.1, 0.3)
     swapped = dataclasses.replace(cav, omega_a_ev=cav.omega_b_ev, gamma_a_ev=cav.gamma_b_ev,
                                   omega_b_ev=cav.omega_a_ev, gamma_b_ev=cav.gamma_a_ev)
     K, W, n = 20, 40, 200
     runs = []
-    for c, init in ((cav, {"pA": 1.0}), (swapped, {"pB": 1.0})):
-        integ = engine.HierarchyIntegrator(models.build_single_excitation(c).equations, init,
+    for c, init in ((cav, {first: 1.0}), (swapped, {mirrored: 1.0})):
+        integ = engine.HierarchyIntegrator(build(c).equations, init,
                                            steps_per_delay=K, band_width=W)
         for _ in range(n):
             integ.step()
         runs.append(integ)
     a, b = runs
-    np.testing.assert_allclose(b.state, a.state[[1, 0, 2]].conj(), rtol=0, atol=1e-12)
-    for x, y in (("bB_0A", "bA_0B"), ("bB_0B", "bA_0A")):
+    mirror = a.state[[1, 0, 2]]
+    np.testing.assert_allclose(b.state, mirror.conj() if conj else mirror, rtol=0, atol=1e-12)
+    for x, y in pairs:
         for age in range(W + 1):
             for one, other in ((x, y), (y, x)):
                 got, want = b.band_value(other, n, n - age), a.band_value(one, n, n - age)
                 assert abs(got - want) <= 1e-12, (one, age)
     # the lines past one delay carry weight, so the check sees the FAD terms
-    assert abs(a.band_value("bB_0A", n, n - W)) > 1e-3
+    assert abs(a.band_value(pairs[0][0], n, n - W)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +147,30 @@ def test_two_photon_census():
     m = models.build_two_photon(make_scaled(2.0, 3.7))
     eqs = m.equations
     assert eqs.system_vars == ("g20", "g02", "g11")
-    assert len(eqs.band_vars) == 6
-    assert len(eqs.terms) == 27
+    assert eqs.band_vars == ("bB01_10", "bA01_01", "bA12_10", "bB12_01")
+    assert len(eqs.terms) == 19
     assert pattern_census(eqs) == {
         Pattern.CURRENT: 3,
-        Pattern.DIAGONAL: 6,
-        Pattern.OWN: 6,
-        Pattern.SECOND_ARG_DELAYED: 6,
-        Pattern.BIRTH: 6,
+        Pattern.DIAGONAL: 4,
+        Pattern.OWN: 4,
+        Pattern.SECOND_ARG_DELAYED: 4,
+        Pattern.BIRTH: 4,
     }
     assert m.kind == "two_photon"
     assert dict(m.default_init) == {"g20": 1.0 + 0j}
 
 
-def test_two_photon_silent_lines_have_zero_weight_sources():
+def test_two_photon_source_wiring():
     m = models.build_two_photon(make_scaled(2.0, 3.7))
-    silent = {t.target for t in m.equations.terms
-              if t.pattern is Pattern.BIRTH and t.coefficient == 0.0}
-    assert silent == {"bB01_01", "bA01_10"}
+    births = [t for t in m.equations.terms if t.pattern is Pattern.BIRTH]
+    wiring = {t.target: (t.var, t.conjugate) for t in births}
+    assert wiring == {
+        "bB01_10": ("g11", False),
+        "bA01_01": ("g11", False),
+        "bA12_10": ("g20", False),
+        "bB12_01": ("g02", False),
+    }
+    assert all(t.coefficient == 1.0 for t in births)
 
 
 def test_two_photon_matches_squared_amplitudes():
@@ -161,6 +181,37 @@ def test_two_photon_matches_squared_amplitudes():
     r = engine.run(m.equations, m.default_init, steps_per_delay=100, t_end_fs=1000.0)
     for k in ("g20", "g02", "g11"):
         assert np.abs(r.series[k] - want[k]).max() < 5e-5
+
+
+@pytest.mark.parametrize("cav", [make_scaled(1.0, 3.7),
+                                 make_unequal(1.0, 0.6, 3.7, 1.3, 0.35)],
+                         ids=["equal", "unequal"])
+def test_two_photon_lines_are_amplitude_products(cav):
+    # Each line within one delay is a product of the amplitudes at its
+    # position t and its label t1 (build_two_photon's table), with the
+    # scheme's second-order error: doubling K cuts the worst miss of
+    # every line by about 4 over the last delay of positions.
+    def worst(K):
+        wf = oracle.run_wavefunction(cav, K, 4 * cav.tau_fs)
+        a, b, n = wf.amp_a, wf.amp_b, len(wf.amp_a) - 1
+        m = models.build_two_photon(cav)
+        it = engine.HierarchyIntegrator(m.equations, m.default_init,
+                                        steps_per_delay=K, band_width=K)
+        for _ in range(n):
+            it.step()
+        R = it.buffer.shape[0]
+        t = np.arange(n - K + 1, n + 1)[:, None]  # positions still in the ring
+        t1 = t - np.arange(K + 1)
+        products = {"bB01_10": math.sqrt(2.0) * a[t] * b[t1],
+                    "bA01_01": math.sqrt(2.0) * b[t] * a[t1],
+                    "bA12_10": a[t] * a[t1],
+                    "bB12_01": b[t] * b[t1]}
+        lines = it.buffer[t[:, 0] % R, : K + 1]
+        return np.array([np.abs(lines[..., v] - products[var]).max()
+                         for v, var in enumerate(m.equations.band_vars)])
+
+    coarse, fine = worst(20), worst(40)
+    assert np.all(coarse / fine > 3.5), coarse / fine
 
 
 # ---------------------------------------------------------------------------
