@@ -62,43 +62,55 @@ reads no row back at all (Delay gating): each step reads only the row
 before it, so it keeps R = min(32, H) + 2 however long the run, a check
 cycle (below) of 33 steps being long enough to spread a check's set-up.
 
-The step reads and writes only a float view of the ring, one cell per
-row.  One ``take`` of it per step n gathers every cell read back, as
-(row, age), into one zeroed buffer per check window, [s | system cells |
-line cells]: the system's reads in the order of its rows (class notes),
-y0 at (n, K - 1) and (n, K) and S_l at (n + 1 - K, 1), which it reads
-with its state as one vector; then the own, right- and left-stage reads
-of each SECOND_ARG_DELAYED line of age a, (n, a), (n - a, K - 1 - a) and
-(n - a, K - a), and of each FIRST_ARG_DELAYED line of age K + j,
-(n, K + j), (n + 1 - K, j + 1) and (n - K, j).  Each group of lines
-advances with one product.
+Ahead of age 0 each row has a system slot, which holds the system state
+at the row's position: ceil(n_s / n_b) cells (:func:`_cells`), zero pad
+first, so that the state's floats end where age 0 begins and one product
+can write both.  ``buffer`` is the view of the rows past their slots.  An empty band keeps one silent
+variable, so that a cell can hold the slot.
+
+The step reads and writes only a float view of the allocation, one cell
+per row.  From step n = K on, one ``take`` of it per step gathers every
+cell read back, as (row, age), into one zeroed buffer per check window,
+[slot | system cells | line cells]: row n's slot, whose state is the
+first read of the system; the system's band reads in the order of its
+rows (class notes), y0 at (n, K - 1) and (n, K) and S_l at (n + 1 - K,
+1); then the own, right- and left-stage reads of each SECOND_ARG_DELAYED
+line of age a, (n, a), (n - a, K - 1 - a) and (n - a, K - a), and of each
+FIRST_ARG_DELAYED line of age K + j, (n, K + j), (n + 1 - K, j + 1) and
+(n - K, j).  Before n = K there is nothing to gather: the state is copied
+from row n's slot into the buffer, whose system cells read 0.  Each
+group of lines advances with one product, and one more writes the new
+state and the newborn line's age-0 cell, side by side in row n + 1.
 
 From step max(K, W, R) on the band is full, and every step makes the
 same calls: the index add, the ``take``, one product per group of lines,
-the system product and the birth product.  Only the steps before it, and
-the first step of each check window, whose buffer is new, work out which
-calls those are: the ages that advance, the first cycle's zeroing, the
-gather's length and views, and the lines with no delayed read.  Every
-product is the ``ndarray.dot`` method, which calls the same BLAS routine
-as ``np.matmul`` and ``np.dot``, bit for bit, but skips ``matmul``'s
-ufunc dispatch (about 1 us a call at K = 100-200) and ``np.dot``'s
+and the system product.  Only the steps before it, and the first step of
+each check window, whose buffer is new, work out which calls those are:
+the ages that advance, the first cycle's zeroing, the gather's length
+and views, and the lines with no delayed read.  Every product is the
+``ndarray.dot`` method, which calls the same BLAS routine as
+``np.matmul`` and ``np.dot``, bit for bit, but skips ``matmul``'s ufunc
+dispatch (about 1 us a call at K = 100-200) and ``np.dot``'s
 Python-level dispatcher (about 0.2 us).
 
-No step checks its own values.  At least every R - 1 steps, and at the
-end of every call, one check looks at what the steps since the last one
-wrote: their system states and their ring rows, one sum per run of whole
-rows.  A row is written again only R steps later, so the check sees every
-value a check after each step would see, and reports the same: the first
-step that wrote a non-finite value (to its state, or to its row at the
-ages it wrote, 1 .. min(W, n + 1)), or the truncation certificate, the
-largest magnitude at age W of the rows that retired a line (a max, which
-does not depend on the order).  After a raise, the integrator may stand
-up to R - 1 steps past the step it names.
+No step checks its own values or records its state.  At least every
+R - 1 steps, and at the end of every call, one check copies the states
+the steps since the last one wrote from their slots to the trajectory,
+and looks at their ring rows, slots included, one sum per run of whole
+rows.  A row is written again only R steps later, so the check sees
+every value a check after each step would see, and reports the same:
+the first step that wrote a non-finite value (to its state, or to its
+row at the ages it wrote, 1 .. min(W, n + 1)), or the truncation
+certificate, the largest magnitude at age W of the rows that retired a
+line (a max, which does not depend on the order).  After a raise, the
+integrator may stand up to R - 1 steps past the step it names.
 
 B(i, j) is zero before the start of history (j < 0), ahead of the line's
 birth (i < j) and beyond the retained band (i - j > band_width).
 :meth:`HierarchyIntegrator.band_value` applies these masks.  The ring is
-allocated without zeroing: each step of the first ring cycle zeroes the
+allocated without zeroing, and construction writes only line 0 (the
+first step writes row 0's state): each step of the first ring cycle
+zeroes the slot and the
 ages of its row that it does not write (past its position, and W + 1),
 and later positions of a row write at least the ages earlier ones did,
 so a cell no step writes reads 0.  The step reads one such cell: when
@@ -273,10 +285,10 @@ def _real_forms(eqs: EquationSet) -> tuple[dict[Pattern, np.ndarray], set[Patter
     ``r``: a plain term ``c`` adds ``(c, i c)`` to the complex column of
     its target, a conjugated one ``(c, -i c)``.  So a row of complex
     reads ``x`` contributes ``x.view(float) @ M`` to the float view of
-    its targets.
+    its targets.  An empty band has the silent variable of :func:`_cells`.
     """
     index = {v: i for names in (eqs.system_vars, eqs.band_vars) for i, v in enumerate(names)}
-    size = {"system": len(eqs.system_vars), "band": len(eqs.band_vars)}
+    size = {"system": len(eqs.system_vars), "band": _cells(eqs)[1]}
     forms = {p: np.zeros((2 * size[read], size[target]), dtype=complex)
              for p, (target, read) in _GROUPS.items()}
     used = set()
@@ -307,6 +319,13 @@ def _ring_shape(K: int, W: int, horizon: float) -> tuple[int, int]:
     return min(K if horizon > K else _WINDOW, horizon) + 2, min(W, horizon) + 2
 
 
+def _cells(eqs: EquationSet) -> tuple[int, int]:
+    """The cells of a row's system slot, and the variables of a cell: one
+    silent variable if the band is empty (module notes, Storage)."""
+    n_c = len(eqs.band_vars) or 1
+    return -(-len(eqs.system_vars) // n_c), n_c
+
+
 class HierarchyIntegrator:
     """Synchronised Heun stepper over system + band.
 
@@ -329,10 +348,15 @@ class HierarchyIntegrator:
     with d_l the returning line, y0 at age K, and d_r the one predicted
     value, y0 (1 + h L) + S_l h S at age K - 1: its rows are
     (1 + h L)(h/2) D and h S (h/2) D.  Before the line returns its
-    reads are zero cells of the gather buffer, so s1 = s0 R(h C).
+    reads are zero cells of the gather buffer, so s1 = s0 R(h C).  With
+    B the BIRTH set, line n + 1 is born as s1 B, so one product
 
-    ``buffer`` is the ring, gathered and checked as the module notes say
-    (Storage).  ``horizon_steps`` promises at most that many steps, for a
+        [s1, y1(0)] = [s0, d cells] [M, M B]  (_fused, M = _system)
+
+    writes the new state and the newborn line's age-0 cell together.
+
+    ``buffer`` is the ring past its system slots, gathered and checked as
+    the module notes say (Storage).  ``horizon_steps`` promises at most that many steps, for a
     smaller ring, and makes further stepping an error.
     """
 
@@ -357,7 +381,10 @@ class HierarchyIntegrator:
         for name, value in init.items():
             self.state[eqs.system_vars.index(name)] = initial_value(f"init[{name!r}]", value)
         # not zeroed: the first ring cycle does it (Storage), out of construction
-        self.buffer = np.empty((*_ring_shape(K, W, self._horizon), n_b), dtype=complex)
+        R, C = _ring_shape(K, W, self._horizon)
+        q, n_c = _cells(eqs)
+        self._ring = np.empty((R, q + C, n_c), dtype=complex)
+        self.buffer = self._ring[:, q:, :n_b]
         self.eqs = eqs
         self.h_fs = h = eqs.tau_fs / K
 
@@ -378,17 +405,15 @@ class HierarchyIntegrator:
         self._system, self._n_sys = np.concatenate(rows), len(rows) - 1  # and the band cells it reads
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
-        self._idx = None  # the gather's flat index, built by _advance
+        self._idx = self._fused = None  # the gather's index; [M, M B] and the float views (_advance)
         use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
         self._fad = np.concatenate((self._own, f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
 
-        # Storage's float view, (position, age) flattened; R * C, as -1 is ambiguous if n_b is 0
-        R, C = self.buffer.shape[:2]
-        self._flat = self.buffer.view(np.float64).reshape(R * C, 2 * n_b)
         self.n = 0
         self.truncation_certificate = 0.0
-        self.state.view(np.float64).dot(self._birth, out=self._flat[0])
+        # line 0 is born; the first call of _advance writes row 0's state
+        self.state.view(np.float64).dot(self._birth, out=self._ring[0, q].view(np.float64))
 
     def band_value(self, var: str, position: int, label: int) -> complex:
         """Band value B(position, label) of ``var``, zero where the module notes
@@ -420,20 +445,32 @@ class HierarchyIntegrator:
                 f"(horizon_steps); construct without a horizon to continue"
             )
         K, W = self.K, self.band_width
-        R, C = self.buffer.shape[:2]
-        flat, own, sad, fad = self._flat, self._own, self._sad, self._fad
+        R, L, n_c = self._ring.shape
+        C = self.buffer.shape[1]
+        q, ns, cell = L - C, len(self._birth), 2 * n_c  # slot cells; floats per state, per cell
+        pad = q * cell - ns
+        if self._fused is None:  # the first call, at n = 0: set-up kept out of construction
+            self._fused = np.concatenate((self._system, self._system @ self._birth), axis=1)
+            # Storage's float views: the cells, (row, slot or age) flattened, and
+            # each row's state and [state | age 0], strided by the row
+            ring = self._ring.view(np.float64)
+            self._flat, by_row = ring.reshape(-1, cell), ring.reshape(R, -1)
+            self._slots, self._outs = by_row[:, pad : q * cell], by_row[:, pad : (q + 1) * cell]
+            self._slots[0] = self.state.view(np.float64)
+        flat, slots, outs = self._flat, self._slots, self._outs
+        own, sad, fad = self._own, self._sad, self._fad
         lo, hi = (0, 0) if sad is None else self._sad_ages
-        system, n_sys, birth = self._system, self._n_sys, self._birth
-        start, s = self.n, self.state.view(np.float64)
-        ns, cell = len(s), flat.shape[1]  # floats per system state, per ring cell
+        n_sys, start = self._n_sys, self.n
+        cells = flat.reshape(R, L, cell)  # cells[row, slot cells, then ages]
         if self._idx is None and self.n + n_steps > K:
-            # built by the first call that gathers: its cells (Storage), less n C
-            self._idx = np.concatenate(
-                (np.array((K - 1, K, C + 1 - K * C)[:n_sys], dtype=np.intp),
-                 np.arange(lo, hi)[:, None] * (1, -C - 1, -C - 1) + (0, K - 1, K),
-                 np.arange(0 if fad is None else C - 2 - K)[:, None] + (K, C + 1 - K * C, -K * C)),
+            # built by the first call that gathers: its cells (Storage), from row n's first one
+            self._idx = q + np.concatenate(
+                (np.arange(-q, 0),
+                 np.array((K - 1, K, L + 1 - K * L)[:n_sys], dtype=np.intp),
+                 np.arange(lo, hi)[:, None] * (1, -L - 1, -L - 1) + (0, K - 1, K),
+                 np.arange(0 if fad is None else C - 2 - K)[:, None] + (K, L + 1 - K * L, -K * L)),
                 axis=None)
-        idx, k_max = self._idx, 0 if self._idx is None else len(self._idx)
+        fused, idx = self._fused, self._idx
         full = max(K, W, R)  # the band is full: every later step makes the same calls
         if record is None:
             record = np.empty((n_steps, ns))
@@ -441,55 +478,59 @@ class HierarchyIntegrator:
         with np.errstate(over="ignore", invalid="ignore"):
             for n0 in range(start, start + n_steps, R - 1):
                 n1 = min(n0 + R - 1, start + n_steps)
-                buf = np.zeros(ns + max(k_max, n_sys) * cell)  # the system's cells read 0.0 until n = K
-                head, reads = buf[:ns], buf[: ns + n_sys * cell]
+                # the system's cells read 0.0 until n = K
+                buf = np.zeros(max(q + n_sys, 0 if idx is None else len(idx)) * cell)
+                head, reads = buf[pad : q * cell], buf[pad : (q + n_sys) * cell]
                 for n in range(n0, n1):
-                    row, new = (n % R) * C, ((n + 1) % R) * C  # flat offsets of rows n, n + 1
+                    r, r1 = n % R, (n + 1) % R  # the rows of positions n, n + 1
                     if n < full or n == n0:  # the step's calls, on this window's buffer
                         n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
-                        if n < R:  # the first ring cycle: ages this step leaves unwritten read 0 (Storage)
-                            flat[new + n_adv + 1 : new + C] = 0
-                        # the groups of lines with a delayed read, as (reads, product, row
-                        # offsets of their ages), and the ages of the lines with none
+                        if n < R:  # the first ring cycle: cells this step leaves unwritten read 0 (Storage)
+                            cells[r1, :q] = 0
+                            cells[r1, q + n_adv + 1 :] = 0
+                        # the groups of lines with a delayed read, as (reads, product, rows
+                        # of their next ages), and the ages of the lines with none
                         ix, groups, plain = None, [], [(0, n_adv)]
-                        if n >= K and k_max:
+                        if n >= K:
                             m = hi - lo + (0 if fad is None else n_adv - K)
-                            x = buf[ns : ns + (n_sys + 3 * m) * cell].reshape(-1, cell)
-                            ix, split = idx[: len(x)], n_sys + 3 * (hi - lo)
-                            groups = [(x[n_sys:split].reshape(-1, 3 * cell), sad, lo + 1, hi + 1),
-                                      (x[split:].reshape(-1, 3 * cell), fad, K + 1, n_adv + 1)]
-                            groups = [g for g in groups if g[1] is not None]
+                            x = buf[: (q + n_sys + 3 * m) * cell].reshape(-1, cell)
+                            ix, split = idx[: len(x)], q + n_sys + 3 * (hi - lo)
+                            groups = [(x[q + n_sys : split].reshape(-1, 3 * cell), sad, lo, hi),
+                                      (x[split:].reshape(-1, 3 * cell), fad, K, n_adv)]
+                            groups = [(x_g, product, cells[:, q + a + 1 : q + b + 1])
+                                      for x_g, product, a, b in groups if product is not None]
                             plain = [(0, lo), (hi, n_adv if fad is None else K)]
-                        plain = [(a, b) for a, b in plain if a < b]
-                    if ix is not None:
-                        flat.take(ix + row, axis=0, mode="wrap", out=x)
-                    for x_g, product, a, b in groups:
-                        x_g.dot(product, out=flat[new + a : new + b])
-                    for a, b in plain:
-                        flat[row + a : row + b].dot(own, out=flat[new + a + 1 : new + b + 1])
-                    s1 = record[n - start]
-                    head[...] = s
-                    reads.dot(system, out=s1)
-                    s1.dot(birth, out=flat[new])  # line n + 1 is born
-                    s = s1
+                        plain = [(cells[:, q + a : q + b], cells[:, q + a + 1 : q + b + 1])
+                                 for a, b in plain if a < b]
+                    if ix is None:
+                        head[...] = slots[r]
+                    else:
+                        flat.take(ix + r * L, axis=0, mode="wrap", out=x)
+                    for x_g, product, y1 in groups:
+                        x_g.dot(product, out=y1[r1])
+                    for y0, y1 in plain:
+                        y0[r].dot(own, out=y1[r1])
+                    reads.dot(fused, out=outs[r1])  # the new state, and line n + 1 is born
                 buf = head = reads = x = ix = groups = x_g = None  # none outlives its window (peak memory)
                 self._check(n0, n1, record[n0 - start : n1 - start])
 
     def _check(self, n0: int, n1: int, states: np.ndarray) -> None:
-        """Check steps n0 .. n1 - 1, whose system states are ``states``, as
-        the module notes say (Storage), and move the integrator to n1.  A
-        window the sums do not clear is rescanned step by step, to raise."""
+        """Copy the system states of steps n0 .. n1 - 1 from their slots to
+        ``states``, check the steps as the module notes say (Storage), and
+        move the integrator to n1.  A window the sums do not clear is
+        rescanned step by step, to raise."""
         W = self.band_width
-        R, C = self.buffer.shape[:2]
-        flat = self._flat
+        R, L = self._ring.shape[:2]
+        q, flat = L - self.buffer.shape[1], self._flat
+        self._slots.take(np.arange(n0 + 1, n1 + 1), axis=0, mode="wrap", out=states)
         self.n, self.state = n1, states[-1].view(np.complex128)
-        finite = _finite(states)
+        finite = True
         for a, b in _rows(n0 + 1, n1 + 1, R):
-            finite = finite and math.isfinite(np.add.reduce(flat[a * C : b * C], axis=None))
+            finite = finite and math.isfinite(np.add.reduce(flat[a * L : b * L], axis=None))
         if not finite:
             for n in range(n0, n1):
-                r = (n + 1) % R
-                if not (_finite(states[n - n0]) and _finite(flat[r * C + 1 : r * C + min(W, n + 1) + 1])):
+                r = (n + 1) % R * L + q
+                if not (_finite(states[n - n0]) and _finite(flat[r + 1 : r + min(W, n + 1) + 1])):
                     raise NonFiniteStateError(n + 1, (n + 1) * self.h_fs)
         edge = self.truncation_certificate
         for a, b in _rows(max(n0 + 1, W), n1 + 1, R):
@@ -538,10 +579,10 @@ def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
     W, source = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not a width is given
     if band_width is not None:
         W, source = count("band_width", band_width), "user"
-    rows, ages = _ring_shape(K, W, n_steps)
-    cell, state = 16 * len(eqs.band_vars), 16 * len(eqs.system_vars)    # 16 bytes per value
+    (rows, ages), (slot, n_c) = _ring_shape(K, W, n_steps), _cells(eqs)
+    cell, state = 16 * n_c, 16 * len(eqs.system_vars)    # 16 bytes per value
     return _RunPlan(n_steps, eqs.tau_fs / K, W, source, W < K,
-                    rows * ages * cell, (n_steps + 1) * state)
+                    rows * (slot + ages) * cell, (n_steps + 1) * state)
 
 
 @dataclass(frozen=True)

@@ -60,14 +60,20 @@ MUTANTS = (
            (T_ENGINE + "test_own_only_band_matches_product_formula",
             T_ENGINE + "test_frozen_band_internals")),
     Mutant("y0 cells at ages K - 1 and K swapped in the gather index", ENGINE,
-           "(K - 1, K, C + 1 - K * C)[:n_sys]",
-           "(K, K - 1, C + 1 - K * C)[:n_sys]",
+           "(K - 1, K, L + 1 - K * L)[:n_sys]",
+           "(K, K - 1, L + 1 - K * L)[:n_sys]",
            (T_ENGINE + "test_one_step_of_the_system_is_the_written_out_heun_step[0-True]",
             T_ENGINE + "test_system_driven_only_by_the_returning_line")),
     Mutant("S_l row of the system dropped", ENGINE,
            "            if has_sad:\n                rows.append(h_s @ d)\n",
            "",
            (T_ENGINE + "test_one_step_of_the_system_is_the_written_out_heun_step[0-True]",
+            T_ENGINE + "test_frozen_spot_values[single_excitation]")),
+    Mutant("the birth columns built from R(h C)'s rows alone", ENGINE,
+           "self._system @ self._birth",
+           "np.pad(self._system[: len(self._birth)] @ self._birth,"
+           " ((0, len(self._system) - len(self._birth)), (0, 0)))",
+           (T_ENGINE + "test_the_newborn_line_is_the_birth_of_the_new_state[47]",
             T_ENGINE + "test_frozen_spot_values[single_excitation]")),
     Mutant("no (1 + hL) factor on the S left read", ENGINE,
            "s + s @ h_l",
@@ -99,13 +105,13 @@ MUTANTS = (
            (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-two_photon]",
             T_ENGINE + "test_frozen_unequal_spot_values[rates0-single_excitation]")),
     Mutant("the window buffer filled with ones, not zeros", ENGINE,
-           "buf = np.zeros(ns + max(k_max, n_sys) * cell)",
-           "buf = np.ones(ns + max(k_max, n_sys) * cell)",
+           "buf = np.zeros(max(q + n_sys, 0 if idx is None else len(idx)) * cell)",
+           "buf = np.ones(max(q + n_sys, 0 if idx is None else len(idx)) * cell)",
            (T_ACCEPTANCE + "test_criterion_4_hierarchy_tracks_delay_equations",
             T_ENGINE + "test_frozen_spot_values[single_excitation]")),
     # -- the first ring cycle, the check windows and the certificate
     Mutant("no first-cycle zeroing", ENGINE,
-           "flat[new + n_adv + 1 : new + C] = 0",
+           "cells[r1, q + n_adv + 1 :] = 0",
            "pass",
            (T_ENGINE + "test_the_first_ring_cycle_gives_every_cell_a_value[10-10-None-build_single_excitation]",
             T_ENGINE + "test_no_step_reads_an_unwritten_ring_cell[build_two_photon]")),
@@ -114,6 +120,16 @@ MUTANTS = (
            "if n < R - 1:",
            (T_ENGINE + "test_the_first_ring_cycle_gives_every_cell_a_value[10-10-None-build_single_excitation]",
             T_ENGINE + "test_no_step_reads_an_unwritten_ring_cell[build_single_excitation]")),
+    Mutant("no first-cycle zeroing of the system slot", ENGINE,
+           "cells[r1, :q] = 0",
+           "pass",
+           (T_ENGINE + "test_the_first_ring_cycle_gives_every_cell_a_value[10-10-None-build_single_excitation]",
+            T_ENGINE + "test_the_first_ring_cycle_gives_every_cell_a_value[10-30-None-build_two_photon]")),
+    Mutant("the trajectory copied from the slots one row late", ENGINE,
+           "np.arange(n0 + 1, n1 + 1), axis=0",
+           "np.arange(n0 + 2, n1 + 2), axis=0",
+           (T_ENGINE + "test_one_step_of_the_system_is_the_written_out_heun_step[0-True]",
+            T_ENGINE + "test_frozen_spot_values[single_excitation]")),
     Mutant("a check window of R + 4 steps", ENGINE,
            "for n0 in range(start, start + n_steps, R - 1):\n"
            "                n1 = min(n0 + R - 1, start + n_steps)",
@@ -214,10 +230,10 @@ MUTANTS = (
            (T_ENGINE + "test_default_band_width_formula_and_clamp",
             T_ENGINE + "test_band_width_source_is_the_rule_that_set_it")),
     Mutant("ring bytes counted with the system width", ENGINE,
-           "rows * ages * cell",
-           "rows * ages * state",
+           "rows * (slot + ages) * cell",
+           "rows * (slot + ages) * state",
            (T_ENGINE + "test_plan_matches_what_the_run_allocates[single_excitation-20-8-50]",
-            T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides0-steps_per_delay-173056]")),
+            T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides0-steps_per_delay-176384]")),
     Mutant("trajectory one row short", ENGINE,
            "(n_steps + 1) * state",
            "n_steps * state",
@@ -226,17 +242,17 @@ MUTANTS = (
     Mutant(">= for > in the budget", CLI,
            "if size > _ARRAY_BUDGET:",
            "if size >= _ARRAY_BUDGET:",
-           (T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides0-steps_per_delay-173056]",
+           (T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides0-steps_per_delay-176384]",
             T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides2-t_end_fs-48048]")),
     Mutant("ring refusal always at steps_per_delay", CLI,
            '"steps_per_delay" if width is None else "band_width"',
            '"steps_per_delay"',
-           (T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides1-band_width-16388096256]",
-            T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides1-band_width-173056]")),
+           (T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides1-band_width-16389120384]",
+            T_CLI + "test_memory_budget_admits_an_array_of_exactly_its_size[overrides1-band_width-176384]")),
     Mutant("no memory check", CLI,
            "if size > _ARRAY_BUDGET:",
            "if False:",
-           (T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides0-steps_per_delay-16388096256]",
+           (T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides0-steps_per_delay-16389120384]",
             T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides2-t_end_fs-48000000048]")),
     Mutant("no eps comparison in the open-loop refusal", CLI,
            "if facts.open_loop and engine.default_band_width(model.equations, K, eps_band) == K:",

@@ -173,8 +173,9 @@ def test_simulate_accepts_bundled_preset_names(tmp_path, capsys):
     assert out.exists()
     meta = json.loads((tmp_path / "preset.csv.meta.json").read_text())
     assert meta["steps_per_delay"] == 200
-    # a ring of K + 2 = 202 rows and band_width + 2 = 202 ages of 4 lines
-    assert meta["band_bytes"] == 202 * 202 * 4 * 16 == 2_611_456
+    # a ring of K + 2 = 202 rows, each a one-cell system slot and
+    # band_width + 2 = 202 ages of 4 lines
+    assert meta["band_bytes"] == 202 * 203 * 4 * 16 == 2_624_384
 
 
 def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
@@ -192,8 +193,9 @@ def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
     assert meta["truncation_certificate"] < 1e-10
     # the eps width, 534 of K = 16000 steps, drops the returning line
     assert (meta["band_width"], meta["steps_per_delay"], meta["open_loop"]) == (534, 16000, True)
-    # the run ends within one delay, so its ring keeps 34 rows, not 548
-    assert meta["band_bytes"] == 34 * 536 * 4 * 16 == 1_166_336
+    # the run ends within one delay, so its ring keeps 34 rows, not 548,
+    # of a one-cell system slot and 536 ages
+    assert meta["band_bytes"] == 34 * 537 * 4 * 16 == 1_168_512
 
 
 def test_slab_run_within_one_delay_stays_small():
@@ -385,10 +387,11 @@ def test_load_config_plans_each_config_once(monkeypatch, overrides, refused):
     "overrides, key, nbytes",
     [
         # two delays at K = 16000 with a slow decay: the capped width keeps a
-        # (K + 2) x (K + 2) ring of 4 lines, 16.4 GB
-        ({"steps_per_delay": 16000, "t_end_fs": 200.0}, "steps_per_delay", 16002**2 * 4 * 16),
+        # ring of K + 2 rows of a one-cell system slot and K + 2 ages of 4
+        # lines, 16.4 GB
+        ({"steps_per_delay": 16000, "t_end_fs": 200.0}, "steps_per_delay", 16002 * 16003 * 4 * 16),
         ({"steps_per_delay": 16000, "t_end_fs": 200.0, "band_width": 16000}, "band_width",
-         16002**2 * 4 * 16),
+         16002 * 16003 * 4 * 16),
         # 10^8 delays at K = 10: 10^9 steps of 3 system values, 48 GB
         ({"steps_per_delay": 10, "t_end_fs": 1e10}, "t_end_fs", (10**9 + 1) * 3 * 16),
     ],
@@ -414,9 +417,10 @@ def test_memory_budget_refuses_before_anything_is_allocated(
 @pytest.mark.parametrize(
     "overrides, key, nbytes",
     [
-        ({}, "steps_per_delay", 52 * 52 * 4 * 16),    # a 52 x 52 ring of 4 lines
-        ({"band_width": 50}, "band_width", 52 * 52 * 4 * 16),
-        # 100 delays at K = 10: 1001 x 3 recorded values, and a 12 x 12 ring
+        # a ring of 52 rows, each a one-cell system slot and 52 ages of 4 lines
+        ({}, "steps_per_delay", 52 * 53 * 4 * 16),
+        ({"band_width": 50}, "band_width", 52 * 53 * 4 * 16),
+        # 100 delays at K = 10: 1001 x 3 recorded values, and a ring of 12 rows of 13 cells
         ({"steps_per_delay": 10, "t_end_fs": 10000.0}, "t_end_fs", 1001 * 3 * 16),
     ],
 )

@@ -249,20 +249,27 @@ def test_stale_lines_read_zero_beyond_the_band():
     assert it.band_value("w", 9, 6) != 0j     # age 3 still live
 
 
+def fill_ring(it: HierarchyIntegrator, fill: float) -> None:
+    """Fill every cell the integrator allocated, system slots and their pads
+    too, but line 0, the one cell construction wrote."""
+    birth = it.buffer[0, 0].copy()
+    it._ring[...] = fill
+    it.buffer[0, 0] = birth
+
+
 @pytest.mark.parametrize("build", [models.build_single_excitation, models.build_two_photon,
                                    fad_only_toy])
 def test_no_step_reads_an_unwritten_ring_cell(build):
     # the ring is allocated without zeroing: filling every cell but the
-    # first birth with NaN must change nothing, at any band width
+    # first birth with NaN, system slots too, must change nothing, at any
+    # band width
     m = build(make_scaled(2.0, 3.7))
     K, n_steps = 10, 40
     for W in range(1, 3 * K + 3):
         runs = []
         for fill in (0.0, np.nan):
             it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K, band_width=W)
-            birth = it.buffer[0, 0].copy()
-            it.buffer[...] = fill
-            it.buffer[0, 0] = birth
+            fill_ring(it, fill)
             series = []
             for _ in range(n_steps):
                 it.step()
@@ -280,17 +287,16 @@ def test_no_step_reads_an_unwritten_ring_cell(build):
                                            (100, 40, 50)])
 def test_the_first_ring_cycle_gives_every_cell_a_value(build, K, W, horizon):
     # a cell no step writes (a young row's ages past its position, age
-    # W + 1) reads 0 once the first ring cycle has reached its row: a ring
-    # filled with NaN at construction holds only finite values after R steps
+    # W + 1, a system slot's pad) reads 0 once the first ring cycle has
+    # reached its row: an allocation filled with NaN at construction, but
+    # for line 0, holds only finite values after R steps
     m = build(make_scaled(2.0, 3.7))
     it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=K, band_width=W,
                              horizon_steps=horizon)
-    birth = it.buffer[0, 0].copy()
-    it.buffer[...] = np.nan
-    it.buffer[0, 0] = birth
+    fill_ring(it, np.nan)
     for _ in range(it.buffer.shape[0]):
         it.step()
-    assert np.isfinite(it.buffer).all()
+    assert np.isfinite(it._ring).all()
 
 
 def test_below_diagonal_reads_zero_by_name():
@@ -351,6 +357,45 @@ def test_conjugated_only_current_read():
     # and, with no line to retire, the certificate stays 0 past the band width
     r = engine.run(bare, {"s": 1.0}, steps_per_delay=20, t_end_fs=300.0, band_width=21)
     assert r.truncation_certificate == 0.0
+
+
+def slot_toy(n_lines: int, n_silent: int = 0) -> EquationSet:
+    """Three system variables that read ``n_lines`` lines with DIAGONAL,
+    SAD and FAD terms, and ``n_silent`` more band variables born with
+    weight 0 and read by nothing."""
+    s, w = ("s0", "s1", "s2"), tuple(f"w{k}" for k in range(n_lines))
+    P = Pattern
+    terms = [Term("s0", -0.004 + 0.01j, "s0", P.CURRENT), Term("s1", 0.003j, "s0", P.CURRENT),
+             Term("s1", -0.006, "s1", P.CURRENT), Term("s2", 0.002 - 0.001j, "s1", P.CURRENT, True),
+             Term("s2", -0.005 - 0.003j, "s2", P.CURRENT)]
+    for k, v in enumerate(w):
+        terms += [Term(s[k], -0.004 + 0.002j, v, P.DIAGONAL), Term(s[2], 0.003, v, P.DIAGONAL, True),
+                  Term(v, -0.007 + 0.02j, v, P.OWN), Term(v, 0.004j, w[k - 1], P.SECOND_ARG_DELAYED),
+                  Term(v, -0.003 + 0.001j, v, P.FIRST_ARG_DELAYED, True),
+                  Term(v, 0.8 - 0.3j, s[(k + 1) % 3], P.BIRTH, k == 0)]
+    silent = tuple(f"z{k}" for k in range(n_silent))
+    terms += [Term(z, 0.0, "s0", P.BIRTH) for z in silent]
+    return EquationSet(s, w + silent, tuple(terms), 100.0)
+
+
+@pytest.mark.parametrize("n_lines", [1, 2])
+@pytest.mark.parametrize("W", [7, 10, 15])
+def test_a_system_slot_wider_than_a_cell(n_lines, W):
+    # three system variables and one or two lines need a slot of three or
+    # two cells (the second with a pad); silent band variables widen the
+    # cell until the slot is one cell, and change the system series and
+    # the certificate only by rounding, at W < K, W = K and W > K
+    kw = dict(steps_per_delay=10, t_end_fs=500.0, band_width=W)
+    init = {"s0": 1.0, "s1": 0.5j, "s2": -0.2}
+    wide = engine.run(slot_toy(n_lines), init, **kw)
+    one = engine.run(slot_toy(n_lines, 3 - n_lines), init, **kw)
+    assert engine._cells(slot_toy(n_lines)) == (4 - n_lines, n_lines)
+    assert engine._cells(slot_toy(n_lines, 3 - n_lines)) == (1, 3)
+    for name, x in wide.series.items():
+        ref = one.series[name]
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max(), name
+    assert wide.truncation_certificate == pytest.approx(one.truncation_certificate, rel=1e-14)
+    assert one.truncation_certificate > 0
 
 
 def test_system_driven_only_by_the_returning_line():
@@ -686,6 +731,30 @@ def test_one_step_of_the_band_is_the_written_out_heun_step(dW, fad):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), build.__name__
 
 
+@pytest.mark.parametrize("n", [7, 47])    # a step before K = 20, and one after it
+def test_the_newborn_line_is_the_birth_of_the_new_state(n):
+    # one product writes the new state and line n + 1's age-0 cell (class
+    # notes): the cell must be BIRTH applied to that state, term by term,
+    # with bB_0A born from conj(cAB), on an unequal cavity from a state
+    # with every system variable nonzero
+    K = 20
+    for build in (models.build_single_excitation, models.build_two_photon):
+        m = build(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33))
+        eqs = m.equations
+        init = {v: complex(0.6 - 0.2 * k, 0.1 + 0.2 * k) for k, v in enumerate(eqs.system_vars)}
+        integ = HierarchyIntegrator(eqs, init, steps_per_delay=K, band_width=K)
+        for _ in range(n + 1):
+            integ.step()
+        s1 = dict(zip(eqs.system_vars, integ.state))
+        want = _apply(eqs.terms, Pattern.BIRTH, s1, eqs.band_vars)
+        got = np.array([integ.band_value(v, n + 1, n + 1) for v in eqs.band_vars])
+        ref = np.array([want[v] for v in eqs.band_vars])
+        assert np.abs(ref).min() > 0, build.__name__    # every line is born nonzero
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), build.__name__
+        conjugated = {t.target for t in eqs.terms if t.pattern is Pattern.BIRTH and t.conjugate}
+        assert conjugated == ({"bB_0A"} if build is models.build_single_excitation else set())
+
+
 @pytest.mark.parametrize("fad", [True, False])
 @pytest.mark.parametrize("dW", [0, 3])
 def test_one_step_of_the_system_is_the_written_out_heun_step(dW, fad):
@@ -834,7 +903,7 @@ def test_fine_delay_grid_short_run_stays_small():
     assert r.n_steps == 400
     assert np.all(r.series["pB"] == 0.0)      # nothing can arrive yet
     assert r.series["pA"][-1].real < 1.0
-    assert r.band_bytes == 34 * 402 * 4 * 16
+    assert r.band_bytes == 34 * (1 + 402) * 4 * 16    # a one-cell system slot per row
 
     it = HierarchyIntegrator(m.equations, m.default_init, steps_per_delay=20000,
                              band_width=500, horizon_steps=400)
@@ -864,7 +933,7 @@ def test_plan_matches_what_the_run_allocates(kind, K, W, H):
     assert plan.n_steps == H
     it = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K,
                              band_width=plan.band_width, horizon_steps=H)
-    assert plan.band_bytes == it.buffer.nbytes
+    assert plan.band_bytes == it._ring.nbytes    # the whole allocation, system slots included
     r = engine.run(eqs, m.default_init, steps_per_delay=K, t_end_fs=t_end, band_width=W)
     n_s = len(eqs.system_vars)
     assert plan.trajectory_bytes == (r.n_steps + 1) * n_s * 16
