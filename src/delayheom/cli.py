@@ -144,12 +144,15 @@ def load_config(raw):
     try:    # the engine's refusals lead with the argument's name, which is the key
         facts = engine.plan_run(model.equations, steps_per_delay=K, t_end_fs=t_end,
                                 band_width=width, eps_band=eps_band)
-        # refused where the eps rule keeps the returning line (so never with no width set)
-        if facts.open_loop and engine.default_band_width(model.equations, K, eps_band) == K:
-            _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
-                  "the returning line, which eps_band keeps (open loop)")
     except ValueError as e:
         _fail(*str(e).split(" ", 1))
+    # refused where the eps rule keeps the returning line (so never with no width set)
+    if facts.open_loop and facts.default_band_width == K:
+        _fail("band_width", f"must be >= steps_per_delay ({K}): a narrower band drops "
+              "the returning line, which eps_band keeps (open loop)")
+    if facts.stability_margin > 1:
+        _fail("steps_per_delay", f"the Heun step grows a mode by {facts.stability_margin:.4g} "
+              "> 1 per step (stability_margin), so the run diverges: take more steps per delay")
     ring = ("steps_per_delay" if width is None else "band_width", "band ring", facts.band_bytes)
     for key, what, size in (ring, ("t_end_fs", "trajectory", facts.trajectory_bytes)):
         if size > _ARRAY_BUDGET:

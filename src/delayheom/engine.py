@@ -25,6 +25,10 @@ advancing line t1 at position t (band):
                              line t1: the delta source that creates the line
                              (every band variable has exactly one).
 
+An :class:`EquationSet` walks its terms once, to check them, and keeps
+each pattern's real coefficient matrix and sums for the integrator, the
+width rule and the stability margin of :func:`plan_run`.
+
 Delay gating
 ------------
 Reads across the delay switch on only once their whole step lies inside the
@@ -123,7 +127,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -197,12 +201,32 @@ class Term(NamedTuple):
 @dataclass(frozen=True)
 class EquationSet:
     """A closed linear delay hierarchy of finite coefficients, checked against
-    ``_GROUPS`` and the read patterns (module notes) when it is built."""
+    ``_GROUPS`` and the read patterns (module notes) when it is built.
+
+    The walk that checks the terms also keeps what is read of them later
+    (fields neither compared, hashed nor shown; the sums Python numbers):
+
+    * ``_forms``: each pattern's coefficients as one read-only real matrix
+      ``M[read row, target]``.  Rows ``2r`` and ``2r + 1`` take the real
+      and imaginary part of read ``r``: a plain term ``c`` adds ``(c, i c)``
+      to the complex column of its target, a conjugated one ``(c, -i c)``,
+      so a row of complex reads ``x`` contributes ``x.view(float) @ M`` to
+      the float view of its targets.  An empty band has the silent
+      variable of :func:`_cells`.
+    * ``_used``: the patterns with a nonzero term.
+    * ``_own_sums``, ``_current_sums``: each variable's sum of plain
+      self-reads, the eigenvalues of the OWN block, which has no other
+      term, and of the CURRENT block (None if it has another term).
+    """
 
     system_vars: tuple[str, ...]
     band_vars: tuple[str, ...]
     terms: tuple[Term, ...]
     tau_fs: float
+    _forms: dict[Pattern, np.ndarray] = field(init=False, repr=False, compare=False)
+    _used: frozenset[Pattern] = field(init=False, repr=False, compare=False)
+    _own_sums: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    _current_sums: tuple[complex, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the set is frozen: keep no reference to a caller's mutable sequence
@@ -217,20 +241,30 @@ class EquationSet:
             raise EquationSetError("tau_fs must be positive and finite")
         # a NumPy scalar would carry its precision into every product with h
         object.__setattr__(self, "tau_fs", float(self.tau_fs))
-        group = dict.fromkeys(self.system_vars, "system")
-        group.update(dict.fromkeys(self.band_vars, "band"))
-        own, birth, born, terms = Pattern.OWN, Pattern.BIRTH, [], list(self.terms)
+        # each variable's group and its index in the group
+        where = {v: ("system", i) for i, v in enumerate(self.system_vars)}
+        where.update((v, ("band", i)) for i, v in enumerate(self.band_vars))
+        # each pattern's (target, read) groups, and its form's complex matrix
+        # of (rows, columns) at an offset of one flat list
+        size, layout, n = {"system": len(self.system_vars), "band": _cells(self)[1]}, {}, 0
+        for p, (target, read) in _GROUPS.items():
+            layout[p] = target, read, n, 2 * size[read], size[target]
+            n += 2 * size[read] * size[target]
+        values, used, cross = [0j] * n, set(), False
+        own, cur, birth, born, terms = Pattern.OWN, Pattern.CURRENT, Pattern.BIRTH, [], list(self.terms)
         for i, t in enumerate(terms):
-            # a Python number is kept as given; any other is judged, then kept as a complex
-            if not (type(c := t.coefficient) in (float, complex) and cmath.isfinite(c)):
-                terms[i] = t = t._replace(coefficient=initial_value(f"terms[{i}].coefficient", c))
+            # a Python number is kept as given (the forms below judge it);
+            # any other is judged, then kept as a complex
+            if type(c := t.coefficient) not in (float, complex):
+                terms[i] = t = t._replace(coefficient=(c := initial_value(f"terms[{i}].coefficient", c)))
             p = t.pattern
-            if t.target not in group:
+            if t.target not in where:
                 raise EquationSetError(f"term targets unknown variable {t.target!r}")
-            target, read = _GROUPS.get(p, (None, None))
-            if group[t.target] != target:
-                raise EquationSetError(f"{group[t.target]} variable {t.target!r} takes no {p} term")
-            if group.get(t.var) != read:
+            (g, j), (g_read, r) = where[t.target], where.get(t.var, (None, 0))
+            target, read, at, _, cols = layout.get(p, (None,) * 5)
+            if g != target:
+                raise EquationSetError(f"{g} variable {t.target!r} takes no {p} term")
+            if g_read != read:
                 raise EquationSetError(
                     f"term on {t.target!r} references {t.var!r}, which is "
                     f"not a valid {p.value} source"
@@ -243,12 +277,37 @@ class EquationSet:
                 )
             if p is birth:
                 born.append(t.target)
+            if p is cur and (t.var != t.target or t.conjugate):
+                cross = True
+            k = at + 2 * r * cols + j    # at (2 r, j) and (2 r + 1, j)
+            values[k] += c
+            values[k + cols] += -1j * c if t.conjugate else 1j * c
+            if c:
+                used.add(p)
+        # each entry of the forms sums coefficients: a non-finite one makes it
+        # non-finite, and so may finite ones that overflow, which are kept
+        forms = np.fromiter(values, complex, n).view(np.float64)
+        if not np.isfinite(forms).all():
+            for i, t in enumerate(terms):
+                initial_value(f"terms[{i}].coefficient", t.coefficient)
         object.__setattr__(self, "terms", tuple(terms))
         if sorted(born) != sorted(self.band_vars):
             raise EquationSetError(
                 "every band variable needs exactly one BIRTH term "
                 f"(got births of {sorted(born)}, band vars {sorted(self.band_vars)})"
             )
+        forms.flags.writeable = False    # and so is every view of it
+        object.__setattr__(self, "_forms", {
+            p: forms[2 * at : 2 * (at + rows * cols)].reshape(rows, 2 * cols)
+            for p, (_, _, at, rows, cols) in layout.items()})
+        object.__setattr__(self, "_used", frozenset(used))
+
+        def diagonal(p, n):    # entries (2 j, j), j < n: each variable's plain self-reads
+            _, _, at, _, cols = layout[p]
+            return tuple(values[at : at + n * (2 * cols + 1) : 2 * cols + 1])
+
+        object.__setattr__(self, "_own_sums", diagonal(own, len(self.band_vars)))
+        object.__setattr__(self, "_current_sums", None if cross else diagonal(cur, size["system"]))
 
 
 def default_band_width(
@@ -266,40 +325,11 @@ def _width_rule(eqs: EquationSet, K: int, eps_band: float) -> tuple[int, str]:
     fades), and never more than ``K``, the oldest age the system reads."""
     if not (finite(eps_band) and 0 < eps_band < 1):
         raise ValueError("eps_band must be a number in (0, 1)")
-    own, rates = Pattern.OWN, dict.fromkeys(eqs.band_vars, 0.0)
-    for t in eqs.terms:
-        if t.pattern is own:
-            rates[t.target] -= t.coefficient.real
     # near the subnormal range the product underflows and the quotient
     # overflows: each means that a line outlives the delay
-    decay = min(rates.values(), default=0.0) * eqs.tau_fs
+    decay = min((-s.real for s in eqs._own_sums), default=0.0) * eqs.tau_fs
     kept = math.log(1.0 / float(eps_band)) * K / decay if decay > 0 else math.inf
     return (max(1, math.ceil(kept)), "eps") if kept < K else (K, "cap")
-
-
-def _real_forms(eqs: EquationSet) -> tuple[dict[Pattern, np.ndarray], set[Pattern]]:
-    """Each pattern's coefficients as one real matrix ``M[read row, target]``
-    acting on float views, and the patterns with a nonzero term.
-
-    Rows ``2r`` and ``2r + 1`` take the real and imaginary part of read
-    ``r``: a plain term ``c`` adds ``(c, i c)`` to the complex column of
-    its target, a conjugated one ``(c, -i c)``.  So a row of complex
-    reads ``x`` contributes ``x.view(float) @ M`` to the float view of
-    its targets.  An empty band has the silent variable of :func:`_cells`.
-    """
-    index = {v: i for names in (eqs.system_vars, eqs.band_vars) for i, v in enumerate(names)}
-    size = {"system": len(eqs.system_vars), "band": _cells(eqs)[1]}
-    forms = {p: np.zeros((2 * size[read], size[target]), dtype=complex)
-             for p, (target, read) in _GROUPS.items()}
-    used = set()
-    for t in eqs.terms:
-        g, c = forms[t.pattern], t.coefficient
-        r, j = 2 * index[t.var], index[t.target]
-        g[r, j] += c
-        g[r + 1, j] += -1j * c if t.conjugate else 1j * c
-        if c:
-            used.add(t.pattern)
-    return {p: g.view(np.float64) for p, g in forms.items()}, used
 
 
 def _heun_factor(z: np.ndarray) -> np.ndarray:
@@ -333,8 +363,10 @@ class HierarchyIntegrator:
     predictor, trapezoidal corrector) has a closed form, precomputed at
     construction.  Rows are read as ``x @ M``, so "M1, then M2" is
     ``M1 @ M2``.  With C, D, L, S and F the CURRENT, DIAGONAL, OWN,
-    SECOND_ARG_DELAYED and FIRST_ARG_DELAYED sets (:func:`_real_forms`)
-    and R(z) = 1 + z + z^2 / 2 (:func:`_heun_factor`), a line advances as
+    SECOND_ARG_DELAYED and FIRST_ARG_DELAYED sets (the real forms that
+    :class:`EquationSet` builds as it checks its terms, so construction
+    builds none) and R(z) = 1 + z + z^2 / 2 (:func:`_heun_factor`), a
+    line advances as
 
         y1 = [y0, S_r, S_l] [R(h L); (h/2) S; (h/2) S (1 + h L)]  (_sad)
         y1 = [y0, F_r, F_l] [R(h L); (h/2) F; (h/2) F (1 + h L)]  (_fad)
@@ -388,7 +420,7 @@ class HierarchyIntegrator:
         self.eqs = eqs
         self.h_fs = h = eqs.tau_fs / K
 
-        m, used = _real_forms(eqs)
+        m, used = eqs._forms, eqs._used
         h_c, h_l = h * m[Pattern.CURRENT], h * m[Pattern.OWN]
         h_s = h * m[Pattern.SECOND_ARG_DELAYED]
         d = h / 2 * m[Pattern.DIAGONAL]
@@ -564,25 +596,42 @@ class _RunPlan:
     open_loop: bool    # band_width < steps_per_delay: the returning line is dropped
     band_bytes: int    # the band ring's size
     trajectory_bytes: int    # the recorded system states' size
+    default_band_width: int    # the width the rule gives, whether or not the run sets one
+    stability_margin: float    # above 1, the Heun step grows a mode (_stability_margin)
+
+
+def _stability_margin(eqs: EquationSet, h: float) -> float:
+    """The largest gain |R(h lam)| of the Heun step, R(z) = 1 + z + z^2 / 2,
+    over the eigenvalues lam of the OWN and CURRENT blocks (the reads
+    without delay): the sums :class:`EquationSet` keeps.  A CURRENT block
+    with a cross or conjugated read takes the eigenvalues of R(h C)'s
+    real form instead, whose moduli are those gains."""
+    gains = [abs(1 + z + z * z / 2) if cmath.isfinite(z := h * lam) else math.inf
+             for lam in eqs._own_sums + (eqs._current_sums or ())]
+    if eqs._current_sums is None:
+        with np.errstate(all="ignore"):    # a matrix past float range has an infinite gain
+            r = _heun_factor(h * eqs._forms[Pattern.CURRENT])
+        gains.append(float(np.abs(np.linalg.eigvals(r)).max()) if np.isfinite(r).all() else math.inf)
+    return max(gains)
 
 
 def plan_run(eqs: EquationSet, *, steps_per_delay: int, t_end_fs: float,
              band_width: int | None = None, eps_band: float = 1e-12) -> _RunPlan:
     """What :func:`run` with these arguments touches, by arithmetic alone: it
-    builds and allocates nothing, and raises ``run``'s ``ValueError``, led by
-    the argument's name.  A run takes ``ceil(t_end / h)`` steps (the last
+    allocates no array of the run, and raises ``run``'s ``ValueError``, led
+    by the argument's name.  A run takes ``ceil(t_end / h)`` steps (the last
     time may overshoot ``t_end_fs`` by a fraction of a step).  With no
-    ``band_width``, the width is :func:`default_band_width`'s.
+    ``band_width``, the width is :func:`default_band_width`'s.  ``run``
+    does not refuse a ``stability_margin`` above 1.
     """
     K = count("steps_per_delay", steps_per_delay)
-    n_steps = grid_steps(t_end_fs, K, eqs.tau_fs)
-    W, source = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not a width is given
-    if band_width is not None:
-        W, source = count("band_width", band_width), "user"
+    n_steps, h = grid_steps(t_end_fs, K, eqs.tau_fs), eqs.tau_fs / K
+    default, rule = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not a width is given
+    W, source = (default, rule) if band_width is None else (count("band_width", band_width), "user")
     (rows, ages), (slot, n_c) = _ring_shape(K, W, n_steps), _cells(eqs)
     cell, state = 16 * n_c, 16 * len(eqs.system_vars)    # 16 bytes per value
-    return _RunPlan(n_steps, eqs.tau_fs / K, W, source, W < K,
-                    rows * (slot + ages) * cell, (n_steps + 1) * state)
+    return _RunPlan(n_steps, h, W, source, W < K, rows * (slot + ages) * cell,
+                    (n_steps + 1) * state, default, _stability_margin(eqs, h))
 
 
 @dataclass(frozen=True)

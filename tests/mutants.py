@@ -220,8 +220,8 @@ MUTANTS = (
            (T_ORACLE + "test_bath_with_an_odd_mode_count_matches_the_exact_phase_step",)),
     # -- the run plan and the memory budget
     Mutant("own rates summed with the wrong sign", ENGINE,
-           "rates[t.target] -= t.coefficient.real",
-           "rates[t.target] += t.coefficient.real",
+           "min((-s.real for s in eqs._own_sums), default=0.0)",
+           "min((s.real for s in eqs._own_sums), default=0.0)",
            (T_ENGINE + "test_default_band_width_formula_and_clamp",
             T_ENGINE + "test_band_width_source_is_the_rule_that_set_it")),
     Mutant("default width capped at K + 1", ENGINE,
@@ -255,12 +255,12 @@ MUTANTS = (
            (T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides0-steps_per_delay-16389120384]",
             T_CLI + "test_memory_budget_refuses_before_anything_is_allocated[overrides2-t_end_fs-48000000048]")),
     Mutant("no eps comparison in the open-loop refusal", CLI,
-           "if facts.open_loop and engine.default_band_width(model.equations, K, eps_band) == K:",
+           "if facts.open_loop and facts.default_band_width == K:",
            "if facts.open_loop:",
            (T_CLI + "test_band_width_below_one_delay_loads_when_eps_drops_the_line",
             T_CLI + "test_load_config_plans_each_config_once[overrides2-False]")),
     Mutant("the open-loop check reading the plan's width, not the default", CLI,
-           "engine.default_band_width(model.equations, K, eps_band) == K",
+           "facts.default_band_width == K",
            "facts.band_width == K",
            (T_CLI + "test_band_width_below_one_delay_loads_when_eps_drops_the_line",
             T_CLI + "test_load_config_plans_each_config_once[overrides3-True]")),
@@ -278,17 +278,35 @@ MUTANTS = (
            "self._horizon = _WINDOW if horizon_steps is None",
            (T_ENGINE + "test_fine_delay_grid_short_run_stays_small",
             T_ENGINE + "test_horizon_shrinks_storage_without_changing_results")),
+    # -- the Heun pre-flight
+    Mutant("no Heun pre-flight", CLI,
+           "if facts.stability_margin > 1:",
+           "if False:",
+           (T_CLI + "test_an_unstable_grid_is_refused_before_the_run",)),
+    Mutant("R's z^2 / 2 term dropped from the margin", ENGINE,
+           "abs(1 + z + z * z / 2)",
+           "abs(1 + z)",
+           (T_ENGINE + "test_stability_margin_is_the_largest_heun_gain[single_excitation]",
+            T_CLI + "test_simulate_accepts_bundled_preset_names")),
+    Mutant("the margin from the real parts of the rates only", ENGINE,
+           "cmath.isfinite(z := h * lam)",
+           "cmath.isfinite(z := h * lam.real)",
+           (T_ENGINE + "test_stability_margin_is_the_largest_heun_gain[complex]",)),
+    Mutant("the diagonal route taken for a conjugated CURRENT set", ENGINE,
+           "if p is cur and (t.var != t.target or t.conjugate):",
+           "if p is cur and t.var != t.target:",
+           (T_ENGINE + "test_stability_margin_is_the_largest_heun_gain[conjugated]",)),
     Mutant("passivity slack 1e-6 for 1e-12", CLI,
            "cavity.gamma_a_ev * cavity.gamma_b_ev * (1 + 1e-12)",
            "cavity.gamma_a_ev * cavity.gamma_b_ev * (1 + 1e-6)",
            (T_CLI + "test_passivity_refuses_a_coupling_just_past_the_bound",)),
     # -- one refusal per argument rule, in the library
     Mutant("plan_run skips the width rule when a width is given", ENGINE,
-           "    W, source = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not "
-           "a width is given\n    if band_width is not None:\n",
-           "    if band_width is None:\n        W, source = _width_rule(eqs, K, eps_band)\n"
-           "    else:\n",
-           (REFUSALS,)),
+           "    default, rule = _width_rule(eqs, K, eps_band)    # checks eps_band whether or not "
+           "a width is given\n    W, source = (default, rule) if band_width is None else ",
+           "    W, source = default, rule = _width_rule(eqs, K, eps_band) if band_width is None "
+           "else ",
+           (REFUSALS, T_ENGINE + "test_default_band_width_is_the_width_of_every_run_that_sets_none")),
     Mutant("the count accepts a bool", ARGS,
            "n = 0 if isinstance(value, bool) else operator.index(value)",
            "n = operator.index(value)",
@@ -302,10 +320,19 @@ MUTANTS = (
            "        raise ValueError(f\"{name} must be a finite number, got {value!r}\")\n",
            "",
            (REFUSALS,)),
-    Mutant("no refusal of a bad term coefficient", ENGINE,
-           "type(c := t.coefficient) in (float, complex) and cmath.isfinite(c)",
-           "True",
+    Mutant("no refusal of a term coefficient that is not a Python number", ENGINE,
+           "if type(c := t.coefficient) not in (float, complex):",
+           "if type(c := t.coefficient) is None:",
            (REFUSALS, "tests/test_refusals.py::test_every_entry_point_takes_numpy_scalars[EquationSet]")),
+    Mutant("no refusal of a non-finite Python coefficient", ENGINE,
+           "if not np.isfinite(forms).all():",
+           "if False:",
+           (REFUSALS,)),
+    Mutant("a non-finite coefficient sum refused without the per-term fallback", ENGINE,
+           "            for i, t in enumerate(terms):\n"
+           "                initial_value(f\"terms[{i}].coefficient\", t.coefficient)\n",
+           "            raise ValueError(\"a term coefficient is not finite\")\n",
+           (REFUSALS, T_ENGINE + "test_stability_margin_of_rates_past_float_range_is_infinite")),
     Mutant("a slab keeps its fields as given once judged", QNM,
            '_store_floats(self, ("L_um", "eps_r", "eps_b", "R_um"))',
            '[real(name, getattr(self, name)) for name in ("L_um", "eps_r", "eps_b", "R_um")]',

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from delayheom import __version__, cli, engine, models, oracle, qnm
+from delayheom.constants import CONSTANTS
 from tests.conftest import make_unequal
 
 BASE_CAVITY = {
@@ -89,7 +90,7 @@ def test_simulate_csv_and_sidecar(tmp_path, capsys):
         "t_end_fs", "n_steps", "band_width", "eps_band",
         "include_first_arg_delayed", "initial_state",
         "truncation_certificate", "open_loop", "band_bytes", "band_width_source",
-        "trajectory_bytes", "wall_time_s",
+        "trajectory_bytes", "default_band_width", "stability_margin", "wall_time_s",
     }
     assert meta["model"] == "single_excitation"
     assert meta["steps_per_delay"] == 50
@@ -176,6 +177,8 @@ def test_simulate_accepts_bundled_preset_names(tmp_path, capsys):
     # a ring of K + 2 = 202 rows, each a one-cell system slot and
     # band_width + 2 = 202 ages of 4 lines
     assert meta["band_bytes"] == 202 * 203 * 4 * 16 == 2_624_384
+    # the slowest decay is the lines', gamma h / hbar = 0.005: R(-0.005) = 0.9950125
+    assert (meta["default_band_width"], meta["stability_margin"]) == (200, 0.9950125)
 
 
 def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
@@ -196,6 +199,8 @@ def test_slab_preset_covers_the_decay_epoch(tmp_path, capsys):
     # the run ends within one delay, so its ring keeps 34 rows, not 548,
     # of a one-cell system slot and 536 ages
     assert meta["band_bytes"] == 34 * 537 * 4 * 16 == 1_168_512
+    assert meta["default_band_width"] == 534
+    assert meta["stability_margin"] == pytest.approx(0.9495564, abs=1e-7)
 
 
 def test_slab_run_within_one_delay_stays_small():
@@ -223,16 +228,41 @@ def test_missing_config_lists_presets(tmp_path, capsys):
     assert "slab_21um" in err and "scaled_pair" in err
 
 
+#: a passive cavity on a grid too coarse for its decay: 2 gamma h / hbar is
+#: about 3, past Heun's stability edge of 2 (stability_margin 2.578)
+_UNSTABLE = dict(BASE_CAVITY, omega_a_ev=0.0, omega_b_ev=0.0,
+                 gamma_a_ev=0.1, gamma_b_ev=0.1, v_ab_ev=0.05)
+
+
 def test_divergent_run_exits_two(tmp_path, capsys):
-    # a passive cavity on a grid too coarse for its decay (2 gamma h / hbar
-    # is about 3, past Heun's stability edge of 2): the run blows up
-    cav = dict(BASE_CAVITY, omega_a_ev=0.0, omega_b_ev=0.0,
-               gamma_a_ev=0.1, gamma_b_ev=0.1, v_ab_ev=0.05)
-    cfgfile = write_cfg(tmp_path, cavity=cav, steps_per_delay=10, t_end_fs=10000.0)
+    # at 2 gamma h / hbar = 1.9 the step without delay is stable
+    # (stability_margin 0.905), but K = 10 puts the delayed coupling past
+    # the edge, 1.865: the run passes the pre-flight and blows up
+    g = 1.9 * CONSTANTS.hbar_ev_fs / (2 * 10.0)
+    cav = dict(BASE_CAVITY, omega_a_ev=0.0, omega_b_ev=0.0, gamma_a_ev=g, gamma_b_ev=g,
+               v_ab_ev=g / 2)
+    cfgfile = write_cfg(tmp_path, cavity=cav, steps_per_delay=10, t_end_fs=4000 * 100.0)
     assert cli.main(["simulate", "--config", cfgfile,
                      "--out", str(tmp_path / "x.csv")]) == 2
-    assert ("numerical failure: non-finite state at step 750 (t = 7500 fs)"
+    assert ("numerical failure: non-finite state at step 33481 (t = 334810 fs)"
             in capsys.readouterr().err)
+
+
+def test_an_unstable_grid_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # the run would exit 0 with pA = 2.4e123 by 3000 fs, and 2 by 10000 fs
+    def reached(*args, **kwargs):
+        raise AssertionError("a refused config reached the engine")
+
+    monkeypatch.setattr(engine, "run", reached)
+    for t_end_fs in (3000.0, 10000.0):
+        cfgfile = write_cfg(tmp_path, cavity=_UNSTABLE, steps_per_delay=10, t_end_fs=t_end_fs)
+        assert cli.main(["simulate", "--config", cfgfile,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "config error at steps_per_delay: the Heun step grows a mode by 2.578 > 1 per "
+            "step (stability_margin), so the run diverges: take more steps per delay\n")
+    # 20 steps per delay bring the margin to 0.635, and the same cavity loads
+    assert cli.load_config(base_config(cavity=_UNSTABLE, steps_per_delay=20))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +408,11 @@ def test_load_config_plans_each_config_once(monkeypatch, overrides, refused):
         return plan_run(*args, **kwargs)
 
     monkeypatch.setattr(engine, "plan_run", counted)
+
+    def other_width(*args, **kwargs):
+        raise AssertionError("the plan holds the default width")
+
+    monkeypatch.setattr(engine, "default_band_width", other_width)
     with pytest.raises(cli.ConfigError) if refused else contextlib.nullcontext():
         cli.load_config(base_config(**overrides))
     assert len(plans) == 1

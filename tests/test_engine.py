@@ -540,7 +540,7 @@ def test_real_form_matches_the_complex_pair(case):
             terms.append(Term(band_vars[(j + 1) % 3], c_sad,
                               w, Pattern.SECOND_ARG_DELAYED, not conj[j]))
     eqs = EquationSet(sys_vars, band_vars, terms, 100.0)
-    forms, _ = engine._real_forms(eqs)
+    forms = eqs._forms
     index = {v: i for names in (sys_vars, band_vars) for i, v in enumerate(names)}
     for key, n_read, n_target in ((Pattern.DIAGONAL, 3, 2), (Pattern.BIRTH, 2, 3),
                                   (Pattern.SECOND_ARG_DELAYED, 3, 3)):
@@ -606,16 +606,20 @@ def _outcome(f, *args, **kwargs):
        K=st.one_of(st.integers(-1, 10**6), st.sampled_from([0, 10.5, 20.0, math.inf])),
        eps_band=st.one_of(st.floats(1e-300, 0.9),
                           st.sampled_from([0.0, 1.0, 1.5, -1e-12, math.nan])),
-       delays=st.floats(1e-3, 1e3))
+       delays=st.floats(1e-3, 1e3),
+       band_width=st.one_of(st.none(), st.integers(1, 10**6)))
 def test_default_band_width_is_the_width_of_every_run_that_sets_none(
-        rate, tau_fs, K, eps_band, delays):
-    # any run length gives the same width, and a bad argument the same refusal
+        rate, tau_fs, K, eps_band, delays, band_width):
+    # any run length gives the same width, and a bad argument the same
+    # refusal; a plan that sets its own width still holds the default
     eqs = toy_eqs(tau_fs=tau_fs, gb=rate)
     t_end_fs = min(tau_fs * delays, sys.float_info.max) or tau_fs
     plan = _outcome(engine.plan_run, eqs, steps_per_delay=K, t_end_fs=t_end_fs,
-                    eps_band=eps_band)
+                    eps_band=eps_band, band_width=band_width)
     width = _outcome(default_band_width, eqs, K, eps_band)
-    assert (plan if isinstance(plan, tuple) else plan.band_width) == width
+    assert (plan if isinstance(plan, tuple) else plan.default_band_width) == width
+    if band_width is None and not isinstance(plan, tuple):
+        assert plan.band_width == width
 
 
 def test_default_band_keeps_an_undamped_line_whole():
@@ -670,6 +674,88 @@ def test_band_width_source_is_the_rule_that_set_it():
                             (0.008, 7, (7, "user"))):
         r = engine.run(toy_eqs(gb=gb), {"s": 1.0}, band_width=width, **kw)
         assert (r.band_width, r.band_width_source) == want
+
+
+# ---------------------------------------------------------------------------
+# stability margin
+# ---------------------------------------------------------------------------
+
+
+def _heun_gain_reference(eqs, h):
+    """The largest |eigenvalue| of R(h X) = 1 + h X + (h X)^2 / 2 over X the
+    real forms of the OWN and CURRENT blocks, each row built by applying
+    the terms one by one to a unit read, 1 or i, of one variable."""
+    gains = []
+    for pattern, names in ((Pattern.OWN, eqs.band_vars), (Pattern.CURRENT, eqs.system_vars)):
+        rows = []
+        for v in names:
+            for unit in (1.0, 1j):
+                out = _apply(eqs.terms, pattern, {u: unit if u == v else 0j for u in names})
+                rows.append(np.array([out[u] for u in names]).view(np.float64))
+        if rows:
+            x = h * np.array(rows)
+            gains.append(np.abs(np.linalg.eigvals(np.eye(len(x)) + x + x @ x / 2)).max())
+    return max(gains)
+
+
+def _margin_case(case):
+    """An equation set with its step h_fs: the shipped models on an unequal
+    cavity, then hand-built sets whose CURRENT block is diagonal with
+    complex sums, conjugated, or crossed."""
+    P, w = Pattern, ("w0", "w1")
+    births = (Term("w0", 1.0, "s0", P.BIRTH), Term("w1", 1.0, "s1", P.BIRTH))
+    own = (Term("w0", -0.03 + 0.04j, "w0", P.OWN), Term("w1", -0.01, "w1", P.OWN),
+           Term("w1", 0.002 - 0.05j, "w1", P.OWN))
+    current = {
+        "complex": (Term("s0", -0.02 + 0.05j, "s0", P.CURRENT),
+                    Term("s0", -0.01 + 0.03j, "s0", P.CURRENT),
+                    Term("s1", -0.05 - 0.08j, "s1", P.CURRENT)),
+        "cross": (Term("s0", -0.02, "s0", P.CURRENT), Term("s0", 0.05, "s1", P.CURRENT),
+                  Term("s1", -0.05 + 0.01j, "s0", P.CURRENT),
+                  Term("s1", -0.03 + 0.01j, "s1", P.CURRENT)),
+    }
+    if case in current:
+        return EquationSet(("s0", "s1"), w, current[case] + own + births, 100.0), 10.0
+    if case == "conjugated":    # the set of test_conjugated_only_current_read
+        return EquationSet(("s",), ("w",), (
+            Term("s", -0.01 + 0.02j, "s", Pattern.CURRENT, conjugate=True),
+            Term("w", -0.008, "w", Pattern.OWN), BIRTH_W), 100.0), 5.0
+    build = getattr(models, f"build_{case}")
+    return build(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33)).equations, 100.0 / 3
+
+
+@pytest.mark.parametrize("case", ["single_excitation", "two_photon", "complex",
+                                  "conjugated", "cross"])
+def test_stability_margin_is_the_largest_heun_gain(case):
+    # the plan's margin, from the sums the set keeps or, for a conjugated
+    # or crossed CURRENT read, from eigvals of R(h C)'s real form, against
+    # the eigenvalues of R(h X) built term by term
+    eqs, h = _margin_case(case)
+    assert (eqs._current_sums is None) == (case in ("conjugated", "cross"))
+    plan = engine.plan_run(eqs, steps_per_delay=round(eqs.tau_fs / h), t_end_fs=eqs.tau_fs)
+    assert plan.stability_margin == pytest.approx(_heun_gain_reference(eqs, h), rel=1e-13)
+
+
+def test_stability_margin_of_rates_past_float_range_is_infinite():
+    # finite coefficients whose sum overflows are kept, and so is the set
+    big = Term("w", 1e308, "w", Pattern.OWN)
+    eqs = dataclasses.replace(toy_eqs(), terms=toy_eqs().terms + (big, big))
+    assert eqs.terms[-1].coefficient == 1e308
+    assert engine.plan_run(eqs, steps_per_delay=10, t_end_fs=50.0).stability_margin == math.inf
+    cross = (Term("s", -1e308, "s", Pattern.CURRENT, conjugate=True),) + eqs.terms[1:3]
+    eqs = dataclasses.replace(eqs, terms=cross)
+    assert engine.plan_run(eqs, steps_per_delay=10, t_end_fs=50.0).stability_margin == math.inf
+    # a non-finite one is named by its place, whatever the sum
+    with pytest.raises(ValueError, match=r"^terms\[3\]\.coefficient must be a finite number, got inf"):
+        dataclasses.replace(eqs, terms=eqs.terms + (big._replace(coefficient=math.inf), big))
+
+
+def test_an_equation_set_compares_and_hashes_by_the_fields_it_is_built_from():
+    a, b = toy_eqs(), toy_eqs()
+    assert a == b and hash(a) == hash(b) and "_forms" not in repr(a)
+    c = dataclasses.replace(a, tau_fs=200.0)
+    assert c != a and c._own_sums == a._own_sums == (-0.008 + 0j,)
+    assert type(c._own_sums[0]) is complex and not a._forms[Pattern.OWN].flags.writeable
 
 
 def _apply(terms, pattern, values, targets=None):

@@ -48,7 +48,9 @@ _ENTRIES = (
     (engine.HierarchyIntegrator,
      dict(eqs=_EQS, init={"pA": 1.0}, steps_per_delay=20, band_width=5, horizon_steps=10),
      ("steps_per_delay", "band_width", "horizon_steps"), ()),
-    (engine.EquationSet, vars(_LINE), (), ("tau_fs",)),
+    # its arguments: the fields it is built from, not those it derives
+    (engine.EquationSet, {f.name: getattr(_LINE, f.name) for f in dataclasses.fields(_LINE) if f.init},
+     (), ("tau_fs",)),
     (oracle.run_wavefunction, dict(cavity=_CAV, steps_per_delay=10, t_end_fs=50.0, init=_PAIR),
      ("steps_per_delay",), ("t_end_fs",)),
     (oracle.run_discretized_bath,
