@@ -228,7 +228,7 @@ def write_csv(path, result):
         fh.write(",".join(cols) + "\n")
         for i in range(0, len(result.times), _CSV_BLOCK):
             table = np.column_stack([part[i : i + _CSV_BLOCK] for part in parts])
-            fh.writelines(row % tuple(values) for values in table.tolist())
+            fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _write_meta(path, cfg, result, wall_s):

@@ -87,11 +87,18 @@ group of lines advances with one product, and one more writes the new
 state and the newborn line's age-0 cell, side by side in row n + 1.
 
 From step max(K, W, R) on the band is full, and every step makes the
-same calls: the index add, the ``take``, one product per group of lines,
-and the system product.  Only the steps before it, and the first step of
-each check window, whose buffer is new, work out which calls those are:
-the ages that advance, the first cycle's zeroing, the gather's length
-and views, and the lines with no delayed read.  Every product is the
+same calls: the ``take``, one product per group of lines, and the system
+product.  Such steps go in chunks of up to ``_CHUNK``, which end with the
+check window, or on the ring's last row, so that no chunk's rows read or
+written wrap.  A chunk walks the rows of one gather table, whose row k
+holds the cells of the step k rows on.  The first call that gathers
+builds it, and each chunk moves it to its first row with one in-place
+add: one index add per chunk, not per step.  Every other step, before
+the band is full and the first of each check window, whose buffer is
+new, is a chunk of one that first works out its calls: the ages that
+advance, the first cycle's zeroing, the gather's length and views (it
+reads the table's first row, cut to that length), and the lines with no
+delayed read.  Every product is the
 ``ndarray.dot`` method, which calls the same BLAS routine as
 ``np.matmul`` and ``np.dot``, bit for bit, but skips ``matmul``'s ufunc
 dispatch (about 1 us a call at K = 100-200) and ``np.dot``'s
@@ -341,6 +348,8 @@ def _heun_factor(z: np.ndarray) -> np.ndarray:
 
 #: the positions behind step n kept by a run ending within one delay (Storage)
 _WINDOW = 32
+#: the most full-band steps taken with one move of the gather table (Storage)
+_CHUNK = 8
 
 
 def _ring_shape(K: int, W: int, horizon: float) -> tuple[int, int]:
@@ -437,7 +446,7 @@ class HierarchyIntegrator:
         self._system, self._n_sys = np.concatenate(rows), len(rows) - 1  # and the band cells it reads
         self._sad_ages = lo, hi = max(0, K - 1 - W), min(W, K)
         self._sad = np.concatenate((self._own, s, s + s @ h_l)) if has_sad and hi > lo else None
-        self._idx = self._fused = None  # the gather's index; [M, M B] and the float views (_advance)
+        self._tab = self._tab_rows = self._fused = None  # the gather table, [M, M B], views (_advance)
         use_fad = include_first_arg_delayed and Pattern.FIRST_ARG_DELAYED in used
         self._fad = np.concatenate((self._own, f, f + f @ h_l)) if use_fad and W > K else None
         self._birth = m[Pattern.BIRTH]
@@ -470,7 +479,9 @@ class HierarchyIntegrator:
 
     def _advance(self, n_steps: int, record: np.ndarray | None = None) -> None:
         """Take ``n_steps`` steps, writing the float view of the system
-        state after step i to ``record[i]`` if given (checks: Storage)."""
+        state after step i to ``record[i]`` if given, in chunks that walk
+        the gather table's rows with the ring rows they read and write
+        (chunks and checks: Storage)."""
         if self.n + n_steps > self._horizon:
             raise ValueError(
                 f"integrator was allocated for {self._horizon} steps "
@@ -494,15 +505,20 @@ class HierarchyIntegrator:
         lo, hi = (0, 0) if sad is None else self._sad_ages
         n_sys, start = self._n_sys, self.n
         cells = flat.reshape(R, L, cell)  # cells[row, slot cells, then ages]
-        if self._idx is None and self.n + n_steps > K:
-            # built by the first call that gathers: its cells (Storage), from row n's first one
-            self._idx = q + np.concatenate(
+        if self._tab is None and self.n + n_steps > K:
+            # built by the first call that gathers: its cells (Storage), from row n's
+            # first one, and the table of them for _CHUNK steps, at row 0
+            idx = q + np.concatenate(
                 (np.arange(-q, 0),
                  np.array((K - 1, K, L + 1 - K * L)[:n_sys], dtype=np.intp),
                  np.arange(lo, hi)[:, None] * (1, -L - 1, -L - 1) + (0, K - 1, K),
                  np.arange(0 if fad is None else C - 2 - K)[:, None] + (K, L + 1 - K * L, -K * L)),
                 axis=None)
-        fused, idx = self._fused, self._idx
+            self._tab, self._tab_row = np.empty((_CHUNK, len(idx)), dtype=np.intp), 0
+            self._tab_rows = list(self._tab)
+            for k, row in enumerate(self._tab_rows):
+                np.add(idx, k * L, out=row)  # a broadcast add would allocate a ufunc buffer
+        fused, tab, tab_rows = self._fused, self._tab, self._tab_rows
         full = max(K, W, R)  # the band is full: every later step makes the same calls
         if record is None:
             record = np.empty((n_steps, ns))
@@ -511,22 +527,23 @@ class HierarchyIntegrator:
             for n0 in range(start, start + n_steps, R - 1):
                 n1 = min(n0 + R - 1, start + n_steps)
                 # the system's cells read 0.0 until n = K
-                buf = np.zeros(max(q + n_sys, 0 if idx is None else len(idx)) * cell)
+                buf = np.zeros(max(q + n_sys, 0 if tab is None else tab.shape[1]) * cell)
                 head, reads = buf[pad : q * cell], buf[pad : (q + n_sys) * cell]
-                for n in range(n0, n1):
+                n = n0
+                while n < n1:  # a chunk of steps from position n
                     r, r1 = n % R, (n + 1) % R  # the rows of positions n, n + 1
-                    if n < full or n == n0:  # the step's calls, on this window's buffer
-                        n_adv = min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
+                    if n < full or n == n0:  # a chunk of one, with its calls on this window's buffer
+                        c, n_adv = 1, min(W, n + 1)  # lines at ages 0 .. n_adv-1 advance
                         if n < R:  # the first ring cycle: cells this step leaves unwritten read 0 (Storage)
                             cells[r1, :q] = 0
                             cells[r1, q + n_adv + 1 :] = 0
                         # the groups of lines with a delayed read, as (reads, product, rows
                         # of their next ages), and the ages of the lines with none
-                        ix, groups, plain = None, [], [(0, n_adv)]
+                        ixs, groups, plain = (None,), [], [(0, n_adv)]
                         if n >= K:
                             m = hi - lo + (0 if fad is None else n_adv - K)
                             x = buf[: (q + n_sys + 3 * m) * cell].reshape(-1, cell)
-                            ix, split = idx[: len(x)], q + n_sys + 3 * (hi - lo)
+                            ixs, split = (tab[0, : len(x)],), q + n_sys + 3 * (hi - lo)
                             groups = [(x[q + n_sys : split].reshape(-1, 3 * cell), sad, lo, hi),
                                       (x[split:].reshape(-1, 3 * cell), fad, K, n_adv)]
                             groups = [(x_g, product, cells[:, q + a + 1 : q + b + 1])
@@ -534,16 +551,25 @@ class HierarchyIntegrator:
                             plain = [(0, lo), (hi, n_adv if fad is None else K)]
                         plain = [(cells[:, q + a : q + b], cells[:, q + a + 1 : q + b + 1])
                                  for a, b in plain if a < b]
-                    if ix is None:
-                        head[...] = slots[r]
-                    else:
-                        flat.take(ix + r * L, axis=0, mode="wrap", out=x)
-                    for x_g, product, y1 in groups:
-                        x_g.dot(product, out=y1[r1])
-                    for y0, y1 in plain:
-                        y0[r].dot(own, out=y1[r1])
-                    reads.dot(fused, out=outs[r1])  # the new state, and line n + 1 is born
-                buf = head = reads = x = ix = groups = x_g = None  # none outlives its window (peak memory)
+                    else:  # full-band steps, whose gathers read whole table rows
+                        c, ixs = min(_CHUNK, n1 - n, R - max(r, r1)), tab_rows
+                    if n >= K:  # the table, moved to row n
+                        tab += (r - self._tab_row) * L
+                        self._tab_row = r
+                    p, p1 = r, r1  # the rows a step reads and writes
+                    for ix in ixs[:c]:  # its row of the table, None before n = K
+                        if ix is None:
+                            head[...] = slots[p]
+                        else:
+                            flat.take(ix, axis=0, mode="wrap", out=x)
+                        for x_g, product, y1 in groups:
+                            x_g.dot(product, out=y1[p1])
+                        for y0, y1 in plain:
+                            y0[p].dot(own, out=y1[p1])
+                        reads.dot(fused, out=outs[p1])  # the new state, and line n + 1 is born
+                        p, p1 = p + 1, p1 + 1
+                    n += c
+                buf = head = reads = x = groups = x_g = None  # none outlives its window (peak memory)
                 self._check(n0, n1, record[n0 - start : n1 - start])
 
     def _check(self, n0: int, n1: int, states: np.ndarray) -> None:

@@ -105,10 +105,21 @@ MUTANTS = (
            (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-two_photon]",
             T_ENGINE + "test_frozen_unequal_spot_values[rates0-single_excitation]")),
     Mutant("the window buffer filled with ones, not zeros", ENGINE,
-           "buf = np.zeros(max(q + n_sys, 0 if idx is None else len(idx)) * cell)",
-           "buf = np.ones(max(q + n_sys, 0 if idx is None else len(idx)) * cell)",
+           "buf = np.zeros(max(q + n_sys, 0 if tab is None else tab.shape[1]) * cell)",
+           "buf = np.ones(max(q + n_sys, 0 if tab is None else tab.shape[1]) * cell)",
            (T_ACCEPTANCE + "test_criterion_4_hierarchy_tracks_delay_equations",
             T_ENGINE + "test_frozen_spot_values[single_excitation]")),
+    # -- the chunks of full-band steps, and the gather table they walk
+    Mutant("a chunk that runs past the ring's last row", ENGINE,
+           "min(_CHUNK, n1 - n, R - max(r, r1))",
+           "min(_CHUNK, n1 - n)",
+           (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[K-single_excitation]",
+            T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[2K-two_photon]")),
+    Mutant("the table moved from the wrong row", ENGINE,
+           "self._tab_row = r\n",
+           "self._tab_row = r1\n",
+           (T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[K-3-single_excitation]",
+            T_ENGINE + "test_split_stepping_equals_one_run_bit_for_bit[K-two_photon]")),
     # -- the first ring cycle, the check windows and the certificate
     Mutant("no first-cycle zeroing", ENGINE,
            "cells[r1, q + n_adv + 1 :] = 0",

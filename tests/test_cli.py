@@ -152,6 +152,27 @@ def test_csv_write_memory_does_not_grow_with_the_run(tmp_path):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_csv_blocks_write_the_bytes_of_a_row_by_row_format(tmp_path):
+    # each block is formatted at once; the bytes are those of one "%.17g"
+    # per value, row by row, for signed zeros, subnormals, values near the
+    # float range and exact integers, over two block edges
+    n = 2 * cli._CSV_BLOCK + 1
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-310, 1e300, -1e300,
+                        1.0, -3.0, 2.0**53, 1e16, 0.1])
+    values = np.resize(special, 6 * n).reshape(6, n)
+    series = {v: np.stack(values[2 * k : 2 * k + 2], axis=-1).view(complex)[:, 0]
+              for k, v in enumerate(("pA", "pB", "cAB"))}
+    result = types.SimpleNamespace(times=np.resize(special[::-1], n), series=series)
+    out = tmp_path / "edge.csv"
+    cli.write_csv(out, result)
+    columns = [result.times] + [part for v in series.values() for part in (v.real, v.imag)]
+    want = "time_fs,pA_re,pA_im,pB_re,pB_im,cAB_re,cAB_im\n" + "".join(
+        ",".join("%.17g" % float(c[i]) for c in columns) + "\n" for i in range(n))
+    assert out.read_bytes() == want.encode("utf-8")
+    assert {"-0", "4.9406564584124654e-324", "-1.0000000000000001e+300", "9007199254740992"} <= set(
+        want.replace("\n", ",").split(","))
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     cfgfile = write_cfg(tmp_path)
     outs = []

@@ -884,25 +884,32 @@ def test_one_step_of_the_system_is_the_written_out_heun_step(dW, fad):
 @pytest.mark.parametrize("kind", ["single_excitation", "two_photon"])
 @pytest.mark.parametrize("width", ["2K", "K", "K-3"])
 def test_split_stepping_equals_one_run_bit_for_bit(width, kind):
-    # run steps in windows of R - 1, step() in windows of one, each with its
-    # own gather buffer: at W = 2K the FAD group grows by one line per step
+    # run steps in windows of R - 1, calls of one step in windows of one,
+    # each with its own gather buffer: at W = 2K the FAD group grows by one line per step
     # for a delay, and at W = K - 3 the youngest SAD line's left read is
-    # zeroed; each width's band fills at a different offset into a window
-    K = 12
-    W = {"2K": 2 * K, "K": K, "K-3": K - 3}[width]
+    # zeroed; each width's band fills at a different offset into a window.
+    # At K = 12 no window holds a full chunk of steps; at K = 40 (R = 42)
+    # calls of uneven lengths give windows of several full chunks, some cut
+    # short by the window's end and some by the ring's last row
     m = getattr(models, f"build_{kind}")(make_unequal(0.4, 1.7, 3.7, -1.2, 0.33))
     eqs = m.equations
-    r = engine.run(eqs, m.default_init, steps_per_delay=K, t_end_fs=4 * eqs.tau_fs, band_width=W)
-    it = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K, band_width=W,
-                             horizon_steps=r.n_steps)
-    assert r.n_steps >= 3 * (it.buffer.shape[0] - 1)  # three ring cycles
-    states = [it.state.copy()]
-    for _ in range(r.n_steps):
-        it.step()
-        states.append(it.state.copy())
-    for k, name in enumerate(eqs.system_vars):
-        assert np.array_equal(r.series[name], np.array(states)[:, k]), name
-    assert r.truncation_certificate == it.truncation_certificate
+    for K in (12, 40):
+        W = {"2K": 2 * K, "K": K, "K-3": K - 3}[width]
+        r = engine.run(eqs, m.default_init, steps_per_delay=K, t_end_fs=4 * eqs.tau_fs, band_width=W)
+        it = HierarchyIntegrator(eqs, m.default_init, steps_per_delay=K, band_width=W,
+                                 horizon_steps=r.n_steps)
+        R = it.buffer.shape[0]
+        assert r.n_steps >= 3 * (R - 1)  # three ring cycles
+        calls = [1] * r.n_steps if K == 12 else [1, 7, 8, 9, R - 1]
+        calls.append(r.n_steps - sum(calls))  # none left at K = 12
+        states = [it.state.copy()]
+        for n in calls:
+            record = np.empty((n, 2 * len(eqs.system_vars)))
+            it._advance(n, record)
+            states.extend(record.view(complex))
+        for k, name in enumerate(eqs.system_vars):
+            assert np.array_equal(r.series[name], np.array(states)[:, k]), (K, name)
+        assert r.truncation_certificate == it.truncation_certificate, K
 
 
 def test_truncation_certificate_reported_and_consistent():
